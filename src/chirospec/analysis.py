@@ -19,8 +19,8 @@ import numpy as np
 
 from .biphoton import BiphotonAmplitude, FrequencyGrid
 from .errors import CurveTooShort, GridMismatch
-from .model import Chirality, DriveConfig, NoiseParams
-from .spectrum import SpectrumCurve, transmission_curve
+from .model import DriveConfig, NoiseParams
+from .spectrum import SpectrumCurve, enantiomer_kernels, kernel_curves
 
 #: An extremum counts as significant above this fraction of the curve maximum.
 EXTREMUM_REL_THRESHOLD = 0.05
@@ -63,53 +63,45 @@ def classify_lineshape(
 ) -> LineShapeSignature:
     """Extract the line-shape signature of a curve.
 
-    Local extrema of the values are kept when their magnitude reaches
-    ``rel_threshold`` times the curve maximum; their signs are recorded
-    in scan order and the sign changes between consecutive significant
-    extrema are counted.  The global-magnitude extremum always counts
-    (so monotone curves still classify).  Flat curves return the null
-    signature.
+    Local extrema are the points where the sign of the slope changes,
+    ignoring zero slopes; a plateau's extremum sits at its last index.
+    Extrema are kept when their magnitude reaches ``rel_threshold`` times
+    the curve maximum; their signs are recorded in scan order and the
+    sign changes between consecutive significant extrema are counted.
+    The global-magnitude extremum always counts (so monotone curves
+    still classify).  Flat curves return the null signature.
     """
     if len(curve) < MIN_CURVE_POINTS:
         raise CurveTooShort(f"need >= {MIN_CURVE_POINTS} points, got {len(curve)}")
     v = curve.values
-    max_abs = float(np.max(np.abs(v)))
+    magnitude = np.abs(v)
+    global_idx = int(np.argmax(magnitude))
+    max_abs = float(magnitude[global_idx])
     if max_abs < FLAT_CURVE_FLOOR:
         return LineShapeSignature.null()
 
-    extrema: list[int] = []
-    last_slope = 0
-    for i in range(1, v.size):
-        d = v[i] - v[i - 1]
-        slope = 1 if d > 0 else (-1 if d < 0 else 0)
-        if slope == 0:
-            continue
-        if last_slope != 0 and slope != last_slope:
-            extrema.append(i - 1)
-        last_slope = slope
-
-    global_idx = int(np.argmax(np.abs(v)))
-    if global_idx not in extrema:
-        extrema.append(global_idx)
-        extrema.sort()
-
-    significant = [i for i in extrema if abs(v[i]) >= rel_threshold * max_abs]
-    signs = tuple(1 if v[i] > 0 else -1 for i in significant)
-    crossings = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    dominant = 1 if v[global_idx] > 0 else -1
+    slopes = np.sign(np.diff(v))
+    moving = np.flatnonzero(slopes)
+    turns = moving[1:][slopes[moving[1:]] != slopes[moving[:-1]]]
+    extrema = turns if global_idx in turns else np.sort(np.append(turns, global_idx))
+    significant = extrema[magnitude[extrema] >= rel_threshold * max_abs]
+    signs = np.where(v[significant] > 0, 1, -1)
     return LineShapeSignature(
-        extrema_signs=signs, zero_crossings=crossings, dominant_sign=dominant
+        extrema_signs=tuple(signs.tolist()),
+        zero_crossings=int(np.count_nonzero(signs[1:] != signs[:-1])),
+        dominant_sign=1 if v[global_idx] > 0 else -1,
     )
 
 
-def discriminability(
+def compare_pair(
     curve_l: SpectrumCurve,
     curve_r: SpectrumCurve,
     metric_threshold: float = DISCRIMINABILITY_THRESHOLD,
     rel_threshold: float = EXTREMUM_REL_THRESHOLD,
-) -> tuple[float, bool]:
-    """Distance metric in [0, 1] plus a distinguishability verdict.
+) -> tuple[LineShapeSignature, LineShapeSignature, float, bool]:
+    """Signatures, distance metric in [0, 1] and verdict of one curve pair.
 
+    Each curve is classified once, and
     metric = min(1, ||P_L - P_R||_2 / max(||P_L||_2, ||P_R||_2));
     the pair is distinguishable when the signatures differ or the metric
     reaches ``metric_threshold``.
@@ -127,7 +119,20 @@ def discriminability(
         metric = min(1.0, float(np.linalg.norm(curve_l.values - curve_r.values)) / biggest)
     sig_l = classify_lineshape(curve_l, rel_threshold)
     sig_r = classify_lineshape(curve_r, rel_threshold)
-    return metric, (sig_l != sig_r) or (metric >= metric_threshold)
+    return sig_l, sig_r, metric, (sig_l != sig_r) or (metric >= metric_threshold)
+
+
+def discriminability(
+    curve_l: SpectrumCurve,
+    curve_r: SpectrumCurve,
+    metric_threshold: float = DISCRIMINABILITY_THRESHOLD,
+    rel_threshold: float = EXTREMUM_REL_THRESHOLD,
+) -> tuple[float, bool]:
+    """Distance metric in [0, 1] plus a distinguishability verdict (see compare_pair)."""
+    _, _, metric, distinguishable = compare_pair(
+        curve_l, curve_r, metric_threshold, rel_threshold
+    )
+    return metric, distinguishable
 
 
 @dataclass(frozen=True)
@@ -210,12 +215,7 @@ def curve_pair(
     scan_s: FrequencyGrid,
 ) -> tuple[SpectrumCurve, SpectrumCurve]:
     """Left- and right-handed transmission curves from one drive config."""
-    left = replace(cfg, chirality=Chirality.LEFT)
-    right = replace(cfg, chirality=Chirality.RIGHT)
-    return (
-        transmission_curve(left, amp, noise, omega_l_bar, scan_s),
-        transmission_curve(right, amp, noise, omega_l_bar, scan_s),
-    )
+    return kernel_curves(enantiomer_kernels(cfg, noise, scan_s), amp, omega_l_bar)
 
 
 def sweep_amplitude(amp_template: BiphotonAmplitude, t0: float) -> BiphotonAmplitude:
@@ -227,27 +227,41 @@ def sweep_amplitude(amp_template: BiphotonAmplitude, t0: float) -> BiphotonAmpli
     )
 
 
-# Worker-process state for regime-map cells, installed once per pool worker.
-_CELL_CTX: dict = {}
+# Shared state of one pool worker, installed once by the pool initializer.
+_WORKER: dict = {}
 
 
-def _init_cell_worker(cfg, amp_template, noise, t0_axis, omega_l_axis, scan_s):
-    _CELL_CTX["args"] = (cfg, amp_template, noise, t0_axis, omega_l_axis, scan_s)
+def _init_worker(func, context):
+    _WORKER["task"] = (func, context)
 
 
-def _eval_cell(idx: tuple[int, int]):
-    cfg, amp_template, noise, t0_axis, omega_l_axis, scan_s = _CELL_CTX["args"]
-    return _cell_result(cfg, amp_template, noise, t0_axis, omega_l_axis, scan_s, idx)
+def _run_in_worker(job):
+    func, context = _WORKER["task"]
+    return func(context, job)
 
 
-def _cell_result(cfg, amp_template, noise, t0_axis, omega_l_axis, scan_s, idx):
+def run_jobs(func, context, jobs: list, threads: Optional[int]) -> list:
+    """``[func(context, job) for job in jobs]``, on a worker pool if threads > 1.
+
+    The context (prepared kernels, axes) reaches each forked worker once,
+    through the pool initializer; only jobs and results are pickled.
+    Results come back in job order for any worker count.
+    """
+    if threads is None or threads <= 1 or len(jobs) <= 1:
+        return [func(context, job) for job in jobs]
+    chunk = max(1, len(jobs) // (threads * 4))
+    with multiprocessing.get_context("fork").Pool(
+        processes=threads, initializer=_init_worker, initargs=(func, context)
+    ) as pool:
+        return pool.map(_run_in_worker, jobs, chunksize=chunk)
+
+
+def _cell_result(context, idx: tuple[int, int]):
+    kernels, amp_template, t0_axis, omega_l_axis = context
     i, j = idx
     amp = sweep_amplitude(amp_template, float(t0_axis[i]))
-    left, right = curve_pair(cfg, amp, noise, float(omega_l_axis[j]), scan_s)
-    metric, distinguishable = discriminability(left, right)
-    sig_l = classify_lineshape(left)
-    sig_r = classify_lineshape(right)
-    return i, j, sig_l, sig_r, distinguishable
+    left, right = kernel_curves(kernels, amp, float(omega_l_axis[j]))
+    return compare_pair(left, right)
 
 
 def regime_map(
@@ -274,38 +288,17 @@ def regime_map(
         raise ValueError("T0 values must be >= 0")
 
     indices = [(i, j) for i in range(t0_axis.size) for j in range(omega_l_axis.size)]
-    if threads is None or threads <= 1:
-        results = [
-            _cell_result(cfg, amp_template, noise, t0_axis, omega_l_axis, scan_s, idx)
-            for idx in indices
-        ]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(indices) // (threads * 4))
-        with ctx.Pool(
-            processes=threads,
-            initializer=_init_cell_worker,
-            initargs=(cfg, amp_template, noise, t0_axis, omega_l_axis, scan_s),
-        ) as pool:
-            results = pool.map(_eval_cell, indices, chunksize=chunk)
-
-    cells: dict[tuple[int, int], tuple[LineShapeSignature, LineShapeSignature, bool]]
-    cells = {(i, j): (sl, sr, dist) for i, j, sl, sr, dist in results}
+    kernels = enantiomer_kernels(cfg, noise, scan_s)
+    results = run_jobs(
+        _cell_result, (kernels, amp_template, t0_axis, omega_l_axis), indices, threads
+    )
 
     labels = np.zeros((t0_axis.size, omega_l_axis.size), dtype=int)
-    legend: dict[int, tuple[LineShapeSignature, LineShapeSignature]] = {}
     interned: dict[tuple[LineShapeSignature, LineShapeSignature], int] = {}
-    for i in range(t0_axis.size):
-        for j in range(omega_l_axis.size):
-            sig_l, sig_r, distinguishable = cells[(i, j)]
-            if not distinguishable:
-                continue
-            key = (sig_l, sig_r)
-            if key not in interned:
-                label = len(interned) + 1
-                interned[key] = label
-                legend[label] = key
-            labels[i, j] = interned[key]
+    for (i, j), (sig_l, sig_r, _, distinguishable) in zip(indices, results):
+        if distinguishable:
+            labels[i, j] = interned.setdefault((sig_l, sig_r), len(interned) + 1)
+    legend = {label: key for key, label in interned.items()}
 
     return RegimeMap(
         t0_axis=t0_axis, omega_l_axis=omega_l_axis, labels=labels, legend=legend

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, UnsupportedKind
+from .errors import GridTooCoarse, UnsupportedKind, ValidationError
 
 #: A sampling step must resolve the narrowest amplitude feature by this factor.
 RESOLVE_FACTOR = 10.0
@@ -34,6 +34,9 @@ RESOLVE_FACTOR = 10.0
 DEFAULT_STEP_FACTOR = 20.0
 #: Default grids extend this many widths from the center.
 DEFAULT_SPAN_WIDTHS = 6.0
+#: Most points a grid may hold, checked before any allocation; about 100x
+#: the 9301-point scans of the shipped configs.
+MAX_GRID_POINTS = 1_000_000
 
 
 class JsaKind(enum.Enum):
@@ -172,6 +175,11 @@ class FrequencyGrid:
         """Uniform grid over [center-hw, center+hw] with step <= max_step."""
         if not (max_step > 0 and half_width > 0):
             raise ValueError("half_width > 0 and max_step > 0")
+        if 2.0 * half_width / max_step + 1 > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid of half-width {half_width:g} and step {max_step:g} needs more "
+                f"than the {MAX_GRID_POINTS} points allowed"
+            )
         n_int = max(10, int(math.ceil(2.0 * half_width / max_step)))
         step = 2.0 * half_width / n_int
         points = center + np.linspace(-half_width, half_width, n_int + 1)

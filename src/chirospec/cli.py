@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import multiprocessing
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,18 +26,17 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    classify_lineshape,
-    curve_pair,
-    discriminability,
+    compare_pair,
     discrimination_window,
     regime_map,
+    run_jobs,
     sweep_amplitude,
 )
 from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
 from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import ConfigError, GridTooCoarse, NonFiniteResult, ValidationError
-from .model import Chirality, build_rotating_hamiltonian, dressed_states
-from .spectrum import SpectrumCurve
+from .model import Chirality, dressed_pair
+from .spectrum import SpectrumCurve, enantiomer_kernels, kernel_curves
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,21 +48,9 @@ def _fmt(x: float) -> str:
     return f"{x:.9e}"
 
 
-def _dressed_pair(cfg: ExperimentConfig):
-    left = dressed_states(
-        build_rotating_hamiltonian(replace(cfg.drive, chirality=Chirality.LEFT)),
-        Chirality.LEFT,
-    )
-    right = dressed_states(
-        build_rotating_hamiltonian(replace(cfg.drive, chirality=Chirality.RIGHT)),
-        Chirality.RIGHT,
-    )
-    return left, right
-
-
 def build_scan_grid(cfg: ExperimentConfig, amp: BiphotonAmplitude) -> FrequencyGrid:
     """Signal-detector scan grid: explicit values win, the rest is derived."""
-    left, right = _dressed_pair(cfg)
+    left, right = dressed_pair(cfg.drive)
     lambdas = np.concatenate([left.lambdas, right.lambdas])
     signal, _ = default_grid(amp, cfg.noise.gamma, lambdas)
     center = cfg.scan_center if cfg.scan_center is not None else signal.center
@@ -128,26 +113,10 @@ def _write_run_record(
     _write_text(path, "\n".join(lines) + "\n")
 
 
-# Worker state for parallel per-idler curve evaluation.
-_CURVE_CTX: dict = {}
-
-
-def _init_curve_worker(drive, amp, noise, scan):
-    _CURVE_CTX["args"] = (drive, amp, noise, scan)
-
-
-def _eval_idler(job: tuple[int, float]):
-    drive, amp, noise, scan = _CURVE_CTX["args"]
-    return _idler_result(drive, amp, noise, scan, job)
-
-
-def _idler_result(drive, amp, noise, scan, job):
-    index, omega_l_bar = job
-    left, right = curve_pair(drive, amp, noise, omega_l_bar, scan)
-    metric, distinguishable = discriminability(left, right)
-    sig_l = classify_lineshape(left)
-    sig_r = classify_lineshape(right)
-    return index, left, right, sig_l, sig_r, metric, distinguishable
+def _idler_result(context, omega_l_bar: float):
+    kernels, amp = context
+    left, right = kernel_curves(kernels, amp, omega_l_bar)
+    return left, right, compare_pair(left, right)
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
@@ -156,25 +125,13 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         raise ValidationError("spectrum command needs an idler section")
     started = time.time()
     scan = build_scan_grid(cfg, cfg.probe)
-    jobs = list(enumerate(cfg.idler))
-    if threads <= 1 or len(jobs) == 1:
-        results = [
-            _idler_result(cfg.drive, cfg.probe, cfg.noise, scan, job) for job in jobs
-        ]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            processes=threads,
-            initializer=_init_curve_worker,
-            initargs=(cfg.drive, cfg.probe, cfg.noise, scan),
-        ) as pool:
-            results = pool.map(_eval_idler, jobs, chunksize=1)
-    results.sort(key=lambda r: r[0])
+    context = (enantiomer_kernels(cfg.drive, cfg.noise, scan), cfg.probe)
+    results = run_jobs(_idler_result, context, list(cfg.idler), threads)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
-    manifest = [f"idler_count = {len(jobs)}"]
-    for index, left, right, sig_l, sig_r, metric, dist in results:
+    manifest = [f"idler_count = {len(results)}"]
+    for index, (left, right, (sig_l, sig_r, metric, dist)) in enumerate(results):
         tag = f"{index:03d}"
         for name, curve in (("left", left), ("right", right)):
             path = out_dir / f"curve_{name}_{tag}.csv"
@@ -243,7 +200,7 @@ def cmd_regime_map(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 def cmd_dressed(cfg: ExperimentConfig, stream=None) -> int:
     """Print dressed energies, overlaps, and the discrimination window."""
     stream = stream if stream is not None else sys.stdout
-    left, right = _dressed_pair(cfg)
+    left, right = dressed_pair(cfg.drive)
     for dressed in (left, right):
         name = "left" if dressed.chirality is Chirality.LEFT else "right"
         print(f"[{name}]", file=stream)

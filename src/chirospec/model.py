@@ -201,6 +201,14 @@ def dressed_states(
     return DressedTriad(lambdas=lam, eta1=eta, chirality=chirality)
 
 
+def dressed_pair(cfg: DriveConfig) -> tuple[DressedTriad, DressedTriad]:
+    """Dressed states of the left- and right-handed molecule of one drive."""
+    return tuple(
+        dressed_states(build_rotating_hamiltonian(replace(cfg, chirality=c)), c)
+        for c in (Chirality.LEFT, Chirality.RIGHT)
+    )
+
+
 def characteristic_invariants(h: HermitianTriad) -> tuple[float, float, float]:
     """Coefficients of the characteristic polynomial: trace, pair sum, det.
 

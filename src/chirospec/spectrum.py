@@ -36,7 +36,7 @@ from .biphoton import (
 )
 from .errors import NonFiniteResult, WrongKind
 from .model import Chirality, DressedTriad, DriveConfig, NoiseParams
-from .model import build_rotating_hamiltonian, dressed_states
+from .model import build_rotating_hamiltonian, dressed_pair, dressed_states
 
 
 @dataclass(frozen=True)
@@ -97,18 +97,69 @@ def background_point(amp: BiphotonAmplitude, det: DetectorPair) -> float:
     return float(abs(value) ** 2)
 
 
-def _mode_integrals(
-    dressed: DressedTriad,
-    psi_row: np.ndarray,
-    grid_s: FrequencyGrid,
-    gamma: float,
+def jsa_row(
+    amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l_bar: float
 ) -> np.ndarray:
-    """Q_i = trapezoid of psi(d'', wl) / (lambda_i - d'' + i*gamma) per dressed state."""
-    q = np.empty(3, dtype=complex)
-    for i in range(3):
-        integrand = psi_row / (dressed.lambdas[i] - grid_s.points + 1j * gamma)
-        q[i] = _trapezoid_uniform(integrand, grid_s.step)
-    return q
+    """psi(d'', omega_l_bar) over grid_s, once grid_s is known to resolve amp."""
+    _require_resolving(amp, grid_s)
+    return np.asarray(jsa_value(amp, grid_s.points, omega_l_bar))
+
+
+class TransmissionKernel:
+    """One enantiomer's transmission spectrum on one signal grid.
+
+    Holds what does not depend on the JSA row: the weights |eta_1i|^2 and
+    the three resonance denominators lambda_i - d'' + i*gamma over the
+    grid.  The grid is both the quadrature grid of the mode integrals Q_i
+    and, for curves, the scan of the signal detector, so one set of
+    denominators serves both.  Never mutated, so workers may share it.
+    """
+
+    def __init__(self, dressed: DressedTriad, noise: NoiseParams, grid_s: FrequencyGrid):
+        self.chirality = dressed.chirality
+        self.grid = grid_s
+        self.weights = dressed.eta1_sq
+        self.denominators = [
+            lam - grid_s.points + 1j * noise.gamma for lam in dressed.lambdas
+        ]
+
+    def mode_integrals(self, psi_row: np.ndarray) -> list:
+        """Q_i = trapezoid of psi(d'', wl) / (lambda_i - d'' + i*gamma)."""
+        return [
+            _trapezoid_uniform(psi_row / den, self.grid.step) for den in self.denominators
+        ]
+
+    def curve(self, psi_row: np.ndarray, omega_l_bar: float) -> SpectrumCurve:
+        """Transmission across the grid for the JSA row psi(grid, omega_l_bar)."""
+        q = self.mode_integrals(psi_row)
+        conj_row = np.conj(psi_row)
+        total = np.zeros(psi_row.size, dtype=float)
+        for weight, den, q_i in zip(self.weights, self.denominators, q):
+            total += weight * (conj_row / den * q_i).real
+        values = -total
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteResult("transmission quadrature produced a non-finite value")
+        return SpectrumCurve(
+            chirality=self.chirality,
+            omega_l_bar=omega_l_bar,
+            delta_s=self.grid.points,
+            values=values,
+        )
+
+
+def enantiomer_kernels(
+    cfg: DriveConfig, noise: NoiseParams, scan_s: FrequencyGrid
+) -> tuple[TransmissionKernel, TransmissionKernel]:
+    """Left- and right-handed kernels of one drive on one scan grid."""
+    return tuple(TransmissionKernel(d, noise, scan_s) for d in dressed_pair(cfg))
+
+
+def kernel_curves(
+    kernels: tuple[TransmissionKernel, ...], amp: BiphotonAmplitude, omega_l_bar: float
+) -> tuple[SpectrumCurve, ...]:
+    """One curve per kernel at one idler frequency, from one shared JSA row."""
+    psi_row = jsa_row(amp, kernels[0].grid, omega_l_bar)
+    return tuple(kernel.curve(psi_row, omega_l_bar) for kernel in kernels)
 
 
 def transmission_point(
@@ -119,16 +170,15 @@ def transmission_point(
     grid_s: FrequencyGrid,
 ) -> float:
     """Transmission spectrum at one detector pair, by quadrature over grid_s."""
-    _require_resolving(amp, grid_s)
     gamma = noise.gamma
-    psi_row = np.asarray(jsa_value(amp, grid_s.points, det.omega_l_bar))
-    q = _mode_integrals(dressed, psi_row, grid_s, gamma)
+    psi_row = jsa_row(amp, grid_s, det.omega_l_bar)
+    kernel = TransmissionKernel(dressed, noise, grid_s)
+    q = kernel.mode_integrals(psi_row)
     psi_det = jsa_value(amp, det.omega_s_bar, det.omega_l_bar)
-    weights = dressed.eta1_sq
     total = 0.0
     for i in range(3):
         factor = np.conj(psi_det) / (dressed.lambdas[i] - det.omega_s_bar + 1j * gamma)
-        total += weights[i] * (factor * q[i]).real
+        total += kernel.weights[i] * (factor * q[i]).real
     result = -total
     if not math.isfinite(result):
         raise NonFiniteResult("transmission quadrature produced a non-finite value")
@@ -144,29 +194,12 @@ def transmission_curve(
 ) -> SpectrumCurve:
     """Scan the signal detector across scan_s at fixed idler frequency.
 
-    The dressed states and the mode integrals Q_i are computed once; the
-    per-point evaluation then reproduces transmission_point bit for bit
-    (scan_s doubles as the quadrature grid).
+    scan_s doubles as the quadrature grid, so every point reproduces
+    transmission_point bit for bit.
     """
-    _require_resolving(amp, scan_s)
-    gamma = noise.gamma
+    psi_row = jsa_row(amp, scan_s, omega_l_bar)
     dressed = dressed_states(build_rotating_hamiltonian(cfg), cfg.chirality)
-    psi_row = np.asarray(jsa_value(amp, scan_s.points, omega_l_bar))
-    q = _mode_integrals(dressed, psi_row, scan_s, gamma)
-    weights = dressed.eta1_sq
-    total = np.zeros(scan_s.points.size, dtype=float)
-    for i in range(3):
-        factor = np.conj(psi_row) / (dressed.lambdas[i] - scan_s.points + 1j * gamma)
-        total += weights[i] * (factor * q[i]).real
-    values = -total
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteResult("transmission quadrature produced a non-finite value")
-    return SpectrumCurve(
-        chirality=cfg.chirality,
-        omega_l_bar=omega_l_bar,
-        delta_s=scan_s.points,
-        values=values,
-    )
+    return TransmissionKernel(dressed, noise, scan_s).curve(psi_row, omega_l_bar)
 
 
 def zero_bandwidth_point(

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import chirospec
 import working_point as wp
+from chirospec import analysis, model
 from chirospec.analysis import (
+    EXTREMUM_REL_THRESHOLD,
+    FLAT_CURVE_FLOOR,
+    MIN_CURVE_POINTS,
     DiscriminationWindow,
     LineShapeSignature,
     classify_lineshape,
@@ -80,6 +87,85 @@ class TestClassifyLineshape:
     def test_compact_form(self):
         sig = LineShapeSignature(extrema_signs=(1, -1), zero_crossings=1, dominant_sign=-1)
         assert sig.compact() == "+-|1|-"
+
+
+def reference_signature(curve, rel_threshold=EXTREMUM_REL_THRESHOLD):
+    """Plain-Python line-shape signature, one point at a time: the oracle."""
+    v = [float(x) for x in curve.values]
+    max_abs = max(abs(x) for x in v)
+    if max_abs < FLAT_CURVE_FLOOR:
+        return LineShapeSignature.null()
+    extrema = []
+    last_slope = 0
+    for i in range(1, len(v)):
+        d = v[i] - v[i - 1]
+        slope = 1 if d > 0 else (-1 if d < 0 else 0)
+        if slope == 0:
+            continue
+        if last_slope != 0 and slope != last_slope:
+            extrema.append(i - 1)
+        last_slope = slope
+    global_idx = max(range(len(v)), key=lambda i: (abs(v[i]), -i))
+    if global_idx not in extrema:
+        extrema.append(global_idx)
+        extrema.sort()
+    significant = [i for i in extrema if abs(v[i]) >= rel_threshold * max_abs]
+    signs = tuple(1 if v[i] > 0 else -1 for i in significant)
+    crossings = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    dominant = 1 if v[global_idx] > 0 else -1
+    return LineShapeSignature(
+        extrema_signs=signs, zero_crossings=crossings, dominant_sign=dominant
+    )
+
+
+#: Curve lengths: exactly the minimum, or a little longer.
+LENGTHS = st.one_of(st.just(MIN_CURVE_POINTS), st.integers(MIN_CURVE_POINTS, 80))
+#: Few distinct levels give plateaus and repeated values; fine steps exact
+#: under power-of-two rescaling; arbitrary floats for everything else.
+LEVELS = (
+    st.integers(-3, 3).map(float),
+    st.integers(-10**6, 10**6).map(lambda k: k / 64.0),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+)
+SHAPES = ("as drawn", "rising", "falling", "flat", "sign-flipped")
+
+
+@st.composite
+def curve_values(draw, levels=st.one_of(*LEVELS)):
+    n = draw(LENGTHS)
+    values = np.asarray(draw(st.lists(levels, min_size=n, max_size=n)), dtype=float)
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "rising":
+        values = np.sort(values)
+    elif shape == "falling":
+        values = np.sort(values)[::-1]
+    elif shape == "flat":
+        values = np.full(n, values[0])
+    elif shape == "sign-flipped":
+        values = -values
+    return values
+
+
+class TestClassifierOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(curve_values())
+    @example(np.zeros(MIN_CURVE_POINTS))
+    @example(np.array([0.0, 1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 0.0] * 2))
+    @example(np.array([2.0] * 5 + [1.0] * 6 + [2.0] * 5))
+    @example(np.array([0.0, 20.0, 0.0, 1.0] + [0.0] * 12))  # a lobe at exactly 5%
+    def test_matches_reference_loop(self, values):
+        curve = make_curve(values)
+        assert classify_lineshape(curve) == reference_signature(curve)
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve_values(levels=st.one_of(*LEVELS[:2])), st.integers(-30, 30))
+    def test_positive_rescaling_keeps_signature(self, values, power):
+        # powers of two rescale these values exactly, so no tie is made or broken
+        scale = 2.0**power
+        assume(np.max(np.abs(values)) * scale >= FLAT_CURVE_FLOOR or not values.any())
+        base = classify_lineshape(make_curve(values))
+        assert classify_lineshape(make_curve(scale * values)) == base
+        assert base == reference_signature(make_curve(values))
 
 
 class TestDiscriminability:
@@ -226,6 +312,40 @@ class TestRegimeMap:
                     seen.append(label)
         assert seen == sorted(seen)
         assert set(rm.legend) == set(seen)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` wherever a chirospec module binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (chirospec, *vars(chirospec).values()):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestWorkDoneOnce:
+    def test_one_classification_per_curve_one_eigh_per_enantiomer(
+        self, small_axes, monkeypatch
+    ):
+        t0, wl, scan = small_axes
+        classified = count_calls(monkeypatch, analysis, "classify_lineshape")
+        diagonalized = count_calls(monkeypatch, model, "dressed_states")
+        serial = regime_map(
+            wp.DRIVE, wp.ENTANGLED_TEMPLATE, wp.NOISE, t0, wl, scan, threads=1
+        )
+        assert len(classified) == 2 * len(t0) * len(wl)
+        assert len(diagonalized) <= 2
+        pooled = regime_map(
+            wp.DRIVE, wp.ENTANGLED_TEMPLATE, wp.NOISE, t0, wl, scan, threads=2
+        )
+        assert np.array_equal(serial.labels, pooled.labels)
+        assert serial.legend == pooled.legend
 
 
 class TestReferenceRowLabels:

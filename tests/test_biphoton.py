@@ -9,6 +9,7 @@ from chirospec.biphoton import (
     BiphotonAmplitude,
     FrequencyGrid,
     JsaKind,
+    _require_resolving,
     default_grid,
     jsa_grid,
     jsa_value,
@@ -211,7 +212,8 @@ class TestDefaultGrid:
             BiphotonAmplitude.entangled(sigma_p=0.1, t_s=36.0, t_l=37.5),
         ):
             gs, gl = default_grid(amp, 1.0)
-            jsa_grid(amp, gs, gl, normalized=False)  # must not raise
+            for grid in (gs, gl):
+                _require_resolving(amp, grid)  # must not raise
 
 
 class TestZeroBandwidthEnvelope:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chirospec.biphoton import MAX_GRID_POINTS
 from chirospec.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -286,6 +287,16 @@ class TestExitCodes:
             encoding="utf-8",
         )
         assert main(["spectrum", "-c", str(path), "--threads", "1"]) == 2
+
+    def test_oversized_scan_grid_is_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        text = QUANTUM_CFG.format(out=tmp_path / "out")
+        path.write_text(text.replace("step: 0.002", "step: 1.0e-12"), encoding="utf-8")
+        assert main(["spectrum", "-c", str(path), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("chirospec: config error:")
+        assert str(MAX_GRID_POINTS) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_is_3(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
