@@ -243,15 +243,17 @@ def _run_in_worker(job):
 def run_jobs(func, context, jobs: list, threads: Optional[int]) -> list:
     """``[func(context, job) for job in jobs]``, on a worker pool if threads > 1.
 
-    The context (prepared kernels, axes) reaches each forked worker once,
-    through the pool initializer; only jobs and results are pickled.
-    Results come back in job order for any worker count.
+    The pool has at most one worker per job.  The context (prepared
+    kernels, axes) reaches each forked worker once, through the pool
+    initializer; only jobs and results are pickled.  Results come back in
+    job order for any worker count.
     """
     if threads is None or threads <= 1 or len(jobs) <= 1:
         return [func(context, job) for job in jobs]
-    chunk = max(1, len(jobs) // (threads * 4))
+    workers = min(threads, len(jobs))
+    chunk = max(1, len(jobs) // (workers * 4))
     with multiprocessing.get_context("fork").Pool(
-        processes=threads, initializer=_init_worker, initargs=(func, context)
+        processes=workers, initializer=_init_worker, initargs=(func, context)
     ) as pool:
         return pool.map(_run_in_worker, jobs, chunksize=chunk)
 

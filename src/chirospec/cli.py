@@ -36,12 +36,16 @@ from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
 from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import ConfigError, GridTooCoarse, NonFiniteResult, ValidationError
 from .model import Chirality, dressed_pair
-from .spectrum import SpectrumCurve, enantiomer_kernels, kernel_curves
+from .spectrum import enantiomer_kernels, kernel_curves
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+
+#: Rows formatted per string when a curve CSV is written.
+CSV_BLOCK_ROWS = 512
+_CURVE_HEADER = b"delta_s_bar,P_c\n"
 
 
 def _fmt(x: float) -> str:
@@ -61,20 +65,46 @@ def build_scan_grid(cfg: ExperimentConfig, amp: BiphotonAmplitude) -> FrequencyG
     return FrequencyGrid.build(center, half_width, step)
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_text(path: Path, text: str) -> str:
+    """Write ``text`` as UTF-8 and return the sha256 of the bytes written."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_curve_csv(path: Path, curve: SpectrumCurve) -> None:
-    lines = ["delta_s_bar,P_c"]
-    for d, v in zip(curve.delta_s, curve.values):
-        lines.append(f"{_fmt(d)},{_fmt(v)}")
-    _write_text(path, "\n".join(lines) + "\n")
+def _curve_row_blocks(delta_s: np.ndarray) -> list[str]:
+    """Row templates of a curve CSV, ``CSV_BLOCK_ROWS`` rows per block.
+
+    Each row holds its formatted ``delta_s`` value and a ``%.9e`` slot for
+    ``P_c``, so the shared scan column is formatted once per command.
+    """
+    points = delta_s.tolist()
+    blocks = []
+    for start in range(0, len(points), CSV_BLOCK_ROWS):
+        chunk = points[start:start + CSV_BLOCK_ROWS]
+        blocks.append(("%.9e,%%.9e\n" * len(chunk)) % tuple(chunk))
+    return blocks
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_curve(path: Path, row_blocks: list[str], values: np.ndarray) -> str:
+    """Write one curve CSV block by block; return the sha256 of its bytes.
+
+    ``row_blocks`` comes from ``_curve_row_blocks`` of the grid the curve
+    was sampled on.  Filling one block at a time keeps every transient
+    string small: one string per curve fragments the heap and raises the
+    peak memory of the command.
+    """
+    digest = hashlib.sha256(_CURVE_HEADER)
+    with open(path, "wb") as fh:
+        fh.write(_CURVE_HEADER)
+        for k, block in enumerate(row_blocks):
+            start = k * CSV_BLOCK_ROWS
+            rows = block % tuple(values[start:start + CSV_BLOCK_ROWS].tolist())
+            data = rows.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def _flat_config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
@@ -97,7 +127,7 @@ def _flat_config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
 
 
 def _write_run_record(
-    path: Path, command: str, cfg: ExperimentConfig, outputs: list[Path],
+    path: Path, command: str, cfg: ExperimentConfig, digests: dict[str, str],
     wall_time: float,
 ) -> None:
     lines = [
@@ -108,8 +138,8 @@ def _write_run_record(
     ]
     for key, value in _flat_config_items(cfg):
         lines.append(f"config.{key} = {value}")
-    for out in outputs:
-        lines.append(f"checksum.{out.name} = {_sha256(out)}")
+    for name, digest in digests.items():
+        lines.append(f"checksum.{name} = {digest}")
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -129,14 +159,17 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     results = run_jobs(_idler_result, context, list(cfg.idler), threads)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
+    # TransmissionKernel.curve samples every curve on scan.points.
+    row_blocks = _curve_row_blocks(scan.points)
+    digests: dict[str, str] = {}
     manifest = [f"idler_count = {len(results)}"]
     for index, (left, right, (sig_l, sig_r, metric, dist)) in enumerate(results):
         tag = f"{index:03d}"
         for name, curve in (("left", left), ("right", right)):
-            path = out_dir / f"curve_{name}_{tag}.csv"
-            _write_curve_csv(path, curve)
-            outputs.append(path)
+            file_name = f"curve_{name}_{tag}.csv"
+            digests[file_name] = _write_curve(
+                out_dir / file_name, row_blocks, curve.values
+            )
         manifest.extend(
             [
                 f"idler.{tag}.omega_l_bar = {_fmt(cfg.idler[index])}",
@@ -148,11 +181,11 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
                 f"idler.{tag}.distinguishable = {'true' if dist else 'false'}",
             ]
         )
-    manifest_path = out_dir / "manifest.txt"
-    _write_text(manifest_path, "\n".join(manifest) + "\n")
-    outputs.append(manifest_path)
+    digests["manifest.txt"] = _write_text(
+        out_dir / "manifest.txt", "\n".join(manifest) + "\n"
+    )
     _write_run_record(
-        out_dir / "run_record.txt", "spectrum", cfg, outputs, time.time() - started
+        out_dir / "run_record.txt", "spectrum", cfg, digests, time.time() - started
     )
     return EXIT_OK
 
@@ -177,22 +210,22 @@ def cmd_regime_map(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     for i, t0 in enumerate(rm.t0_axis):
         for j, wl in enumerate(rm.omega_l_axis):
             map_lines.append(f"{_fmt(t0)},{_fmt(wl)},{rm.labels[i, j]}")
-    map_path = out_dir / "regime_map.csv"
-    _write_text(map_path, "\n".join(map_lines) + "\n")
+    digests = {
+        "regime_map.csv": _write_text(
+            out_dir / "regime_map.csv", "\n".join(map_lines) + "\n"
+        )
+    }
 
     legend_lines = ["label,signature_left,signature_right"]
     for label in sorted(rm.legend):
         sig_l, sig_r = rm.legend[label]
         legend_lines.append(f"{label},{sig_l.compact()},{sig_r.compact()}")
-    legend_path = out_dir / "legend.csv"
-    _write_text(legend_path, "\n".join(legend_lines) + "\n")
+    digests["legend.csv"] = _write_text(
+        out_dir / "legend.csv", "\n".join(legend_lines) + "\n"
+    )
 
     _write_run_record(
-        out_dir / "run_record.txt",
-        "regime-map",
-        cfg,
-        [map_path, legend_path],
-        time.time() - started,
+        out_dir / "run_record.txt", "regime-map", cfg, digests, time.time() - started
     )
     return EXIT_OK
 

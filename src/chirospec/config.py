@@ -27,6 +27,11 @@ _PROBE_KINDS = {
 }
 _KIND_NAMES = {v: k for k, v in _PROBE_KINDS.items()}
 
+#: Most idler frequencies one spectrum command may hold (the shipped configs use 20).
+MAX_IDLER_COUNT = 1_000
+#: Most (T0, idler) cells one sweep may hold (the shipped map uses 400).
+MAX_SWEEP_CELLS = 40_000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -42,6 +47,11 @@ class SweepSpec:
     def __post_init__(self):
         if not (self.t0_count >= 2 and self.omega_l_count >= 2):
             raise ValidationError("sweep axis counts must be >= 2")
+        if self.t0_count * self.omega_l_count > MAX_SWEEP_CELLS:
+            raise ValidationError(
+                f"sweep of {self.t0_count} x {self.omega_l_count} cells exceeds "
+                f"the limit of {MAX_SWEEP_CELLS} cells"
+            )
         if not (self.t0_max > self.t0_min >= 0.0):
             raise ValidationError("sweep.t0: 0 <= min < max")
         if not (self.omega_l_max > self.omega_l_min):
@@ -191,6 +201,8 @@ def _parse_idler(node) -> tuple[float, ...]:
         values = node["values"]
         if not isinstance(values, list) or not values:
             raise ValidationError("idler.values must be a nonempty list")
+        if len(values) > MAX_IDLER_COUNT:
+            raise _too_many_idlers()
         out = []
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -204,8 +216,16 @@ def _parse_idler(node) -> tuple[float, ...]:
         raise ValidationError("idler.step > 0")
     if hi < lo:
         raise ValidationError("idler.max >= idler.min")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    # floor(span) + 1 values; checked on the float, which may be inf.
+    if not span < MAX_IDLER_COUNT:
+        raise _too_many_idlers()
+    count = int(math.floor(span)) + 1
     return tuple(lo + k * step for k in range(count))
+
+
+def _too_many_idlers() -> ValidationError:
+    return ValidationError(f"idler list exceeds the limit of {MAX_IDLER_COUNT} values")
 
 
 def _parse_sweep(node: dict) -> SweepSpec:

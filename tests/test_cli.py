@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface and its file contracts."""
 
+import hashlib
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from chirospec import analysis
 from chirospec.biphoton import MAX_GRID_POINTS
-from chirospec.cli import main
+from chirospec.cli import CSV_BLOCK_ROWS, _curve_row_blocks, _write_curve, main
+from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -124,17 +129,19 @@ class TestSpectrumCommand:
         assert left != right
 
     def test_run_record_checksums_stable(self, tmp_path):
-        import hashlib
-
-        cfg = write_cfg(tmp_path, SPECTRUM_CFG)
-        main(["spectrum", "-c", str(cfg), "--threads", "1"])
-        record = (tmp_path / "out" / "run_record.txt").read_text(encoding="utf-8")
-        digest = hashlib.sha256(
-            (tmp_path / "out" / "curve_left_000.csv").read_bytes()
-        ).hexdigest()
-        assert f"checksum.curve_left_000.csv = {digest}" in record
-        assert "version = " in record
-        assert "config.noise.gamma = 1.0" in record
+        for command, template in (("spectrum", SPECTRUM_CFG), ("regime-map", MAP_CFG)):
+            out = tmp_path / command
+            cfg = write_cfg(tmp_path, template, name=f"{command}.yaml", out=command)
+            assert main([command, "-c", str(cfg), "--threads", "1"]) == 0
+            record = (out / "run_record.txt").read_text(encoding="utf-8")
+            checksums = dict(re.findall(r"^checksum\.(\S+) = (\S+)$", record, re.M))
+            on_disk = {
+                name: hashlib.sha256(data).hexdigest()
+                for name, data in read_outputs(out).items()
+            }
+            assert checksums == on_disk
+            assert "version = " in record
+            assert "config.noise.gamma = 1.0" in record
 
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg = write_cfg(tmp_path, SPECTRUM_CFG)
@@ -146,6 +153,88 @@ class TestSpectrumCommand:
         path = tmp_path / "cfg.yaml"
         path.write_text("probe:\n  kind: uncorrelated\n", encoding="utf-8")
         assert main(["spectrum", "-c", str(path)]) == 2
+
+    def test_pool_has_at_most_one_worker_per_idler(self, tmp_path, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, processes, initializer, initargs):
+                pools.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, jobs, chunksize):
+                return [func(job) for job in jobs]
+
+        class InProcessContext:
+            Pool = InProcessPool
+
+        monkeypatch.setattr(analysis, "_WORKER", {})
+        monkeypatch.setattr(
+            analysis.multiprocessing, "get_context", lambda method: InProcessContext
+        )
+        runs = []
+        for tag, threads in (("a", "1"), ("b", "64")):
+            cfg = write_cfg(tmp_path, SPECTRUM_CFG, name=f"cfg_{tag}.yaml", out=f"out_{tag}")
+            assert main(["spectrum", "-c", str(cfg), "--threads", threads]) == 0
+            runs.append(read_outputs(tmp_path / f"out_{tag}"))
+        assert pools == [2]
+        assert runs[0] == runs[1]
+
+
+def reference_curve_csv(delta_s, values) -> bytes:
+    """The per-number writer the block writer replaced: one f-string per row."""
+    lines = ["delta_s_bar,P_c"]
+    for d, v in zip(delta_s, values):
+        lines.append(f"{d:.9e},{v:.9e}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Numbers whose %.9e form is easy to get wrong: signed zeros, subnormals,
+# the extremes, and values that round up into the next decade.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 9.9999999995e-5, -9.9999999995e-5, 9.99999999951,
+    0.99999999995, 1e-5, 1.0, -1.0,
+]
+BLOCK_LENGTHS = [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                 2 * CSV_BLOCK_ROWS + 1]
+
+
+@st.composite
+def curve_columns(draw):
+    """Two columns of random float64 bit patterns (every exponent is as
+    likely), with drawn floats and edge cases placed at drawn rows."""
+    n = draw(st.sampled_from(BLOCK_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = rng.integers(0, 2**64, size=(2, n), dtype=np.uint64)
+    columns = columns.view(np.float64)
+    columns[~np.isfinite(columns)] = 1.0
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)
+    )
+    placed = st.tuples(st.integers(0, 1), st.integers(0, n - 1), number)
+    for column, row, x in draw(st.lists(placed, max_size=32)):
+        columns[column, row] = x
+    return columns[0], columns[1]
+
+
+class TestCurveCsvOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=curve_columns())
+    @example(columns=(np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])))
+    def test_block_writer_matches_reference(self, columns, tmp_path_factory):
+        delta_s, values = columns
+        path = tmp_path_factory.mktemp("csv") / "curve.csv"
+        digest = _write_curve(path, _curve_row_blocks(delta_s), values)
+        expected = reference_curve_csv(delta_s, values)
+        assert path.read_bytes() == expected
+        assert digest == hashlib.sha256(expected).hexdigest()
 
 
 class TestRegimeMapCommand:
@@ -296,6 +385,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("chirospec: config error:")
         assert str(MAX_GRID_POINTS) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, limit",
+        [
+            ("spectrum", "idler: {min: 0, max: 1.0e+9, step: 1}", MAX_IDLER_COUNT),
+            ("spectrum", "idler: {min: -1.0e+308, max: 1.0e+308, step: 1.0e-300}",
+             MAX_IDLER_COUNT),
+            ("spectrum", f"idler: {{values: {[0.0] * (MAX_IDLER_COUNT + 1)}}}",
+             MAX_IDLER_COUNT),
+            ("regime-map",
+             "sweep:\n  t0: {min: 0.0, max: 15.0, count: 1000000000}\n"
+             "  omega_l: {min: -1.0, max: 1.0, count: 1000000000}",
+             MAX_SWEEP_CELLS),
+        ],
+        ids=["idler_range", "idler_span_overflows", "idler_list", "sweep_cells"],
+    )
+    def test_oversized_idler_or_sweep_is_2(self, tmp_path, capsys, command, section, limit):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            f"{section}\noutput:\n  directory: {tmp_path / 'out'}\n", encoding="utf-8"
+        )
+        assert main([command, "-c", str(path), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("chirospec: config error:")
+        assert str(limit) in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_is_3(self, tmp_path):
