@@ -14,7 +14,6 @@ from .biphoton import (
     FrequencyGrid,
     JsaKind,
     default_grid,
-    jsa_grid,
     jsa_value,
 )
 from .model import (
@@ -31,7 +30,6 @@ from .model import (
 from .spectrum import (
     DetectorPair,
     SpectrumCurve,
-    background_point,
     transmission_curve,
     transmission_point,
     zero_bandwidth_point,
@@ -53,7 +51,6 @@ __all__ = [
     "NoiseParams",
     "RegimeMap",
     "SpectrumCurve",
-    "background_point",
     "build_rotating_hamiltonian",
     "characteristic_invariants",
     "classify_lineshape",
@@ -61,7 +58,6 @@ __all__ = [
     "discriminability",
     "discrimination_window",
     "dressed_states",
-    "jsa_grid",
     "jsa_value",
     "perturbative_lambda1",
     "regime_map",

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .biphoton import BiphotonAmplitude, FrequencyGrid
-from .errors import CurveTooShort, GridMismatch
+from .errors import CurveTooShort, GridMismatch, ValidationError
 from .model import DriveConfig, NoiseParams
 from .spectrum import SpectrumCurve, enantiomer_kernels, kernel_curves
 
@@ -72,19 +72,21 @@ def classify_lineshape(
     still classify).  Flat curves return the null signature.
     """
     if len(curve) < MIN_CURVE_POINTS:
-        raise CurveTooShort(f"need >= {MIN_CURVE_POINTS} points, got {len(curve)}")
+        raise CurveTooShort(
+            f"line shapes need >= {MIN_CURVE_POINTS} scan points, got {len(curve)}"
+        )
     v = curve.values
     magnitude = np.abs(v)
     global_idx = int(np.argmax(magnitude))
-    max_abs = float(magnitude[global_idx])
-    if max_abs < FLAT_CURVE_FLOOR:
+    peak = float(magnitude[global_idx])
+    if peak < FLAT_CURVE_FLOOR:
         return LineShapeSignature.null()
 
     slopes = np.sign(np.diff(v))
     moving = np.flatnonzero(slopes)
     turns = moving[1:][slopes[moving[1:]] != slopes[moving[:-1]]]
     extrema = turns if global_idx in turns else np.sort(np.append(turns, global_idx))
-    significant = extrema[magnitude[extrema] >= rel_threshold * max_abs]
+    significant = extrema[magnitude[extrema] >= rel_threshold * peak]
     signs = np.where(v[significant] > 0, 1, -1)
     return LineShapeSignature(
         extrema_signs=tuple(signs.tolist()),
@@ -167,17 +169,19 @@ def discrimination_window(
     |lambda - dpl| = gamma, so the opposite-sign set is the symmetric
     difference of (lambda_L - gamma, lambda_L + gamma) and
     (lambda_R - gamma, lambda_R + gamma); boundary points excluded.
+    Intervals that are empty in floating point are dropped: equal lambdas,
+    or lambdas closer than the resolution of the shifted endpoints.
     """
     if not (gamma > 0):
-        raise ValueError("gamma > 0")
-    if lambda_l == lambda_r:
-        return DiscriminationWindow(intervals=())
+        raise ValidationError("gamma > 0")
     a, b = sorted((float(lambda_l), float(lambda_r)))
     if b - a >= 2.0 * gamma:
         intervals = ((a - gamma, a + gamma), (b - gamma, b + gamma))
     else:
         intervals = ((a - gamma, b - gamma), (a + gamma, b + gamma))
-    return DiscriminationWindow(intervals=intervals)
+    return DiscriminationWindow(
+        intervals=tuple((lo, hi) for lo, hi in intervals if lo < hi)
+    )
 
 
 @dataclass(frozen=True)
@@ -285,9 +289,9 @@ def regime_map(
     t0_axis = np.asarray(list(t0_grid), dtype=float)
     omega_l_axis = np.asarray(list(omega_l_grid), dtype=float)
     if t0_axis.size == 0 or omega_l_axis.size == 0:
-        raise ValueError("sweep axes must be nonempty")
+        raise ValidationError("sweep axes must be nonempty")
     if np.any(t0_axis < 0):
-        raise ValueError("T0 values must be >= 0")
+        raise ValidationError("T0 values must be >= 0")
 
     indices = [(i, j) for i in range(t0_axis.size) for j in range(omega_l_axis.size)]
     kernels = enantiomer_kernels(cfg, noise, scan_s)

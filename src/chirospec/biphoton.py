@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,15 +69,19 @@ class BiphotonAmplitude:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ValueError("sigma > 0")
-        if not (self.sigma_p > 0):
-            raise ValueError("sigma_p > 0")
-        if self.t_s < 0 or self.t_l < 0:
-            raise ValueError("t_s >= 0 and t_l >= 0")
         if self.omega_p is None and self.kind is not JsaKind.UNCORRELATED_GAUSSIAN:
             # Energy matching unless the caller overrides the pump center.
             object.__setattr__(self, "omega_p", self.omega_sc + self.omega_lc)
+        for name in ("omega_sc", "omega_lc", "sigma", "omega_p", "sigma_p", "t_s", "t_l", "scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):  # omega_p may be None
+                raise ValidationError(f"{name} must be finite")
+        if not (self.sigma > 0):
+            raise ValidationError("sigma > 0")
+        if not (self.sigma_p > 0):
+            raise ValidationError("sigma_p > 0")
+        if self.t_s < 0 or self.t_l < 0:
+            raise ValidationError("t_s >= 0 and t_l >= 0")
 
     @classmethod
     def uncorrelated(cls, omega_sc=0.0, omega_lc=0.0, sigma=1.0, scale=1.0):
@@ -121,9 +125,6 @@ class BiphotonAmplitude:
     def samplable(self) -> bool:
         return self.kind is not JsaKind.ZERO_BANDWIDTH_CORRELATED
 
-    def with_scale(self, scale: float) -> "BiphotonAmplitude":
-        return replace(self, scale=scale)
-
     def envelope(self, delta_s):
         """Signal envelope phi_s of the zero-bandwidth kind."""
         if self.signal_envelope is not None:
@@ -159,14 +160,14 @@ class FrequencyGrid:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).copy()
         if not (self.step > 0):
-            raise ValueError("step > 0")
+            raise ValidationError("step > 0")
         if self.half_width < 5.0 * self.step:
-            raise ValueError("half_width >= 5*step")
+            raise ValidationError("half_width >= 5*step")
         if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("grid needs at least two points")
+            raise ValidationError("grid needs at least two points")
         diffs = np.diff(pts)
         if not np.allclose(diffs, self.step, rtol=1e-9, atol=1e-12):
-            raise ValueError("points must be uniformly spaced by step")
+            raise ValidationError("points must be uniformly spaced by step")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -174,7 +175,7 @@ class FrequencyGrid:
     def build(cls, center: float, half_width: float, max_step: float) -> "FrequencyGrid":
         """Uniform grid over [center-hw, center+hw] with step <= max_step."""
         if not (max_step > 0 and half_width > 0):
-            raise ValueError("half_width > 0 and max_step > 0")
+            raise ValidationError("half_width > 0 and max_step > 0")
         if 2.0 * half_width / max_step + 1 > MAX_GRID_POINTS:
             raise ValidationError(
                 f"grid of half-width {half_width:g} and step {max_step:g} needs more "
@@ -224,37 +225,12 @@ def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
     return out
 
 
-def jsa_grid(
-    amp: BiphotonAmplitude,
-    grid_s: FrequencyGrid,
-    grid_l: FrequencyGrid,
-    normalized: bool = True,
-) -> np.ndarray:
-    """Tabulate the amplitude on grid_s x grid_l.
-
-    With ``normalized`` (default) the table is divided by
-    sqrt(sum |psi|^2 * step_s * step_l), i.e. L2-normalized on the
-    sampling grid.
-    """
-    _require_resolving(amp, grid_s)
-    _require_resolving(amp, grid_l)
-    table = jsa_value(amp, grid_s.points[:, None], grid_l.points[None, :])
-    if normalized:
-        norm = math.sqrt(
-            float(np.sum(np.abs(table) ** 2)) * grid_s.step * grid_l.step
-        )
-        if norm == 0.0:
-            raise ValueError("cannot normalize an identically zero amplitude")
-        table = table / norm
-    return table
-
-
 def default_grid(
     amp: BiphotonAmplitude,
     gamma: float,
     lambdas: Sequence[float] = (),
-) -> tuple[FrequencyGrid, FrequencyGrid]:
-    """Signal and idler grids sized to the amplitude and the dressed lines.
+) -> FrequencyGrid:
+    """Signal grid sized to the amplitude and the dressed lines.
 
     Half-width covers DEFAULT_SPAN_WIDTHS times the larger of the
     amplitude width and gamma, extended so every dressed eigenvalue is
@@ -262,7 +238,7 @@ def default_grid(
     feature (and gamma) DEFAULT_STEP_FACTOR times.
     """
     if not (gamma > 0):
-        raise ValueError("gamma > 0")
+        raise ValidationError("gamma > 0")
     if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
         width = amp.sigma
     else:
@@ -271,6 +247,4 @@ def default_grid(
     for lam in lambdas:
         half_width = max(half_width, abs(float(lam)) + DEFAULT_SPAN_WIDTHS * gamma)
     step = min(gamma, *amp.feature_widths()) / DEFAULT_STEP_FACTOR
-    signal = FrequencyGrid.build(amp.omega_sc, half_width, step)
-    idler = FrequencyGrid.build(amp.omega_lc, half_width, step)
-    return signal, idler
+    return FrequencyGrid.build(amp.omega_sc, half_width, step)

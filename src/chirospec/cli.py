@@ -19,6 +19,7 @@ import hashlib
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,7 +35,7 @@ from .analysis import (
 )
 from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
 from .config import ExperimentConfig, parse_config, serialize_config
-from .errors import ConfigError, GridTooCoarse, NonFiniteResult, ValidationError
+from .errors import ConfigError, NonFiniteResult, ValidationError
 from .model import Chirality, dressed_pair
 from .spectrum import enantiomer_kernels, kernel_curves
 
@@ -53,16 +54,33 @@ def _fmt(x: float) -> str:
 
 
 def build_scan_grid(cfg: ExperimentConfig, amp: BiphotonAmplitude) -> FrequencyGrid:
-    """Signal-detector scan grid: explicit values win, the rest is derived."""
+    """Signal-detector scan grid: explicit values win, the rest is derived.
+
+    A grid that cannot be built is rejected naming the field of its center.
+    """
     left, right = dressed_pair(cfg.drive)
     lambdas = np.concatenate([left.lambdas, right.lambdas])
-    signal, _ = default_grid(amp, cfg.noise.gamma, lambdas)
-    center = cfg.scan_center if cfg.scan_center is not None else signal.center
+    with _scan_grid_errors("probe.omega_s_center", amp.omega_sc):
+        derived = default_grid(amp, cfg.noise.gamma, lambdas)
+    if cfg.scan_center is None:
+        source, center = "probe.omega_s_center", derived.center
+    else:
+        source, center = "scan.center", cfg.scan_center
     half_width = (
-        cfg.scan_half_width if cfg.scan_half_width is not None else signal.half_width
+        cfg.scan_half_width if cfg.scan_half_width is not None else derived.half_width
     )
-    step = cfg.scan_step if cfg.scan_step is not None else signal.step
-    return FrequencyGrid.build(center, half_width, step)
+    step = cfg.scan_step if cfg.scan_step is not None else derived.step
+    with _scan_grid_errors(source, center):
+        return FrequencyGrid.build(center, half_width, step)
+
+
+@contextmanager
+def _scan_grid_errors(source: str, center: float):
+    """Prefix a rejected scan grid's message with the field of its center."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"scan grid centered at {source} = {center:g}: {exc}") from exc
 
 
 def _write_text(path: Path, text: str) -> str:
@@ -198,7 +216,10 @@ def cmd_regime_map(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     t0_values = cfg.sweep.t0_values()
     omega_l_values = cfg.sweep.omega_l_values()
     # The largest delays dictate the quadrature step for every cell.
-    worst = sweep_amplitude(cfg.probe, max(t0_values))
+    try:
+        worst = sweep_amplitude(cfg.probe, max(t0_values))
+    except ValidationError as exc:
+        raise ValidationError(f"sweep.t0.max = {max(t0_values):g}: {exc}") from exc
     scan = build_scan_grid(cfg, worst)
     rm = regime_map(
         cfg.drive, cfg.probe, cfg.noise, t0_values, omega_l_values, scan,
@@ -258,7 +279,7 @@ def cmd_dressed(cfg: ExperimentConfig, stream=None) -> int:
 def _load_config(path: str) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return parse_config(text)
 
@@ -295,8 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out_dir, threads)
         return cmd_regime_map(cfg, out_dir, threads)
-    except (ConfigError, GridTooCoarse, ValueError) as exc:
-        # grid/parameter rejections all trace back to the config values
+    except ConfigError as exc:
         print(f"chirospec: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -56,6 +56,8 @@ class SweepSpec:
             raise ValidationError("sweep.t0: 0 <= min < max")
         if not (self.omega_l_max > self.omega_l_min):
             raise ValidationError("sweep.omega_l: min < max")
+        if not math.isfinite(self.omega_l_max - self.omega_l_min):
+            raise ValidationError("sweep.omega_l: max - min must be finite")
 
     def t0_values(self) -> list[float]:
         return _linspace(self.t0_min, self.t0_max, self.t0_count)
@@ -98,14 +100,18 @@ def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
             raise ValidationError(f"unknown key '{key}' in section '{where}'")
 
 
-def _number(node: dict, key: str, default: float, where: str) -> float:
-    value = node.get(key, default)
+def _as_number(value, name: str) -> float:
+    """A YAML scalar as a finite float; ranges are checked by the value types."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number")
+        raise ValidationError(f"{name} must be a number")
     value = float(value)
     if not math.isfinite(value):
-        raise ValidationError(f"{where}.{key} must be finite")
+        raise ValidationError(f"{name} must be finite")
     return value
+
+
+def _number(node: dict, key: str, default: float, where: str) -> float:
+    return _as_number(node.get(key, default), f"{where}.{key}")
 
 
 def _optional_number(node: dict, key: str, where: str) -> Optional[float]:
@@ -137,10 +143,7 @@ def _parse_drive(node: dict) -> DriveConfig:
 
 def _parse_noise(node: dict) -> NoiseParams:
     _reject_unknown(node, {"gamma"}, "noise")
-    gamma = _number(node, "gamma", 1.0, "noise")
-    if gamma <= 0:
-        raise ValidationError("gamma > 0")
-    return NoiseParams(gamma=gamma)
+    return NoiseParams(gamma=_number(node, "gamma", 1.0, "noise"))
 
 
 def _parse_probe(node: dict) -> BiphotonAmplitude:
@@ -163,31 +166,21 @@ def _parse_probe(node: dict) -> BiphotonAmplitude:
         raise ValidationError(
             f"probe.kind must be one of {sorted(_PROBE_KINDS)}, got '{kind_name}'"
         )
-    sigma = _number(node, "sigma", 1.0, "probe")
-    sigma_p = _number(node, "sigma_p", 1.0, "probe")
-    t_s = _number(node, "t_s", 0.0, "probe")
-    t_l = _number(node, "t_l", 0.0, "probe")
-    if sigma <= 0:
-        raise ValidationError("sigma > 0")
-    if sigma_p <= 0:
-        raise ValidationError("sigma_p > 0")
-    if t_s < 0 or t_l < 0:
-        raise ValidationError("t_s >= 0 and t_l >= 0")
     return BiphotonAmplitude(
         kind=_PROBE_KINDS[kind_name],
         omega_sc=_number(node, "omega_s_center", 0.0, "probe"),
         omega_lc=_number(node, "omega_l_center", 0.0, "probe"),
-        sigma=sigma,
-        sigma_p=sigma_p,
-        t_s=t_s,
-        t_l=t_l,
+        sigma=_number(node, "sigma", 1.0, "probe"),
+        sigma_p=_number(node, "sigma_p", 1.0, "probe"),
+        t_s=_number(node, "t_s", 0.0, "probe"),
+        t_l=_number(node, "t_l", 0.0, "probe"),
         omega_p=_optional_number(node, "omega_pump", "probe"),
     )
 
 
 def _parse_idler(node) -> tuple[float, ...]:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return (float(node),)
+        return (_as_number(node, "idler"),)
     node = _require_mapping(node, "idler")
     _reject_unknown(node, {"value", "values", "min", "max", "step"}, "idler")
     given = [k for k in ("value", "values", "min") if k in node]
@@ -203,12 +196,7 @@ def _parse_idler(node) -> tuple[float, ...]:
             raise ValidationError("idler.values must be a nonempty list")
         if len(values) > MAX_IDLER_COUNT:
             raise _too_many_idlers()
-        out = []
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValidationError("idler.values entries must be numbers")
-            out.append(float(v))
-        return tuple(out)
+        return tuple(_as_number(v, f"idler.values[{k}]") for k, v in enumerate(values))
     lo = _number(node, "min", 0.0, "idler")
     hi = _number(node, "max", 0.0, "idler")
     step = _number(node, "step", 0.0, "idler")

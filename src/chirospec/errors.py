@@ -21,16 +21,8 @@ class WrongKind(ChirospecError):
     """Operation requires a different joint-spectral-amplitude kind."""
 
 
-class GridTooCoarse(ChirospecError):
-    """Frequency grid cannot resolve the narrowest spectral feature."""
-
-
 class NonFiniteResult(ChirospecError):
     """A numerical result came out NaN or infinite."""
-
-
-class CurveTooShort(ChirospecError):
-    """Spectrum curve has too few points to classify."""
 
 
 class GridMismatch(ChirospecError):
@@ -45,5 +37,18 @@ class ParseError(ConfigError):
     """Configuration document is not well formed."""
 
 
-class ValidationError(ConfigError):
-    """Configuration document violates an invariant."""
+class ValidationError(ConfigError, ValueError):
+    """An input value violates an invariant.
+
+    Every rejected parameter raises this, whether it came from a config
+    document or a library call: the CLI reports it as a config error
+    (exit 2), and library callers may catch it as a ``ValueError``.
+    """
+
+
+class GridTooCoarse(ValidationError):
+    """Frequency grid cannot resolve the narrowest spectral feature."""
+
+
+class CurveTooShort(ValidationError):
+    """Spectrum curve has too few points to classify."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DetuningTooSmall, NonHermitianInput
+from .errors import DetuningTooSmall, NonFiniteResult, NonHermitianInput, ValidationError
 
 HERMITICITY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -59,10 +59,10 @@ class DriveConfig:
     def __post_init__(self):
         for name in ("omega21", "omega31", "omega32"):
             if not np.isfinite(complex(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+                raise ValidationError(f"{name} must be finite")
         for name in ("delta21", "delta31"):
             if not math.isfinite(float(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+                raise ValidationError(f"{name} must be finite")
 
     def mirror(self) -> "DriveConfig":
         """Same molecule, opposite handedness (stored couplings unchanged)."""
@@ -136,7 +136,7 @@ class NoiseParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma > 0")
+            raise ValidationError("gamma > 0")
 
 
 def build_rotating_hamiltonian(cfg: DriveConfig) -> HermitianTriad:
@@ -173,8 +173,9 @@ def dressed_states(
     """Diagonalize the triad and report eigenvalues + overlaps with |1>.
 
     Raises NonHermitianInput if the matrix fails the Hermiticity
-    tolerance.  Eigenvalues come out sorted ascending; each eigenvector
-    is gauge fixed (largest component real positive).  Degenerate blocks
+    tolerance, and NonFiniteResult if an eigenvalue overflows.
+    Eigenvalues come out sorted ascending; each eigenvector is gauge
+    fixed (largest component real positive).  Degenerate blocks
     (eigenvalues within ``degeneracy_tol``) report the evenly split block
     projection of |1>, which is the only gauge-independent content.
     """
@@ -183,6 +184,8 @@ def dressed_states(
             f"matrix deviates from Hermitian by {h.hermiticity_defect():.3e}"
         )
     lam, vecs = np.linalg.eigh(h.matrix)
+    if not np.all(np.isfinite(lam)):
+        raise NonFiniteResult("dressed energies overflow")
     eta = np.empty(3, dtype=complex)
     for i in range(3):
         eta[i] = _gauge_fix(vecs[:, i])[0]
@@ -241,7 +244,7 @@ def perturbative_lambda1(cfg: DriveConfig, big_detuning: float) -> float:
     O(|omega|^4 / D^3).
     """
     if cfg.delta21 != big_detuning or cfg.delta31 != big_detuning:
-        raise ValueError("config must use delta21 = delta31 = big_detuning")
+        raise ValidationError("config must use delta21 = delta31 = big_detuning")
     if big_detuning <= 0 or big_detuning < 10.0 * cfg.max_coupling:
         raise DetuningTooSmall(
             f"need big_detuning >= 10*max|omega| = {10.0 * cfg.max_coupling:g}"

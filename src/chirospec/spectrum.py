@@ -15,9 +15,8 @@ composite trapezoidal quadrature over the signal grid; the mode density
 and every physical prefactor are absorbed into C = 1, keeping the
 leading minus sign because the sign pattern carries the chiral signal.
 
-The background term (counts without the molecule) is |psi|^2 at the
-detector pair.  For a zero-bandwidth energy-correlated pair the
-transmission collapses to a closed form pinned at ds = omega_p - wl.
+For a zero-bandwidth energy-correlated pair the transmission collapses
+to a closed form pinned at ds = omega_p - wl.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .biphoton import (
     _require_resolving,
     jsa_value,
 )
-from .errors import NonFiniteResult, WrongKind
+from .errors import NonFiniteResult, ValidationError, WrongKind
 from .model import Chirality, DressedTriad, DriveConfig, NoiseParams
 from .model import build_rotating_hamiltonian, dressed_pair, dressed_states
 
@@ -53,7 +52,20 @@ class DetectorPair:
 
     def __post_init__(self):
         if not (math.isfinite(self.omega_s_bar) and math.isfinite(self.omega_l_bar)):
-            raise ValueError("detector frequencies must be finite")
+            raise ValidationError("detector frequencies must be finite")
+
+
+def _read_only(array) -> np.ndarray:
+    """``array`` as a read-only float array that no caller can write to.
+
+    A read-only array that owns its data (a grid's points, a kernel's
+    values) is shared; anything else is copied.
+    """
+    out = np.asarray(array, dtype=float)
+    if out.flags.writeable or out.base is not None:
+        out = out.copy()
+        out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,35 +78,24 @@ class SpectrumCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.delta_s, dtype=float).copy()
-        v = np.asarray(self.values, dtype=float).copy()
+        d = _read_only(self.delta_s)
+        v = _read_only(self.values)
         if d.ndim != 1 or d.shape != v.shape:
             raise ValueError("delta_s and values must be matching 1-D arrays")
         if not np.all(np.diff(d) > 0):
             raise ValueError("delta_s must be strictly increasing")
         if not np.all(np.isfinite(v)):
             raise NonFiniteResult("spectrum curve contains non-finite values")
-        d.flags.writeable = False
-        v.flags.writeable = False
         object.__setattr__(self, "delta_s", d)
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
         return int(self.delta_s.size)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def _trapezoid_uniform(values: np.ndarray, step: float) -> complex:
     """Composite trapezoid rule on a uniform grid (deterministic order)."""
     return step * (values.sum() - 0.5 * (values[0] + values[-1]))
-
-
-def background_point(amp: BiphotonAmplitude, det: DetectorPair) -> float:
-    """Coincidence counts without the molecule: |psi|^2 at the detectors."""
-    value = jsa_value(amp, det.omega_s_bar, det.omega_l_bar)
-    return float(abs(value) ** 2)
 
 
 def jsa_row(
@@ -130,15 +131,17 @@ class TransmissionKernel:
         ]
 
     def curve(self, psi_row: np.ndarray, omega_l_bar: float) -> SpectrumCurve:
-        """Transmission across the grid for the JSA row psi(grid, omega_l_bar)."""
+        """Transmission across the grid for the JSA row psi(grid, omega_l_bar).
+
+        The curve shares the grid's points and takes the values without a copy.
+        """
         q = self.mode_integrals(psi_row)
         conj_row = np.conj(psi_row)
         total = np.zeros(psi_row.size, dtype=float)
         for weight, den, q_i in zip(self.weights, self.denominators, q):
             total += weight * (conj_row / den * q_i).real
         values = -total
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteResult("transmission quadrature produced a non-finite value")
+        values.flags.writeable = False
         return SpectrumCurve(
             chirality=self.chirality,
             omega_l_bar=omega_l_bar,

@@ -232,7 +232,7 @@ def test_criterion_6_zero_bandwidth_consistency():
         cfg = DriveConfig(0.1, 0.1, 0.1, big_d, big_d, chirality)
         dressed = dressed_states(build_rotating_hamiltonian(cfg), chirality)
         lam1 = dressed.lambdas[int(np.argmax(dressed.eta1_sq))]
-        grid, _ = default_grid(amp, wp.NOISE.gamma, dressed.lambdas)
+        grid = default_grid(amp, wp.NOISE.gamma, dressed.lambdas)
         for dpl in np.linspace(-2.5, 2.5, 81):
             if abs((lam1 - dpl) ** 2 - 1.0) < 0.05:
                 continue  # boundary band where the sign is undefined
@@ -262,7 +262,7 @@ def test_criterion_7_numerical_hygiene(tmp_path):
         dressed = dressed_states(
             build_rotating_hamiltonian(wp.DRIVE), Chirality.RIGHT
         )
-        grid, _ = default_grid(amp, wp.NOISE.gamma, dressed.lambdas)
+        grid = default_grid(amp, wp.NOISE.gamma, dressed.lambdas)
         p_coarse = transmission_point(dressed, amp, wp.NOISE, det, grid)
         p_fine = transmission_point(
             dressed, amp, wp.NOISE, det, grid.halved_step()

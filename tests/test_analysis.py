@@ -218,6 +218,22 @@ class TestDiscriminationWindow:
     def test_equal_lambdas_empty(self):
         assert discrimination_window(0.3, 0.3, 1.0).intervals == ()
 
+    @pytest.mark.parametrize("lam", [0.0, -0.1, 0.3, 7.8e-18, 1.0e-3])
+    def test_nearly_equal_lambdas_drop_collapsed_intervals(self, lam):
+        win = discrimination_window(lam, lam + 1e-17, 1.0)
+        assert all(lo < hi for lo, hi in win.intervals)
+        assert win.total_measure <= 1e-15
+
+    @given(
+        a=st.floats(-1e3, 1e3),
+        gap=st.floats(0.0, 1e-12),
+        gamma=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_close_lambdas_never_raise(self, a, gap, gamma):
+        win = discrimination_window(a, a + gap, gamma)
+        assert win.total_measure >= 0.0
+
     def test_overlapping_resonances(self):
         win = discrimination_window(-0.2, 0.2, 1.0)
         assert win.intervals == ((-1.2, -0.8), (0.8, 1.2))

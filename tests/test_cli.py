@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chirospec import analysis
+from chirospec import analysis, cli
 from chirospec.biphoton import MAX_GRID_POINTS
 from chirospec.cli import CSV_BLOCK_ROWS, _curve_row_blocks, _write_curve, main
 from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS
@@ -303,6 +303,15 @@ class TestDressedCommand:
         out = capsys.readouterr().out
         assert "empty" in out
 
+    def test_near_achiral_drive_exits_0(self, tmp_path, capsys):
+        # the two lambdas differ by less than the resolution of lambda +- gamma
+        path = tmp_path / "cfg.yaml"
+        path.write_text("drive: {omega31: 1.0e-17}\n", encoding="utf-8")
+        assert main(["dressed", "-c", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "[discrimination_window]\n  empty\n" in captured.out
+        assert captured.err == ""
+
     def test_large_detuning_window_measure(self, tmp_path, capsys):
         from chirospec.model import (
             Chirality,
@@ -412,6 +421,84 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("chirospec: config error:")
         assert str(limit) in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, field",
+        [
+            ("spectrum", "scan: {center: 1.0e+10}\nidler: 0.0", "scan.center"),
+            ("spectrum",
+             "probe: {kind: entangled, omega_s_center: 1.0e+300}\nidler: 0.0",
+             "probe.omega_s_center"),
+            ("regime-map",
+             "probe: {kind: entangled}\n"
+             "sweep:\n  t0: {min: 0.0, max: 1.0e+308, count: 2}\n"
+             "  omega_l: {min: -1.0, max: 1.0, count: 2}",
+             "sweep.t0.max"),
+            ("regime-map",
+             "sweep:\n  t0: {min: 0.0, max: 1.0, count: 2}\n"
+             "  omega_l: {min: -1.0e+308, max: 1.0e+308, count: 2}",
+             "sweep.omega_l"),
+            ("spectrum", "scan: {half_width: 0.5, step: 0.1}\nidler: 0.0", "scan points"),
+        ],
+        ids=["scan_center", "probe_center", "sweep_t0_overflows", "sweep_span_overflows",
+             "scan_too_short"],
+    )
+    def test_unusable_grid_names_field_is_2(self, tmp_path, capsys, command, section, field):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            f"{section}\noutput:\n  directory: {tmp_path / 'out'}\n", encoding="utf-8"
+        )
+        assert main([command, "-c", str(path), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("chirospec: config error:")
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "regime-map", "dressed"])
+    @pytest.mark.parametrize(
+        "section, message",
+        [("noise: {gamma: -1.0}", "gamma > 0"), ("probe: {sigma: -2.0}", "sigma > 0")],
+        ids=["gamma", "sigma"],
+    )
+    def test_rejected_parameter_is_2_for_any_command(
+        self, tmp_path, capsys, command, section, message
+    ):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            f"{section}\nidler: 0.0\noutput:\n  directory: {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert main([command, "-c", str(path)]) == 2
+        assert capsys.readouterr().err == f"chirospec: config error: {message}\n"
+
+    def test_overflowing_dressed_energies_is_4(self, tmp_path, capsys):
+        # finite couplings whose eigenvalues exceed the largest float
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "drive: {omega21: 1.0e+308, omega31: 1.0e+308, omega32: 1.0e+308}\n",
+            encoding="utf-8",
+        )
+        assert main(["dressed", "-c", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "chirospec: numerical failure: dressed energies overflow\n"
+
+    def test_undecodable_config_is_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["dressed", "-c", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("chirospec: config error:")
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "discrimination_window", broken)
+        path = tmp_path / "cfg.yaml"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["dressed", "-c", str(path)])
 
     def test_unwritable_output_is_3(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

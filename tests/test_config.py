@@ -1,11 +1,26 @@
 """Tests of config parsing, validation, defaults, and round-tripping."""
 
-import pytest
+import contextlib
+import copy
+import io
+import math
 
-from chirospec.biphoton import JsaKind
-from chirospec.config import parse_config, serialize_config
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chirospec import cli
+from chirospec.biphoton import BiphotonAmplitude, JsaKind
+from chirospec.config import (
+    MAX_SWEEP_CELLS,
+    ExperimentConfig,
+    SweepSpec,
+    parse_config,
+    serialize_config,
+)
 from chirospec.errors import ParseError, ValidationError
-from chirospec.model import Chirality
+from chirospec.model import Chirality, DriveConfig, NoiseParams
 
 
 class TestDefaults:
@@ -149,3 +164,153 @@ class TestRoundTrip:
         assert serialize_config(cfg) == serialize_config(
             parse_config(serialize_config(cfg))
         )
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# Centers small enough that the energy-matched pump center stays finite.
+centers = st.floats(-1e300, 1e300)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def probes(draw):
+    centers_kw = dict(omega_sc=draw(centers), omega_lc=draw(centers))
+    if draw(st.booleans()):
+        return BiphotonAmplitude.uncorrelated(sigma=draw(positive), **centers_kw)
+    return BiphotonAmplitude.entangled(
+        sigma_p=draw(positive),
+        t_s=draw(non_negative),
+        t_l=draw(non_negative),
+        omega_p=draw(st.none() | finite),
+        **centers_kw,
+    )
+
+
+@st.composite
+def sweeps(draw):
+    t0_min, t0_max = sorted(draw(st.lists(non_negative, min_size=2, max_size=2, unique=True)))
+    wl_min, wl_max = sorted(draw(st.lists(centers, min_size=2, max_size=2, unique=True)))
+    t0_count = draw(st.integers(2, 200))
+    return SweepSpec(
+        t0_min, t0_max, t0_count,
+        wl_min, wl_max, draw(st.integers(2, MAX_SWEEP_CELLS // t0_count)),
+    )
+
+
+@st.composite
+def configs(draw):
+    idler = sweep = None
+    if draw(st.booleans()):
+        idler = tuple(draw(st.lists(finite, min_size=1, max_size=20)))
+    elif draw(st.booleans()):
+        sweep = draw(sweeps())
+    return ExperimentConfig(
+        drive=DriveConfig(*(draw(finite) for _ in range(5))),
+        noise=NoiseParams(draw(positive)),
+        probe=draw(probes()),
+        scan_center=draw(st.none() | finite),
+        scan_half_width=draw(st.none() | positive),
+        scan_step=draw(st.none() | positive),
+        idler=idler,
+        sweep=sweep,
+        output_dir=draw(st.text(min_size=1)),
+    )
+
+
+class TestRoundTripProperty:
+    @given(configs())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_serialize_round_trip(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+not_positive = non_finite | st.floats(max_value=0.0, allow_nan=False)
+negative = non_finite | st.floats(max_value=0.0, exclude_max=True, allow_nan=False)
+huge = st.floats(min_value=1e10, allow_infinity=False)
+# Every numeric config key, with values that are non-finite or outside the
+# range the key accepts.  Huge centers and T0 values pass the parser and
+# are rejected by the command, when it builds the scan grid.
+REJECTED_FIELDS = [
+    ("drive.omega21", non_finite),
+    ("drive.omega31", non_finite),
+    ("drive.omega32", non_finite),
+    ("drive.delta21", non_finite),
+    ("drive.delta31", non_finite),
+    ("noise.gamma", not_positive),
+    ("probe.sigma", not_positive),
+    ("probe.sigma_p", not_positive),
+    ("probe.t_s", negative),
+    ("probe.t_l", negative),
+    ("probe.omega_s_center", non_finite | huge),
+    ("probe.omega_l_center", non_finite),
+    ("probe.omega_pump", non_finite),
+    ("scan.center", non_finite | huge | huge.map(lambda x: -x)),
+    ("scan.half_width", not_positive),
+    ("scan.step", not_positive),
+    ("idler", non_finite),
+    ("idler.value", non_finite),
+    ("idler.values.0", non_finite),
+    ("idler.min", non_finite | st.floats(min_value=1.0, exclude_min=True)),
+    ("idler.max", non_finite | st.floats(max_value=0.0, exclude_max=True)),
+    ("idler.step", not_positive),
+    ("sweep.t0.min", negative | st.floats(min_value=1.0)),
+    ("sweep.t0.max", not_positive | st.floats(min_value=7.5e307)),
+    ("sweep.t0.count", st.integers(max_value=1) | st.integers(min_value=20_001) | finite),
+    ("sweep.omega_l.min", non_finite | st.floats(min_value=0.5)),
+    ("sweep.omega_l.max", non_finite | st.floats(max_value=-0.5)),
+    ("sweep.omega_l.count", st.integers(max_value=1) | st.integers(min_value=20_001)),
+]
+PROBE = {"kind": "entangled", "sigma_p": 1.0, "t_s": 2.4, "t_l": 2.5}
+SWEEP = {
+    "t0": {"min": 0.0, "max": 1.0, "count": 2},
+    "omega_l": {"min": -0.5, "max": 0.5, "count": 2},
+}
+IDLER_FORMS = {
+    "idler": 0.0,
+    "idler.value": {"value": 0.0},
+    "idler.values.0": {"values": [0.0]},
+}
+
+
+def base_document(field: str) -> tuple[str, dict]:
+    """Command and valid document that use ``field``."""
+    if field.startswith("sweep."):
+        return "regime-map", {"probe": dict(PROBE), "sweep": copy.deepcopy(SWEEP)}
+    idler = IDLER_FORMS.get(field, {"min": 0.0, "max": 1.0, "step": 0.5})
+    return "spectrum", {"probe": dict(PROBE), "idler": copy.deepcopy(idler)}
+
+
+def set_field(doc: dict, field: str, value) -> None:
+    *parents, last = field.split(".")
+    node = doc
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[int(last) if isinstance(node, list) else last] = value
+
+
+class TestRejectedFields:
+    @pytest.mark.parametrize("field, values", REJECTED_FIELDS, ids=[f for f, _ in REJECTED_FIELDS])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_rejected_value_is_a_validation_error(self, tmp_path_factory, field, values, data):
+        command, doc = base_document(field)
+        set_field(doc, field, data.draw(values, label=field))
+        out = tmp_path_factory.mktemp("out")
+        doc["output"] = {"directory": str(out / "results")}
+        text = yaml.safe_dump(doc)
+
+        with pytest.raises(ValidationError):
+            cfg = parse_config(text)
+            run = cli.cmd_spectrum if command == "spectrum" else cli.cmd_regime_map
+            run(cfg, out / "results", 1)
+
+        path = out / "cfg.yaml"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main([command, "-c", str(path), "--threads", "1"]) == 2
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("chirospec: config error:")
+        assert not (out / "results").exists()

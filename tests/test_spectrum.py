@@ -1,12 +1,13 @@
 """Tests of the coincidence observables: background, quadrature, analytic limit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from chirospec.biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
-from chirospec.errors import GridTooCoarse, UnsupportedKind, WrongKind
+from chirospec.errors import GridTooCoarse, NonFiniteResult, WrongKind
 from chirospec.model import (
     Chirality,
     DressedTriad,
@@ -17,7 +18,9 @@ from chirospec.model import (
 )
 from chirospec.spectrum import (
     DetectorPair,
-    background_point,
+    SpectrumCurve,
+    enantiomer_kernels,
+    kernel_curves,
     transmission_curve,
     transmission_point,
     zero_bandwidth_point,
@@ -61,35 +64,6 @@ def riemann_oracle_uncorrelated(dressed, sigma, gamma, det, center, half_width, 
     return -total
 
 
-class TestBackgroundPoint:
-    def test_peak_normalized(self):
-        amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
-        assert background_point(amp, DetectorPair(0.0, 0.0)) == pytest.approx(1.0)
-
-    def test_far_off_center(self):
-        amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
-        assert background_point(amp, DetectorPair(10.0, 0.0)) < 1e-20
-
-    def test_entangled_ridge_point(self):
-        amp = BiphotonAmplitude.entangled(**ENTANGLED_DELAYS)
-        assert background_point(amp, DetectorPair(0.0, 0.0)) == pytest.approx(1.0)
-
-    def test_zero_bandwidth_rejected(self):
-        amp = BiphotonAmplitude.zero_bandwidth(omega_p=0.0)
-        with pytest.raises(UnsupportedKind):
-            background_point(amp, DetectorPair(0.0, 0.0))
-
-    def test_is_pure_jsa_property(self):
-        # the background never sees the molecule: it takes no drive input
-        # and equals |psi|^2 at the detector pair
-        from chirospec.biphoton import jsa_value
-
-        amp = BiphotonAmplitude.entangled(**ENTANGLED_DELAYS)
-        det = DetectorPair(0.3, -0.2)
-        expected = abs(jsa_value(amp, det.omega_s_bar, det.omega_l_bar)) ** 2
-        assert background_point(amp, det) == pytest.approx(expected, rel=1e-15)
-
-
 class TestTransmissionPoint:
     def test_chirality_null_identical_with_same_dressed(self):
         cfg = DriveConfig(0.2, 0.0, 0.3, 0.5, -0.4, Chirality.RIGHT)
@@ -125,7 +99,7 @@ class TestTransmissionPoint:
     def test_against_riemann_oracle(self):
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         dressed = resonant_dressed()
-        grid, _ = default_grid(amp, 1.0, dressed.lambdas)
+        grid = default_grid(amp, 1.0, dressed.lambdas)
         det = DetectorPair(0.0, 0.0)
         p = transmission_point(dressed, amp, NOISE, det, grid)
         oracle = riemann_oracle_uncorrelated(
@@ -138,12 +112,12 @@ class TestTransmissionPoint:
         # uncorrelated probe in the strong-dissipation region: the two
         # handed curves differ by well under 1% of the curve maximum
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
-        grid, _ = default_grid(amp, 1.0, resonant_dressed().lambdas)
+        grid = default_grid(amp, 1.0, resonant_dressed().lambdas)
         det = DetectorPair(0.0, 0.0)
         p_r = transmission_point(resonant_dressed(Chirality.RIGHT), amp, NOISE, det, grid)
         p_l = transmission_point(resonant_dressed(Chirality.LEFT), amp, NOISE, det, grid)
         curve = transmission_curve(RESONANT_RIGHT, amp, NOISE, 0.0, grid)
-        assert abs(p_l - p_r) < 0.01 * curve.max_abs()
+        assert abs(p_l - p_r) < 0.01 * np.max(np.abs(curve.values))
         for value, chirality in ((p_r, Chirality.RIGHT), (p_l, Chirality.LEFT)):
             oracle = riemann_oracle_uncorrelated(
                 resonant_dressed(chirality), 1.0, 1.0, det,
@@ -163,7 +137,7 @@ class TestTransmissionPoint:
         det = DetectorPair(0.2, -0.1)
         base = transmission_point(resonant_dressed(), amp, NOISE, det, grid)
         scaled = transmission_point(
-            resonant_dressed(), amp.with_scale(3.0), NOISE, det, grid
+            resonant_dressed(), dataclasses.replace(amp, scale=3.0), NOISE, det, grid
         )
         assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
@@ -176,7 +150,7 @@ class TestTransmissionPoint:
         assert abs(transmission_point(far, amp, NOISE, det, grid)) < 1e-10
         # zero coupling to the probe: scale 0 plays the role of g = 0
         dead = transmission_point(
-            resonant_dressed(), amp.with_scale(0.0), NOISE, det, grid
+            resonant_dressed(), dataclasses.replace(amp, scale=0.0), NOISE, det, grid
         )
         assert dead == 0.0
 
@@ -203,7 +177,7 @@ class TestTransmissionCurve:
         # with a sum-pinned probe the peak sign follows gamma^2 - dpl^2
         cfg = DriveConfig(0.0, 0.0, 0.0, 0.0, 0.0, Chirality.RIGHT)
         amp = BiphotonAmplitude.entangled(sigma_p=0.05, t_s=20.0, t_l=20.0)
-        grid, _ = default_grid(amp, 1.0, (0.0,))
+        grid = default_grid(amp, 1.0, (0.0,))
         for dpl in (0.0, 0.5, 1.5, 2.0):
             curve = transmission_curve(cfg, amp, NOISE, amp.omega_p - dpl, grid)
             peak = curve.values[int(np.argmax(np.abs(curve.values)))]
@@ -225,12 +199,12 @@ class TestTransmissionCurve:
         coarse = transmission_curve(RESONANT_RIGHT, amp, NOISE, 0.0, grid)
         fine = transmission_curve(RESONANT_RIGHT, amp, NOISE, 0.0, grid.halved_step())
         overlap = fine.values[::2]
-        scale = coarse.max_abs()
+        scale = np.max(np.abs(coarse.values))
         assert np.max(np.abs(overlap - coarse.values)) <= 1e-6 * scale
 
     def test_quantum_probe_enantiomer_pairs_differ_in_shape_or_sign(self):
         amp = BiphotonAmplitude.entangled(**ENTANGLED_DELAYS)
-        grid, _ = default_grid(amp, 1.0, resonant_dressed().lambdas)
+        grid = default_grid(amp, 1.0, resonant_dressed().lambdas)
         curve_l = transmission_curve(RESONANT_RIGHT.mirror(), amp, NOISE, 0.99, grid)
         curve_r = transmission_curve(RESONANT_RIGHT, amp, NOISE, 0.99, grid)
         # dominant extrema carry opposite signs at this idler frequency
@@ -246,6 +220,32 @@ class TestTransmissionCurve:
         assert curve.omega_l_bar == -0.7
         assert len(curve) == grid.points.size
         assert np.all(np.diff(curve.delta_s) > 0)
+
+
+class TestSpectrumCurveArrays:
+    def test_kernel_curves_share_the_scan_grid(self):
+        amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
+        scan = FrequencyGrid.build(0.0, 6.0, 0.05)
+        kernels = enantiomer_kernels(RESONANT_RIGHT, NOISE, scan)
+        for curve in kernel_curves(kernels, amp, 0.3):
+            assert np.shares_memory(curve.delta_s, scan.points)
+            assert not curve.values.flags.writeable
+
+    def test_caller_arrays_are_copied(self):
+        delta_s = np.linspace(-1.0, 1.0, 21)
+        values = np.sin(delta_s)
+        read_only_view = values[:]
+        read_only_view.flags.writeable = False
+        curve = SpectrumCurve(Chirality.LEFT, 0.0, delta_s, read_only_view)
+        delta_s[:] = 0.0
+        values[:] = 7.0
+        assert np.array_equal(curve.delta_s, np.linspace(-1.0, 1.0, 21))
+        assert np.array_equal(curve.values, np.sin(curve.delta_s))
+        assert not curve.delta_s.flags.writeable and not curve.values.flags.writeable
+
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(NonFiniteResult):
+            SpectrumCurve(Chirality.LEFT, 0.0, np.arange(3.0), [0.0, np.nan, 0.0])
 
 
 class TestZeroBandwidthPoint:
@@ -305,7 +305,7 @@ class TestZeroBandwidthConsistency:
             cfg = DriveConfig(0.1, 0.1, 0.1, big_d, big_d, chirality)
             dressed = dressed_states(build_rotating_hamiltonian(cfg), chirality)
             lam1 = dressed.lambdas[int(np.argmax(dressed.eta1_sq))]
-            grid, _ = default_grid(amp, 1.0, dressed.lambdas)
+            grid = default_grid(amp, 1.0, dressed.lambdas)
             for dpl in np.linspace(-2.5, 2.5, 21):
                 if abs((lam1 - dpl) ** 2 - 1.0) < 0.05:
                     continue

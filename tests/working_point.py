@@ -45,7 +45,7 @@ def all_lambdas():
 
 def scan_grid(amp):
     """Signal scan grid resolving ``amp`` and covering the dressed lines."""
-    signal, _ = default_grid(amp, NOISE.gamma, all_lambdas())
+    signal = default_grid(amp, NOISE.gamma, all_lambdas())
     return signal
 
 
