@@ -5,7 +5,7 @@ from .analysis import (
     LineShapeSignature,
     RegimeMap,
     classify_lineshape,
-    discriminability,
+    compare_pair,
     discrimination_window,
     regime_map,
 )
@@ -30,7 +30,6 @@ from .model import (
 from .spectrum import (
     DetectorPair,
     SpectrumCurve,
-    transmission_curve,
     transmission_point,
     zero_bandwidth_point,
 )
@@ -54,14 +53,13 @@ __all__ = [
     "build_rotating_hamiltonian",
     "characteristic_invariants",
     "classify_lineshape",
+    "compare_pair",
     "default_grid",
-    "discriminability",
     "discrimination_window",
     "dressed_states",
     "jsa_value",
     "perturbative_lambda1",
     "regime_map",
-    "transmission_curve",
     "transmission_point",
     "zero_bandwidth_point",
     "__version__",

@@ -57,16 +57,13 @@ class LineShapeSignature:
         return f"{signs}|{self.zero_crossings}|{dom}"
 
 
-def classify_lineshape(
-    curve: SpectrumCurve,
-    rel_threshold: float = EXTREMUM_REL_THRESHOLD,
-) -> LineShapeSignature:
+def classify_lineshape(curve: SpectrumCurve) -> LineShapeSignature:
     """Extract the line-shape signature of a curve.
 
     Local extrema are the points where the sign of the slope changes,
     ignoring zero slopes; a plateau's extremum sits at its last index.
-    Extrema are kept when their magnitude reaches ``rel_threshold`` times
-    the curve maximum; their signs are recorded in scan order and the
+    Extrema are kept when their magnitude reaches EXTREMUM_REL_THRESHOLD
+    times the curve maximum; their signs are recorded in scan order and the
     sign changes between consecutive significant extrema are counted.
     The global-magnitude extremum always counts (so monotone curves
     still classify).  Flat curves return the null signature.
@@ -86,7 +83,7 @@ def classify_lineshape(
     moving = np.flatnonzero(slopes)
     turns = moving[1:][slopes[moving[1:]] != slopes[moving[:-1]]]
     extrema = turns if global_idx in turns else np.sort(np.append(turns, global_idx))
-    significant = extrema[magnitude[extrema] >= rel_threshold * peak]
+    significant = extrema[magnitude[extrema] >= EXTREMUM_REL_THRESHOLD * peak]
     signs = np.where(v[significant] > 0, 1, -1)
     return LineShapeSignature(
         extrema_signs=tuple(signs.tolist()),
@@ -96,45 +93,23 @@ def classify_lineshape(
 
 
 def compare_pair(
-    curve_l: SpectrumCurve,
-    curve_r: SpectrumCurve,
-    metric_threshold: float = DISCRIMINABILITY_THRESHOLD,
-    rel_threshold: float = EXTREMUM_REL_THRESHOLD,
+    curve_l: SpectrumCurve, curve_r: SpectrumCurve
 ) -> tuple[LineShapeSignature, LineShapeSignature, float, bool]:
     """Signatures, distance metric in [0, 1] and verdict of one curve pair.
 
     Each curve is classified once, and
     metric = min(1, ||P_L - P_R||_2 / max(||P_L||_2, ||P_R||_2));
     the pair is distinguishable when the signatures differ or the metric
-    reaches ``metric_threshold``.
+    reaches DISCRIMINABILITY_THRESHOLD.
     """
-    if curve_l.delta_s.shape != curve_r.delta_s.shape or not np.array_equal(
-        curve_l.delta_s, curve_r.delta_s
-    ):
+    if not np.array_equal(curve_l.delta_s, curve_r.delta_s):
         raise GridMismatch("curves were sampled on different scan grids")
-    norm_l = float(np.linalg.norm(curve_l.values))
-    norm_r = float(np.linalg.norm(curve_r.values))
-    biggest = max(norm_l, norm_r)
-    if biggest == 0.0:
-        metric = 0.0
-    else:
-        metric = min(1.0, float(np.linalg.norm(curve_l.values - curve_r.values)) / biggest)
-    sig_l = classify_lineshape(curve_l, rel_threshold)
-    sig_r = classify_lineshape(curve_r, rel_threshold)
-    return sig_l, sig_r, metric, (sig_l != sig_r) or (metric >= metric_threshold)
-
-
-def discriminability(
-    curve_l: SpectrumCurve,
-    curve_r: SpectrumCurve,
-    metric_threshold: float = DISCRIMINABILITY_THRESHOLD,
-    rel_threshold: float = EXTREMUM_REL_THRESHOLD,
-) -> tuple[float, bool]:
-    """Distance metric in [0, 1] plus a distinguishability verdict (see compare_pair)."""
-    _, _, metric, distinguishable = compare_pair(
-        curve_l, curve_r, metric_threshold, rel_threshold
-    )
-    return metric, distinguishable
+    biggest = max(np.linalg.norm(curve_l.values), np.linalg.norm(curve_r.values))
+    distance = np.linalg.norm(curve_l.values - curve_r.values)
+    metric = float(min(1.0, distance / biggest)) if biggest > 0.0 else 0.0
+    sig_l = classify_lineshape(curve_l)
+    sig_r = classify_lineshape(curve_r)
+    return sig_l, sig_r, metric, sig_l != sig_r or metric >= DISCRIMINABILITY_THRESHOLD
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ DEFAULT_SPAN_WIDTHS = 6.0
 #: Most points a grid may hold, checked before any allocation; about 100x
 #: the 9301-point scans of the shipped configs.
 MAX_GRID_POINTS = 1_000_000
+#: Fewest intervals a grid may have, so its half-width spans at least 5 steps.
+MIN_GRID_INTERVALS = 10
 
 
 class JsaKind(enum.Enum):
@@ -50,9 +52,8 @@ class BiphotonAmplitude:
     """Descriptor of one two-photon joint spectral amplitude.
 
     ``scale`` multiplies the raw amplitude (the default construction
-    peaks at 1).  ``signal_envelope`` is only meaningful for the
-    zero-bandwidth kind; when None a Gaussian of width ``sigma`` centered
-    at ``omega_sc`` is used.
+    peaks at 1).  The zero-bandwidth kind's signal envelope is the
+    Gaussian of width ``sigma`` centered at ``omega_sc``.
     """
 
     kind: JsaKind
@@ -63,9 +64,6 @@ class BiphotonAmplitude:
     sigma_p: float = 1.0
     t_s: float = 0.0
     t_l: float = 0.0
-    signal_envelope: Optional[Callable[[float], float]] = field(
-        default=None, compare=False
-    )
     scale: float = 1.0
 
     def __post_init__(self):
@@ -110,15 +108,9 @@ class BiphotonAmplitude:
         )
 
     @classmethod
-    def zero_bandwidth(
-        cls, omega_p=0.0, omega_sc=0.0, sigma=1.0, signal_envelope=None
-    ):
+    def zero_bandwidth(cls, omega_p=0.0, omega_sc=0.0, sigma=1.0):
         return cls(
-            JsaKind.ZERO_BANDWIDTH_CORRELATED,
-            omega_sc=omega_sc,
-            sigma=sigma,
-            omega_p=omega_p,
-            signal_envelope=signal_envelope,
+            JsaKind.ZERO_BANDWIDTH_CORRELATED, omega_sc=omega_sc, sigma=sigma, omega_p=omega_p
         )
 
     @property
@@ -127,8 +119,6 @@ class BiphotonAmplitude:
 
     def envelope(self, delta_s):
         """Signal envelope phi_s of the zero-bandwidth kind."""
-        if self.signal_envelope is not None:
-            return self.signal_envelope(delta_s)
         return np.exp(-((delta_s - self.omega_sc) ** 2) / (2.0 * self.sigma**2))
 
     def feature_widths(self) -> list[float]:
@@ -161,10 +151,8 @@ class FrequencyGrid:
         pts = np.asarray(self.points, dtype=float).copy()
         if not (self.step > 0):
             raise ValidationError("step > 0")
-        if self.half_width < 5.0 * self.step:
-            raise ValidationError("half_width >= 5*step")
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValidationError("grid needs at least two points")
+        if pts.ndim != 1 or pts.size < MIN_GRID_INTERVALS + 1:
+            raise ValidationError(f"grid needs at least {MIN_GRID_INTERVALS} intervals")
         diffs = np.diff(pts)
         if not np.allclose(diffs, self.step, rtol=1e-9, atol=1e-12):
             raise ValidationError("points must be uniformly spaced by step")
@@ -176,19 +164,31 @@ class FrequencyGrid:
         """Uniform grid over [center-hw, center+hw] with step <= max_step."""
         if not (max_step > 0 and half_width > 0):
             raise ValidationError("half_width > 0 and max_step > 0")
-        if 2.0 * half_width / max_step + 1 > MAX_GRID_POINTS:
-            raise ValidationError(
-                f"grid of half-width {half_width:g} and step {max_step:g} needs more "
-                f"than the {MAX_GRID_POINTS} points allowed"
-            )
-        n_int = max(10, int(math.ceil(2.0 * half_width / max_step)))
-        step = 2.0 * half_width / n_int
-        points = center + np.linspace(-half_width, half_width, n_int + 1)
-        return cls(center=center, half_width=half_width, step=step, points=points)
+        intervals = 2.0 * half_width / max_step
+        _check_point_count(intervals, half_width, max_step)
+        return cls._spanning(center, half_width, max(MIN_GRID_INTERVALS, math.ceil(intervals)))
 
     def halved_step(self) -> "FrequencyGrid":
-        """Same span, twice the density; original points are preserved."""
-        return FrequencyGrid.build(self.center, self.half_width, self.step / 2.0)
+        """Same span, twice the intervals; the original points are kept exactly."""
+        intervals = 2 * (self.points.size - 1)
+        _check_point_count(intervals, self.half_width, self.step / 2.0)
+        return FrequencyGrid._spanning(self.center, self.half_width, intervals)
+
+    @classmethod
+    def _spanning(cls, center: float, half_width: float, intervals: int) -> "FrequencyGrid":
+        """``intervals`` equal steps over [center - half_width, center + half_width]."""
+        step = 2.0 * half_width / intervals
+        points = center + np.linspace(-half_width, half_width, intervals + 1)
+        return cls(center=center, half_width=half_width, step=step, points=points)
+
+
+def _check_point_count(intervals: float, half_width: float, step: float) -> None:
+    """Reject a grid of ``intervals`` steps before its points are allocated."""
+    if intervals + 1 > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid of half-width {half_width:g} and step {step:g} needs more "
+            f"than the {MAX_GRID_POINTS} points allowed"
+        )
 
 
 def _require_resolving(amp: BiphotonAmplitude, grid: FrequencyGrid) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -24,6 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import yaml
 
 from . import __version__
 from .analysis import (
@@ -34,7 +36,7 @@ from .analysis import (
     sweep_amplitude,
 )
 from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
-from .config import ExperimentConfig, parse_config, serialize_config
+from .config import ExperimentConfig, config_mapping, parse_config
 from .errors import ConfigError, NonFiniteResult, ValidationError
 from .model import Chirality, dressed_pair
 from .spectrum import enantiomer_kernels, kernel_curves
@@ -125,23 +127,22 @@ def _write_curve(path: Path, row_blocks: list[str], values: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _flat_config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    """Flatten the canonical YAML config echo into dotted key-value pairs."""
-    flat: list[tuple[str, str]] = []
-    stack: list[str] = []
-    for raw in serialize_config(cfg).splitlines():
-        body = raw.strip()
-        if body.startswith("- "):
-            # scalar list item: belongs to the key currently on the stack
-            flat.append((".".join(stack), body[2:]))
+def _flat_config_items(node: dict, prefix: str = "config"):
+    """Dotted key-value pairs of a canonical config mapping, keys sorted.
+
+    Each item of a list is one pair under the list's key, and every value
+    is one line of YAML that reads back as the value.
+    """
+    for key in sorted(node):
+        path, value = f"{prefix}.{key}", node[key]
+        if isinstance(value, dict):
+            yield from _flat_config_items(value, path)
             continue
-        indent = (len(raw) - len(raw.lstrip())) // 2
-        stack = stack[:indent]
-        key, _, value = body.partition(":")
-        stack.append(key)
-        if value.strip():
-            flat.append((".".join(stack), value.strip()))
-    return flat
+        for item in value if isinstance(value, list) else [value]:
+            text = yaml.safe_dump(item, width=math.inf).removesuffix("...\n").strip()
+            if "\n" in text:  # a string with line breaks: escape them
+                text = yaml.safe_dump(item, width=math.inf, default_style='"').strip()
+            yield path, text
 
 
 def _write_run_record(
@@ -154,17 +155,18 @@ def _write_run_record(
         f"command = {command}",
         f"wall_time_s = {wall_time:.3f}",
     ]
-    for key, value in _flat_config_items(cfg):
-        lines.append(f"config.{key} = {value}")
+    for key, value in _flat_config_items(config_mapping(cfg)):
+        lines.append(f"{key} = {value}")
     for name, digest in digests.items():
         lines.append(f"checksum.{name} = {digest}")
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def _idler_result(context, omega_l_bar: float):
+    """Left and right values and the ``compare_pair`` result of one idler."""
     kernels, amp = context
     left, right = kernel_curves(kernels, amp, omega_l_bar)
-    return left, right, compare_pair(left, right)
+    return left.values, right.values, compare_pair(left, right)
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
@@ -183,11 +185,9 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     manifest = [f"idler_count = {len(results)}"]
     for index, (left, right, (sig_l, sig_r, metric, dist)) in enumerate(results):
         tag = f"{index:03d}"
-        for name, curve in (("left", left), ("right", right)):
+        for name, values in (("left", left), ("right", right)):
             file_name = f"curve_{name}_{tag}.csv"
-            digests[file_name] = _write_curve(
-                out_dir / file_name, row_blocks, curve.values
-            )
+            digests[file_name] = _write_curve(out_dir / file_name, row_blocks, values)
         manifest.extend(
             [
                 f"idler.{tag}.omega_l_bar = {_fmt(cfg.idler[index])}",

@@ -290,8 +290,8 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical YAML form; parse_config(serialize_config(c)) == c."""
+def config_mapping(cfg: ExperimentConfig) -> dict:
+    """Canonical mapping of a config: nested dicts of YAML scalars and lists."""
     doc: dict = {
         "drive": {
             "omega21": float(cfg.drive.omega21.real),
@@ -338,4 +338,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
                 "count": cfg.sweep.omega_l_count,
             },
         }
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
+    return doc
+
+
+def serialize_config(cfg: ExperimentConfig) -> str:
+    """Canonical YAML form; parse_config(serialize_config(c)) == c."""
+    return yaml.safe_dump(config_mapping(cfg), sort_keys=True, default_flow_style=False)

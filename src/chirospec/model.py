@@ -165,18 +165,14 @@ def _gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec / phase
 
 
-def dressed_states(
-    h: HermitianTriad,
-    chirality: Chirality,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> DressedTriad:
+def dressed_states(h: HermitianTriad, chirality: Chirality) -> DressedTriad:
     """Diagonalize the triad and report eigenvalues + overlaps with |1>.
 
     Raises NonHermitianInput if the matrix fails the Hermiticity
     tolerance, and NonFiniteResult if an eigenvalue overflows.
     Eigenvalues come out sorted ascending; each eigenvector is gauge
     fixed (largest component real positive).  Degenerate blocks
-    (eigenvalues within ``degeneracy_tol``) report the evenly split block
+    (eigenvalues within DEGENERACY_TOL) report the evenly split block
     projection of |1>, which is the only gauge-independent content.
     """
     if h.hermiticity_defect() > HERMITICITY_TOL:
@@ -194,7 +190,7 @@ def dressed_states(
     i = 0
     while i < 3:
         j = i + 1
-        while j < 3 and lam[j] - lam[i] <= degeneracy_tol:
+        while j < 3 and lam[j] - lam[i] <= DEGENERACY_TOL:
             j += 1
         if j - i > 1:
             weight = float(np.sum(np.abs(vecs[0, i:j]) ** 2))

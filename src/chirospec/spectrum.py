@@ -34,8 +34,7 @@ from .biphoton import (
     jsa_value,
 )
 from .errors import NonFiniteResult, ValidationError, WrongKind
-from .model import Chirality, DressedTriad, DriveConfig, NoiseParams
-from .model import build_rotating_hamiltonian, dressed_pair, dressed_states
+from .model import Chirality, DressedTriad, DriveConfig, NoiseParams, dressed_pair
 
 
 @dataclass(frozen=True)
@@ -186,23 +185,6 @@ def transmission_point(
     if not math.isfinite(result):
         raise NonFiniteResult("transmission quadrature produced a non-finite value")
     return float(result)
-
-
-def transmission_curve(
-    cfg: DriveConfig,
-    amp: BiphotonAmplitude,
-    noise: NoiseParams,
-    omega_l_bar: float,
-    scan_s: FrequencyGrid,
-) -> SpectrumCurve:
-    """Scan the signal detector across scan_s at fixed idler frequency.
-
-    scan_s doubles as the quadrature grid, so every point reproduces
-    transmission_point bit for bit.
-    """
-    psi_row = jsa_row(amp, scan_s, omega_l_bar)
-    dressed = dressed_states(build_rotating_hamiltonian(cfg), cfg.chirality)
-    return TransmissionKernel(dressed, noise, scan_s).curve(psi_row, omega_l_bar)
 
 
 def zero_bandwidth_point(

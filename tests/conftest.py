@@ -6,13 +6,7 @@ import time
 import pytest
 
 import working_point as wp
-from chirospec.analysis import (
-    classify_lineshape,
-    curve_pair,
-    discriminability,
-    regime_map,
-    sweep_amplitude,
-)
+from chirospec.analysis import compare_pair, curve_pair, regime_map, sweep_amplitude
 
 
 def worker_count() -> int:
@@ -52,13 +46,7 @@ def quantum_scan_timed():
         left, right = curve_pair(
             wp.DRIVE, wp.ENTANGLED_PROBE, wp.NOISE, float(wl), scan
         )
-        metric, dist = discriminability(left, right)
-        results[float(wl)] = (
-            classify_lineshape(left),
-            classify_lineshape(right),
-            metric,
-            dist,
-        )
+        results[float(wl)] = compare_pair(left, right)
     return results, time.perf_counter() - start
 
 

@@ -17,13 +17,7 @@ import numpy as np
 import pytest
 
 import working_point as wp
-from chirospec.analysis import (
-    classify_lineshape,
-    curve_pair,
-    discriminability,
-    regime_map,
-    sweep_amplitude,
-)
+from chirospec.analysis import compare_pair, curve_pair, regime_map, sweep_amplitude
 from chirospec.biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
 from chirospec.cli import main
 from chirospec.model import (
@@ -109,11 +103,9 @@ def test_criterion_3_classical_indistinguishable():
         left, right = curve_pair(
             wp.DRIVE, wp.UNCORRELATED_PROBE, wp.NOISE, float(wl), scan
         )
-        metric, _ = discriminability(left, right)
+        sig_l, sig_r, metric, _ = compare_pair(left, right)
         worst_metric = max(worst_metric, metric)
-        all_same = all_same and (
-            classify_lineshape(left) == classify_lineshape(right)
-        )
+        all_same = all_same and sig_l == sig_r
     elapsed = time.perf_counter() - start
     report(
         3,

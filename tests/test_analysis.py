@@ -15,8 +15,8 @@ from chirospec.analysis import (
     DiscriminationWindow,
     LineShapeSignature,
     classify_lineshape,
+    compare_pair,
     curve_pair,
-    discriminability,
     discrimination_window,
     regime_map,
     sweep_amplitude,
@@ -171,20 +171,20 @@ class TestClassifierOracle:
 class TestDiscriminability:
     def test_identical_curves(self):
         curve = make_curve(gaussian_peak(X, 0.0, 0.5, 1.0))
-        metric, dist = discriminability(curve, curve)
+        _, _, metric, dist = compare_pair(curve, curve)
         assert metric == 0.0
         assert dist is False
 
     def test_sign_flip_saturates(self):
         values = gaussian_peak(X, 0.0, 0.5, 1.0)
-        metric, dist = discriminability(make_curve(values), make_curve(-values))
+        _, _, metric, dist = compare_pair(make_curve(values), make_curve(-values))
         assert metric == 1.0
         assert dist is True
 
     def test_symmetry(self):
         a = make_curve(gaussian_peak(X, 0.0, 0.5, 1.0))
         b = make_curve(gaussian_peak(X, 0.3, 0.5, 0.8))
-        assert discriminability(a, b) == discriminability(b, a)
+        assert compare_pair(a, b)[2:] == compare_pair(b, a)[2:]
 
     def test_grid_mismatch(self):
         a = make_curve(np.ones(64))
@@ -195,10 +195,10 @@ class TestDiscriminability:
             values=np.ones(64),
         )
         with pytest.raises(GridMismatch):
-            discriminability(a, b)
+            compare_pair(a, b)
 
     def test_both_flat(self):
-        metric, dist = discriminability(
+        _, _, metric, dist = compare_pair(
             make_curve(np.zeros(64)), make_curve(np.zeros(64))
         )
         assert metric == 0.0
@@ -209,7 +209,7 @@ class TestDiscriminability:
         left, right = curve_pair(
             wp.DRIVE, wp.UNCORRELATED_PROBE, wp.NOISE, 0.0, scan
         )
-        metric, dist = discriminability(left, right)
+        _, _, metric, dist = compare_pair(left, right)
         assert metric < 0.05
         assert dist is False
 

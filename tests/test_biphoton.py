@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chirospec.biphoton import (
     BiphotonAmplitude,
@@ -18,6 +20,14 @@ from chirospec.errors import GridTooCoarse, UnsupportedKind, ValidationError
 from chirospec.spectrum import jsa_row
 
 ENTANGLED_DELAYS = dict(sigma_p=1.0, t_s=24.0, t_l=25.0)
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def grid_requests(draw, step_ratios):
+    """(center, half_width, max_step), max_step a drawn fraction of half_width."""
+    half_width = draw(st.floats(1e-3, 1e3))
+    return draw(st.floats(-100.0, 100.0)), half_width, draw(step_ratios) * half_width
 
 
 class TestJsaValue:
@@ -119,15 +129,26 @@ class TestFrequencyGrid:
         assert g.step <= 0.1
         assert np.allclose(np.diff(g.points), g.step)
 
-    def test_halfwidth_at_least_five_steps(self):
-        g = FrequencyGrid.build(0.0, 1.0, 10.0)
-        assert g.half_width >= 5.0 * g.step
+    @settings(max_examples=300, deadline=None)
+    @given(grid_requests(st.floats(0.05, 10.0)))
+    @example((0.0, 453.5449394009724, 100.0))
+    @example((0.0, 1.0, 10.0))
+    def test_halfwidth_at_least_five_steps(self, request):
+        # requests coarser than half_width / 5 get the fewest intervals allowed
+        g = FrequencyGrid.build(*request)
+        assert g.points.size - 1 >= 10
+        assert g.half_width >= 5.0 * g.step * (1.0 - 2.0 * EPS)
 
-    def test_halved_step_preserves_points(self):
-        g = FrequencyGrid.build(0.0, 6.0, 0.05)
+    @settings(max_examples=300, deadline=None)
+    @given(grid_requests(st.floats(1e-4, 1.0)))
+    @example((0.0, 4.285648559183021, 0.002274590264191574))
+    @example((0.0, 6.0, 0.05))
+    def test_halved_step_preserves_points(self, request):
+        g = FrequencyGrid.build(*request)
         h = g.halved_step()
         assert h.points.size == 2 * (g.points.size - 1) + 1
-        assert np.allclose(h.points[::2], g.points, atol=1e-12)
+        assert np.array_equal(h.points[::2], g.points)
+        assert h.step == g.step / 2.0
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -218,12 +239,6 @@ class TestZeroBandwidthEnvelope:
         amp = BiphotonAmplitude.zero_bandwidth(omega_p=0.0, omega_sc=0.5, sigma=2.0)
         assert amp.envelope(0.5) == pytest.approx(1.0)
         assert amp.envelope(2.5) == pytest.approx(math.exp(-0.5))
-
-    def test_custom_envelope(self):
-        amp = BiphotonAmplitude.zero_bandwidth(
-            omega_p=0.0, signal_envelope=lambda d: 1.0 / (1.0 + d**2)
-        )
-        assert amp.envelope(1.0) == pytest.approx(0.5)
 
     def test_kind_flag(self):
         amp = BiphotonAmplitude.zero_bandwidth(omega_p=1.0)

@@ -1,18 +1,21 @@
 """End-to-end tests of the command-line interface and its file contracts."""
 
 import hashlib
+import pickle
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirospec import analysis, cli
 from chirospec.biphoton import MAX_GRID_POINTS
 from chirospec.cli import CSV_BLOCK_ROWS, _curve_row_blocks, _write_curve, main
-from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS
+from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS, parse_config
+from chirospec.spectrum import SpectrumCurve, enantiomer_kernels
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -186,6 +189,28 @@ class TestSpectrumCommand:
         assert pools == [2]
         assert runs[0] == runs[1]
 
+    def test_idler_result_holds_values_not_curves(self):
+        # a worker pickles this back: the values, not the curves and their grid
+        cfg = parse_config((CONFIG_DIR / "entangled_probe.yaml").read_text(encoding="utf-8"))
+        scan = cli.build_scan_grid(cfg, cfg.probe)
+        context = (enantiomer_kernels(cfg.drive, cfg.noise, scan), cfg.probe)
+        result = cli._idler_result(context, cfg.idler[0])
+        arrays = [item for item in result if isinstance(item, np.ndarray)]
+        assert len(arrays) == 2
+        data = pickle.dumps(result)
+        assert len(data) < sum(a.nbytes for a in arrays) + 4096
+        assert b"SpectrumCurve" not in data
+        assert not any(isinstance(item, SpectrumCurve) for item in result)
+
+    def test_run_record_echoes_long_directory_whole(self, tmp_path):
+        # long enough that a YAML emitter of width 80 wraps it
+        name = " ".join(["results of the entangled probe run"] * 4)
+        cfg = write_cfg(tmp_path, SPECTRUM_CFG, out=name)
+        assert main(["spectrum", "-c", str(cfg), "--threads", "1"]) == 0
+        record = (tmp_path / name / "run_record.txt").read_text(encoding="utf-8")
+        echoed = re.search(r"^config\.output\.directory = (.*)$", record, re.M).group(1)
+        assert yaml.safe_load(echoed) == str(tmp_path / name)
+
 
 def reference_curve_csv(delta_s, values) -> bytes:
     """The per-number writer the block writer replaced: one f-string per row."""
@@ -336,6 +361,58 @@ class TestDressedCommand:
         assert measure == pytest.approx(expected, rel=1e-6)
 
 
+# The config echo of the shipped configs' run records, one line per value.
+ENTANGLED_ECHO = """\
+config.drive.delta21 = 0.0
+config.drive.delta31 = 0.0
+config.drive.omega21 = 0.1
+config.drive.omega31 = 0.1
+config.drive.omega32 = 0.1
+config.idler.values = -1.2
+config.idler.values = -1.03
+config.idler.values = -0.99
+config.idler.values = -0.955
+config.idler.values = 0.0
+config.idler.values = 0.955
+config.idler.values = 0.99
+config.idler.values = 1.03
+config.idler.values = 1.2
+config.noise.gamma = 1.0
+config.output.directory = out_entangled
+config.probe.kind = entangled
+config.probe.omega_l_center = 0.0
+config.probe.omega_pump = 0.0
+config.probe.omega_s_center = 0.0
+config.probe.sigma = 1.0
+config.probe.sigma_p = 1.0
+config.probe.t_l = 25.0
+config.probe.t_s = 24.0
+"""
+REGIME_MAP_ECHO = """\
+config.drive.delta21 = 0.0
+config.drive.delta31 = 0.0
+config.drive.omega21 = 0.1
+config.drive.omega31 = 0.1
+config.drive.omega32 = 0.1
+config.noise.gamma = 1.0
+config.output.directory = out_regime_map
+config.probe.kind = entangled
+config.probe.omega_l_center = 0.0
+config.probe.omega_pump = 0.0
+config.probe.omega_s_center = 0.0
+config.probe.sigma = 1.0
+config.probe.sigma_p = 1.0
+config.probe.t_l = 0.0
+config.probe.t_s = 0.0
+config.sweep.omega_l.count = 20
+config.sweep.omega_l.max = 1.254
+config.sweep.omega_l.min = -1.254
+config.sweep.t0.count = 20
+config.sweep.t0.max = 15.0
+config.sweep.t0.min = 0.0
+"""
+
+
 class TestShippedConfigs:
     def test_classical_probe_config_all_indistinguishable(self, tmp_path):
         cfg = CONFIG_DIR / "classical_probe.yaml"
@@ -358,6 +435,20 @@ class TestShippedConfigs:
         )
         assert len(pairs) >= 6
         assert "distinguishable = true" in manifest
+
+    @pytest.mark.parametrize(
+        "name, command, expected",
+        [
+            ("entangled_probe.yaml", "spectrum", ENTANGLED_ECHO),
+            ("regime_map.yaml", "regime-map", REGIME_MAP_ECHO),
+        ],
+    )
+    def test_run_record_config_lines(self, tmp_path, name, command, expected):
+        cfg = parse_config((CONFIG_DIR / name).read_text(encoding="utf-8"))
+        path = tmp_path / "run_record.txt"
+        cli._write_run_record(path, command, cfg, {}, 0.0)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("config.")] == expected.splitlines()
 
     def test_dressed_large_detuning_config(self, capsys):
         cfg = CONFIG_DIR / "dressed_large_detuning.yaml"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chirospec.analysis import curve_pair
 from chirospec.biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
 from chirospec.errors import GridTooCoarse, NonFiniteResult, WrongKind
 from chirospec.model import (
@@ -21,7 +22,6 @@ from chirospec.spectrum import (
     SpectrumCurve,
     enantiomer_kernels,
     kernel_curves,
-    transmission_curve,
     transmission_point,
     zero_bandwidth_point,
 )
@@ -29,6 +29,11 @@ from chirospec.spectrum import (
 NOISE = NoiseParams(1.0)
 RESONANT_RIGHT = DriveConfig(0.1, 0.1, 0.1, 0.0, 0.0, Chirality.RIGHT)
 ENTANGLED_DELAYS = dict(sigma_p=1.0, t_s=24.0, t_l=25.0)
+
+
+def right_curve(cfg, amp, omega_l_bar, grid):
+    """The right-handed curve of one drive, from the enantiomer pair."""
+    return curve_pair(cfg, amp, NOISE, omega_l_bar, grid)[1]
 
 
 def resonant_dressed(chirality=Chirality.RIGHT):
@@ -116,7 +121,7 @@ class TestTransmissionPoint:
         det = DetectorPair(0.0, 0.0)
         p_r = transmission_point(resonant_dressed(Chirality.RIGHT), amp, NOISE, det, grid)
         p_l = transmission_point(resonant_dressed(Chirality.LEFT), amp, NOISE, det, grid)
-        curve = transmission_curve(RESONANT_RIGHT, amp, NOISE, 0.0, grid)
+        curve = right_curve(RESONANT_RIGHT, amp, 0.0, grid)
         assert abs(p_l - p_r) < 0.01 * np.max(np.abs(curve.values))
         for value, chirality in ((p_r, Chirality.RIGHT), (p_l, Chirality.LEFT)):
             oracle = riemann_oracle_uncorrelated(
@@ -166,11 +171,10 @@ class TestTransmissionCurve:
         cfg = DriveConfig(0.0, 0.0, 0.0, 0.0, 0.0, Chirality.RIGHT)
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
-        curve = transmission_curve(cfg, amp, NOISE, 0.0, grid)
+        mirrored, curve = curve_pair(cfg, amp, NOISE, 0.0, grid)
         peak_idx = int(np.argmax(np.abs(curve.values)))
         assert abs(curve.delta_s[peak_idx]) <= grid.step
         assert curve.values[peak_idx] > 0
-        mirrored = transmission_curve(cfg.mirror(), amp, NOISE, 0.0, grid)
         assert np.array_equal(curve.values, mirrored.values)
 
     def test_no_drive_correlated_sign_weighting(self):
@@ -179,14 +183,14 @@ class TestTransmissionCurve:
         amp = BiphotonAmplitude.entangled(sigma_p=0.05, t_s=20.0, t_l=20.0)
         grid = default_grid(amp, 1.0, (0.0,))
         for dpl in (0.0, 0.5, 1.5, 2.0):
-            curve = transmission_curve(cfg, amp, NOISE, amp.omega_p - dpl, grid)
+            curve = right_curve(cfg, amp, amp.omega_p - dpl, grid)
             peak = curve.values[int(np.argmax(np.abs(curve.values)))]
             assert math.copysign(1.0, peak) == math.copysign(1.0, 1.0 - dpl**2)
 
     def test_matches_pointwise_evaluation(self):
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
-        curve = transmission_curve(RESONANT_RIGHT, amp, NOISE, 0.3, grid)
+        curve = right_curve(RESONANT_RIGHT, amp, 0.3, grid)
         dressed = resonant_dressed()
         for k in (0, 17, 60, 120):
             det = DetectorPair(float(grid.points[k]), 0.3)
@@ -196,8 +200,8 @@ class TestTransmissionCurve:
     def test_density_doubling_convergence(self):
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
-        coarse = transmission_curve(RESONANT_RIGHT, amp, NOISE, 0.0, grid)
-        fine = transmission_curve(RESONANT_RIGHT, amp, NOISE, 0.0, grid.halved_step())
+        coarse = right_curve(RESONANT_RIGHT, amp, 0.0, grid)
+        fine = right_curve(RESONANT_RIGHT, amp, 0.0, grid.halved_step())
         overlap = fine.values[::2]
         scale = np.max(np.abs(coarse.values))
         assert np.max(np.abs(overlap - coarse.values)) <= 1e-6 * scale
@@ -205,8 +209,7 @@ class TestTransmissionCurve:
     def test_quantum_probe_enantiomer_pairs_differ_in_shape_or_sign(self):
         amp = BiphotonAmplitude.entangled(**ENTANGLED_DELAYS)
         grid = default_grid(amp, 1.0, resonant_dressed().lambdas)
-        curve_l = transmission_curve(RESONANT_RIGHT.mirror(), amp, NOISE, 0.99, grid)
-        curve_r = transmission_curve(RESONANT_RIGHT, amp, NOISE, 0.99, grid)
+        curve_l, curve_r = curve_pair(RESONANT_RIGHT, amp, NOISE, 0.99, grid)
         # dominant extrema carry opposite signs at this idler frequency
         peak_l = curve_l.values[int(np.argmax(np.abs(curve_l.values)))]
         peak_r = curve_r.values[int(np.argmax(np.abs(curve_r.values)))]
@@ -215,7 +218,7 @@ class TestTransmissionCurve:
     def test_curve_metadata(self):
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
-        curve = transmission_curve(RESONANT_RIGHT, amp, NOISE, -0.7, grid)
+        curve = right_curve(RESONANT_RIGHT, amp, -0.7, grid)
         assert curve.chirality is Chirality.RIGHT
         assert curve.omega_l_bar == -0.7
         assert len(curve) == grid.points.size
