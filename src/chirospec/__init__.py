@@ -25,11 +25,9 @@ from .model import (
     build_rotating_hamiltonian,
     characteristic_invariants,
     dressed_states,
-    perturbative_lambda1,
 )
 from .spectrum import (
     DetectorPair,
-    SpectrumCurve,
     transmission_point,
     zero_bandwidth_point,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "LineShapeSignature",
     "NoiseParams",
     "RegimeMap",
-    "SpectrumCurve",
     "build_rotating_hamiltonian",
     "characteristic_invariants",
     "classify_lineshape",
@@ -58,7 +55,6 @@ __all__ = [
     "discrimination_window",
     "dressed_states",
     "jsa_value",
-    "perturbative_lambda1",
     "regime_map",
     "transmission_point",
     "zero_bandwidth_point",

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .biphoton import BiphotonAmplitude, FrequencyGrid
-from .errors import CurveTooShort, GridMismatch, ValidationError
+from .errors import CurveTooShort, ValidationError
 from .model import DriveConfig, NoiseParams
-from .spectrum import SpectrumCurve, enantiomer_kernels, kernel_curves
+from .spectrum import enantiomer_kernels, kernel_curves
 
 #: An extremum counts as significant above this fraction of the curve maximum.
 EXTREMUM_REL_THRESHOLD = 0.05
@@ -57,8 +57,8 @@ class LineShapeSignature:
         return f"{signs}|{self.zero_crossings}|{dom}"
 
 
-def classify_lineshape(curve: SpectrumCurve) -> LineShapeSignature:
-    """Extract the line-shape signature of a curve.
+def classify_lineshape(values: np.ndarray) -> LineShapeSignature:
+    """Extract the line-shape signature of a curve's values.
 
     Local extrema are the points where the sign of the slope changes,
     ignoring zero slopes; a plateau's extremum sits at its last index.
@@ -66,16 +66,21 @@ def classify_lineshape(curve: SpectrumCurve) -> LineShapeSignature:
     times the curve maximum; their signs are recorded in scan order and the
     sign changes between consecutive significant extrema are counted.
     The global-magnitude extremum always counts (so monotone curves
-    still classify).  Flat curves return the null signature.
+    still classify).  Flat curves return the null signature.  Raises
+    ValidationError unless ``values`` is finite, 1-D and MIN_CURVE_POINTS long.
     """
-    if len(curve) < MIN_CURVE_POINTS:
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValidationError(f"a curve must be a 1-D array, got shape {v.shape}")
+    if v.size < MIN_CURVE_POINTS:
         raise CurveTooShort(
-            f"line shapes need >= {MIN_CURVE_POINTS} scan points, got {len(curve)}"
+            f"line shapes need >= {MIN_CURVE_POINTS} scan points, got {v.size}"
         )
-    v = curve.values
     magnitude = np.abs(v)
     global_idx = int(np.argmax(magnitude))
     peak = float(magnitude[global_idx])
+    if not np.isfinite(peak):  # argmax stops at the first NaN, if any
+        raise ValidationError("a curve must have finite values")
     if peak < FLAT_CURVE_FLOOR:
         return LineShapeSignature.null()
 
@@ -93,22 +98,24 @@ def classify_lineshape(curve: SpectrumCurve) -> LineShapeSignature:
 
 
 def compare_pair(
-    curve_l: SpectrumCurve, curve_r: SpectrumCurve
+    values_l: np.ndarray, values_r: np.ndarray
 ) -> tuple[LineShapeSignature, LineShapeSignature, float, bool]:
     """Signatures, distance metric in [0, 1] and verdict of one curve pair.
 
-    Each curve is classified once, and
+    Both curves must be sampled on one grid, as those of one ``curve_pair``
+    call are; arrays carry no grid, so only their shapes are compared.  Each
+    curve is classified once, and
     metric = min(1, ||P_L - P_R||_2 / max(||P_L||_2, ||P_R||_2));
     the pair is distinguishable when the signatures differ or the metric
     reaches DISCRIMINABILITY_THRESHOLD.
     """
-    if not np.array_equal(curve_l.delta_s, curve_r.delta_s):
-        raise GridMismatch("curves were sampled on different scan grids")
-    biggest = max(np.linalg.norm(curve_l.values), np.linalg.norm(curve_r.values))
-    distance = np.linalg.norm(curve_l.values - curve_r.values)
+    if np.shape(values_l) != np.shape(values_r):
+        raise ValidationError("curves to compare must have the same shape")
+    sig_l = classify_lineshape(values_l)
+    sig_r = classify_lineshape(values_r)
+    biggest = max(np.linalg.norm(values_l), np.linalg.norm(values_r))
+    distance = np.linalg.norm(values_l - values_r)
     metric = float(min(1.0, distance / biggest)) if biggest > 0.0 else 0.0
-    sig_l = classify_lineshape(curve_l)
-    sig_r = classify_lineshape(curve_r)
     return sig_l, sig_r, metric, sig_l != sig_r or metric >= DISCRIMINABILITY_THRESHOLD
 
 
@@ -192,8 +199,8 @@ def curve_pair(
     noise: NoiseParams,
     omega_l_bar: float,
     scan_s: FrequencyGrid,
-) -> tuple[SpectrumCurve, SpectrumCurve]:
-    """Left- and right-handed transmission curves from one drive config."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left- and right-handed curves of one drive: read-only values on scan_s.points."""
     return kernel_curves(enantiomer_kernels(cfg, noise, scan_s), amp, omega_l_bar)
 
 

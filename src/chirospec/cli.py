@@ -166,7 +166,7 @@ def _idler_result(context, omega_l_bar: float):
     """Left and right values and the ``compare_pair`` result of one idler."""
     kernels, amp = context
     left, right = kernel_curves(kernels, amp, omega_l_bar)
-    return left.values, right.values, compare_pair(left, right)
+    return left, right, compare_pair(left, right)
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:

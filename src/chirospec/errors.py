@@ -9,10 +9,6 @@ class NonHermitianInput(ChirospecError):
     """A matrix expected to be Hermitian is not (beyond tolerance)."""
 
 
-class DetuningTooSmall(ChirospecError):
-    """Perturbative treatment requested outside its validity range."""
-
-
 class UnsupportedKind(ChirospecError):
     """Operation does not support this joint-spectral-amplitude kind."""
 
@@ -23,10 +19,6 @@ class WrongKind(ChirospecError):
 
 class NonFiniteResult(ChirospecError):
     """A numerical result came out NaN or infinite."""
-
-
-class GridMismatch(ChirospecError):
-    """Two curves to be compared were not sampled on the same grid."""
 
 
 class ConfigError(ChirospecError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DetuningTooSmall, NonFiniteResult, NonHermitianInput, ValidationError
+from .errors import NonFiniteResult, NonHermitianInput, ValidationError
 
 HERMITICITY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -74,10 +74,6 @@ class DriveConfig:
         if self.chirality is Chirality.RIGHT:
             return self.omega31
         return -self.omega31
-
-    @property
-    def max_coupling(self) -> float:
-        return max(abs(self.omega21), abs(self.omega31), abs(self.omega32))
 
 
 @dataclass(frozen=True)
@@ -225,30 +221,3 @@ def characteristic_invariants(h: HermitianTriad) -> tuple[float, float, float]:
     det = float(np.linalg.det(m).real)
     return trace, pair, det
 
-
-def perturbative_lambda1(cfg: DriveConfig, big_detuning: float) -> float:
-    """Perturbative dressed energy of the state adiabatically connected to |1>.
-
-    Valid when both drives detune far above the couplings
-    (delta21 = delta31 = D >> |omega|).  Stationary perturbation theory
-    through third order gives
-
-        lambda_1 = -(|W21|^2 + |W31|^2) / D + 2 Re(W31 W21* W32*) / D^2,
-
-    whose last term carries the chirality through the sign of the
-    coupling product.  Agrees with the exact eigenvalue nearest zero to
-    O(|omega|^4 / D^3).
-    """
-    if cfg.delta21 != big_detuning or cfg.delta31 != big_detuning:
-        raise ValidationError("config must use delta21 = delta31 = big_detuning")
-    if big_detuning <= 0 or big_detuning < 10.0 * cfg.max_coupling:
-        raise DetuningTooSmall(
-            f"need big_detuning >= 10*max|omega| = {10.0 * cfg.max_coupling:g}"
-        )
-    w21 = complex(cfg.omega21)
-    w31 = complex(cfg.signed_omega31)
-    w32 = complex(cfg.omega32)
-    d = float(big_detuning)
-    second = -(abs(w21) ** 2 + abs(w31) ** 2) / d
-    third = 2.0 * (w31 * np.conj(w21) * np.conj(w32)).real / d**2
-    return second + third

@@ -34,7 +34,7 @@ from .biphoton import (
     jsa_value,
 )
 from .errors import NonFiniteResult, ValidationError, WrongKind
-from .model import Chirality, DressedTriad, DriveConfig, NoiseParams, dressed_pair
+from .model import DressedTriad, DriveConfig, NoiseParams, dressed_pair
 
 
 @dataclass(frozen=True)
@@ -52,44 +52,6 @@ class DetectorPair:
     def __post_init__(self):
         if not (math.isfinite(self.omega_s_bar) and math.isfinite(self.omega_l_bar)):
             raise ValidationError("detector frequencies must be finite")
-
-
-def _read_only(array) -> np.ndarray:
-    """``array`` as a read-only float array that no caller can write to.
-
-    A read-only array that owns its data (a grid's points, a kernel's
-    values) is shared; anything else is copied.
-    """
-    out = np.asarray(array, dtype=float)
-    if out.flags.writeable or out.base is not None:
-        out = out.copy()
-        out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class SpectrumCurve:
-    """Transmission values versus signal detuning at fixed idler frequency."""
-
-    chirality: Chirality
-    omega_l_bar: float
-    delta_s: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        d = _read_only(self.delta_s)
-        v = _read_only(self.values)
-        if d.ndim != 1 or d.shape != v.shape:
-            raise ValueError("delta_s and values must be matching 1-D arrays")
-        if not np.all(np.diff(d) > 0):
-            raise ValueError("delta_s must be strictly increasing")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteResult("spectrum curve contains non-finite values")
-        object.__setattr__(self, "delta_s", d)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return int(self.delta_s.size)
 
 
 def _trapezoid_uniform(values: np.ndarray, step: float) -> complex:
@@ -116,7 +78,6 @@ class TransmissionKernel:
     """
 
     def __init__(self, dressed: DressedTriad, noise: NoiseParams, grid_s: FrequencyGrid):
-        self.chirality = dressed.chirality
         self.grid = grid_s
         self.weights = dressed.eta1_sq
         self.denominators = [
@@ -129,10 +90,10 @@ class TransmissionKernel:
             _trapezoid_uniform(psi_row / den, self.grid.step) for den in self.denominators
         ]
 
-    def curve(self, psi_row: np.ndarray, omega_l_bar: float) -> SpectrumCurve:
-        """Transmission across the grid for the JSA row psi(grid, omega_l_bar).
+    def curve(self, psi_row: np.ndarray) -> np.ndarray:
+        """Read-only transmission values over the grid for one JSA row.
 
-        The curve shares the grid's points and takes the values without a copy.
+        Raises NonFiniteResult if a value comes out NaN or infinite.
         """
         q = self.mode_integrals(psi_row)
         conj_row = np.conj(psi_row)
@@ -140,13 +101,10 @@ class TransmissionKernel:
         for weight, den, q_i in zip(self.weights, self.denominators, q):
             total += weight * (conj_row / den * q_i).real
         values = -total
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteResult("spectrum curve contains non-finite values")
         values.flags.writeable = False
-        return SpectrumCurve(
-            chirality=self.chirality,
-            omega_l_bar=omega_l_bar,
-            delta_s=self.grid.points,
-            values=values,
-        )
+        return values
 
 
 def enantiomer_kernels(
@@ -158,10 +116,10 @@ def enantiomer_kernels(
 
 def kernel_curves(
     kernels: tuple[TransmissionKernel, ...], amp: BiphotonAmplitude, omega_l_bar: float
-) -> tuple[SpectrumCurve, ...]:
-    """One curve per kernel at one idler frequency, from one shared JSA row."""
+) -> tuple[np.ndarray, ...]:
+    """One curve (read-only values) per kernel at one idler, from one JSA row."""
     psi_row = jsa_row(amp, kernels[0].grid, omega_l_bar)
-    return tuple(kernel.curve(psi_row, omega_l_bar) for kernel in kernels)
+    return tuple(kernel.curve(psi_row) for kernel in kernels)
 
 
 def transmission_point(

@@ -84,7 +84,7 @@ def test_criterion_2_chirality_null_suite():
         )
         wl = rng.uniform(-2.0, 2.0)
         left, right = curve_pair(cfg, amp, wp.NOISE, wl, grid)
-        worst = max(worst, float(np.max(np.abs(left.values - right.values))))
+        worst = max(worst, float(np.max(np.abs(left - right))))
     elapsed = time.perf_counter() - start
     report(
         2,

@@ -22,17 +22,7 @@ from chirospec.analysis import (
     sweep_amplitude,
 )
 from chirospec.biphoton import BiphotonAmplitude
-from chirospec.errors import CurveTooShort, GridMismatch
-from chirospec.model import Chirality
-from chirospec.spectrum import SpectrumCurve
-
-
-def make_curve(values, chirality=Chirality.RIGHT, omega_l_bar=0.0):
-    values = np.asarray(values, dtype=float)
-    deltas = np.linspace(-3.0, 3.0, values.size)
-    return SpectrumCurve(
-        chirality=chirality, omega_l_bar=omega_l_bar, delta_s=deltas, values=values
-    )
+from chirospec.errors import CurveTooShort, ValidationError
 
 
 def gaussian_peak(x, center, width, height):
@@ -44,54 +34,68 @@ X = np.linspace(-3.0, 3.0, 121)
 
 class TestClassifyLineshape:
     def test_single_positive_peak(self):
-        sig = classify_lineshape(make_curve(gaussian_peak(X, 0.0, 0.5, 1.0)))
+        sig = classify_lineshape(gaussian_peak(X, 0.0, 0.5, 1.0))
         assert sig.extrema_signs == (1,)
         assert sig.zero_crossings == 0
         assert sig.dominant_sign == 1
 
     def test_dispersive_shape(self):
         values = gaussian_peak(X, -0.6, 0.4, 1.0) + gaussian_peak(X, 0.6, 0.4, -0.9)
-        sig = classify_lineshape(make_curve(values))
+        sig = classify_lineshape(values)
         assert sig.extrema_signs == (1, -1)
         assert sig.zero_crossings == 1
         assert sig.dominant_sign == 1
 
     def test_scaling_invariance(self):
         values = gaussian_peak(X, -0.6, 0.4, 1.0) + gaussian_peak(X, 0.6, 0.4, -0.4)
-        assert classify_lineshape(make_curve(values)) == classify_lineshape(
-            make_curve(7.3 * values)
-        )
+        assert classify_lineshape(values) == classify_lineshape(7.3 * values)
 
     def test_insignificant_lobe_dropped(self):
         values = gaussian_peak(X, -0.6, 0.3, 1.0) + gaussian_peak(X, 1.5, 0.3, -0.01)
-        sig = classify_lineshape(make_curve(values))
+        sig = classify_lineshape(values)
         assert sig.extrema_signs == (1,)
 
     def test_flat_curve_null_signature(self):
-        sig = classify_lineshape(make_curve(np.zeros(64)))
+        sig = classify_lineshape(np.zeros(64))
         assert sig == LineShapeSignature.null()
         assert sig.compact() == "0"
 
     def test_monotone_curve_still_classifies(self):
-        rising = classify_lineshape(make_curve(np.linspace(0.5, 2.0, 64)))
+        rising = classify_lineshape(np.linspace(0.5, 2.0, 64))
         assert rising.extrema_signs == (1,)
         assert rising.dominant_sign == 1
-        falling = classify_lineshape(make_curve(np.linspace(-0.5, -2.0, 64)))
+        falling = classify_lineshape(np.linspace(-0.5, -2.0, 64))
         assert falling.extrema_signs == (-1,)
         assert falling.dominant_sign == -1
 
     def test_too_short(self):
         with pytest.raises(CurveTooShort):
-            classify_lineshape(make_curve(np.ones(15)))
+            classify_lineshape(np.ones(15))
 
     def test_compact_form(self):
         sig = LineShapeSignature(extrema_signs=(1, -1), zero_crossings=1, dominant_sign=-1)
         assert sig.compact() == "+-|1|-"
 
 
-def reference_signature(curve, rel_threshold=EXTREMUM_REL_THRESHOLD):
+class TestCallerArrays:
+    """classify_lineshape is the one check on value arrays a caller hands in."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.integers(MIN_CURVE_POINTS, 40))
+    def test_rejects_2d(self, rows, cols):
+        with pytest.raises(ValidationError, match="1-D"):
+            classify_lineshape(np.ones((rows, cols)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, MIN_CURVE_POINTS - 1))
+    def test_rejects_fewer_than_min_points(self, n):
+        message = f"^line shapes need >= {MIN_CURVE_POINTS} scan points, got {n}$"
+        with pytest.raises(CurveTooShort, match=message):
+            classify_lineshape(np.ones(n))
+
+def reference_signature(values, rel_threshold=EXTREMUM_REL_THRESHOLD):
     """Plain-Python line-shape signature, one point at a time: the oracle."""
-    v = [float(x) for x in curve.values]
+    v = [float(x) for x in values]
     max_abs = max(abs(x) for x in v)
     if max_abs < FLAT_CURVE_FLOOR:
         return LineShapeSignature.null()
@@ -154,8 +158,7 @@ class TestClassifierOracle:
     @example(np.array([2.0] * 5 + [1.0] * 6 + [2.0] * 5))
     @example(np.array([0.0, 20.0, 0.0, 1.0] + [0.0] * 12))  # a lobe at exactly 5%
     def test_matches_reference_loop(self, values):
-        curve = make_curve(values)
-        assert classify_lineshape(curve) == reference_signature(curve)
+        assert classify_lineshape(values) == reference_signature(values)
 
     @settings(max_examples=200, deadline=None)
     @given(curve_values(levels=st.one_of(*LEVELS[:2])), st.integers(-30, 30))
@@ -163,44 +166,49 @@ class TestClassifierOracle:
         # powers of two rescale these values exactly, so no tie is made or broken
         scale = 2.0**power
         assume(np.max(np.abs(values)) * scale >= FLAT_CURVE_FLOOR or not values.any())
-        base = classify_lineshape(make_curve(values))
-        assert classify_lineshape(make_curve(scale * values)) == base
-        assert base == reference_signature(make_curve(values))
+        base = classify_lineshape(values)
+        assert classify_lineshape(scale * values) == base
+        assert base == reference_signature(values)
+
+
+class TestNonFiniteValues:
+    @settings(max_examples=200, deadline=None)
+    @given(curve_values(), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_rejected_at_any_index(self, values, data, bad):
+        values = values.copy()
+        values[data.draw(st.integers(0, values.size - 1), label="index")] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            classify_lineshape(values)
 
 
 class TestDiscriminability:
     def test_identical_curves(self):
-        curve = make_curve(gaussian_peak(X, 0.0, 0.5, 1.0))
+        curve = gaussian_peak(X, 0.0, 0.5, 1.0)
         _, _, metric, dist = compare_pair(curve, curve)
         assert metric == 0.0
         assert dist is False
 
     def test_sign_flip_saturates(self):
         values = gaussian_peak(X, 0.0, 0.5, 1.0)
-        _, _, metric, dist = compare_pair(make_curve(values), make_curve(-values))
+        _, _, metric, dist = compare_pair(values, -values)
         assert metric == 1.0
         assert dist is True
 
     def test_symmetry(self):
-        a = make_curve(gaussian_peak(X, 0.0, 0.5, 1.0))
-        b = make_curve(gaussian_peak(X, 0.3, 0.5, 0.8))
+        a = gaussian_peak(X, 0.0, 0.5, 1.0)
+        b = gaussian_peak(X, 0.3, 0.5, 0.8)
         assert compare_pair(a, b)[2:] == compare_pair(b, a)[2:]
 
-    def test_grid_mismatch(self):
-        a = make_curve(np.ones(64))
-        b = SpectrumCurve(
-            chirality=Chirality.LEFT,
-            omega_l_bar=0.0,
-            delta_s=np.linspace(-2.0, 2.0, 64),
-            values=np.ones(64),
-        )
-        with pytest.raises(GridMismatch):
-            compare_pair(a, b)
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(MIN_CURVE_POINTS, 80), st.integers(1, 20))
+    def test_different_lengths_rejected(self, n, extra):
+        a, b = np.ones(n), np.ones(n + extra)
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValidationError, match="same shape"):
+                compare_pair(*pair)
 
     def test_both_flat(self):
-        _, _, metric, dist = compare_pair(
-            make_curve(np.zeros(64)), make_curve(np.zeros(64))
-        )
+        _, _, metric, dist = compare_pair(np.zeros(64), np.zeros(64))
         assert metric == 0.0
         assert dist is False
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chirospec.errors import DetuningTooSmall, NonHermitianInput
+from chirospec.errors import NonHermitianInput
 from chirospec.model import (
     Chirality,
     DriveConfig,
@@ -12,8 +12,8 @@ from chirospec.model import (
     build_rotating_hamiltonian,
     characteristic_invariants,
     dressed_states,
-    perturbative_lambda1,
 )
+from perturbative import DetuningTooSmall, max_coupling, perturbative_lambda1
 
 
 def cubic_eigenvalues_oracle(h: np.ndarray) -> np.ndarray:
@@ -298,7 +298,7 @@ class TestPerturbativeLambda1:
                 pert = perturbative_lambda1(cfg, d)
                 dressed = dressed_states(build_rotating_hamiltonian(cfg), cfg.chirality)
                 exact = dressed.lambdas[np.argmin(np.abs(dressed.lambdas))]
-                bound = bound_constant * cfg.max_coupling**4 / d**3
+                bound = bound_constant * max_coupling(cfg)**4 / d**3
                 assert abs(pert - exact) <= bound
 
 

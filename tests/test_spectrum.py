@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chirospec import spectrum
 from chirospec.analysis import curve_pair
 from chirospec.biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
 from chirospec.errors import GridTooCoarse, NonFiniteResult, WrongKind
@@ -19,7 +22,6 @@ from chirospec.model import (
 )
 from chirospec.spectrum import (
     DetectorPair,
-    SpectrumCurve,
     enantiomer_kernels,
     kernel_curves,
     transmission_point,
@@ -122,7 +124,7 @@ class TestTransmissionPoint:
         p_r = transmission_point(resonant_dressed(Chirality.RIGHT), amp, NOISE, det, grid)
         p_l = transmission_point(resonant_dressed(Chirality.LEFT), amp, NOISE, det, grid)
         curve = right_curve(RESONANT_RIGHT, amp, 0.0, grid)
-        assert abs(p_l - p_r) < 0.01 * np.max(np.abs(curve.values))
+        assert abs(p_l - p_r) < 0.01 * np.max(np.abs(curve))
         for value, chirality in ((p_r, Chirality.RIGHT), (p_l, Chirality.LEFT)):
             oracle = riemann_oracle_uncorrelated(
                 resonant_dressed(chirality), 1.0, 1.0, det,
@@ -172,10 +174,10 @@ class TestTransmissionCurve:
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
         mirrored, curve = curve_pair(cfg, amp, NOISE, 0.0, grid)
-        peak_idx = int(np.argmax(np.abs(curve.values)))
-        assert abs(curve.delta_s[peak_idx]) <= grid.step
-        assert curve.values[peak_idx] > 0
-        assert np.array_equal(curve.values, mirrored.values)
+        peak_idx = int(np.argmax(np.abs(curve)))
+        assert abs(grid.points[peak_idx]) <= grid.step
+        assert curve[peak_idx] > 0
+        assert np.array_equal(curve, mirrored)
 
     def test_no_drive_correlated_sign_weighting(self):
         # with a sum-pinned probe the peak sign follows gamma^2 - dpl^2
@@ -184,7 +186,7 @@ class TestTransmissionCurve:
         grid = default_grid(amp, 1.0, (0.0,))
         for dpl in (0.0, 0.5, 1.5, 2.0):
             curve = right_curve(cfg, amp, amp.omega_p - dpl, grid)
-            peak = curve.values[int(np.argmax(np.abs(curve.values)))]
+            peak = curve[int(np.argmax(np.abs(curve)))]
             assert math.copysign(1.0, peak) == math.copysign(1.0, 1.0 - dpl**2)
 
     def test_matches_pointwise_evaluation(self):
@@ -195,60 +197,65 @@ class TestTransmissionCurve:
         for k in (0, 17, 60, 120):
             det = DetectorPair(float(grid.points[k]), 0.3)
             p = transmission_point(dressed, amp, NOISE, det, grid)
-            assert curve.values[k] == pytest.approx(p, rel=1e-13, abs=1e-300)
+            assert curve[k] == pytest.approx(p, rel=1e-13, abs=1e-300)
 
     def test_density_doubling_convergence(self):
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
         coarse = right_curve(RESONANT_RIGHT, amp, 0.0, grid)
         fine = right_curve(RESONANT_RIGHT, amp, 0.0, grid.halved_step())
-        overlap = fine.values[::2]
-        scale = np.max(np.abs(coarse.values))
-        assert np.max(np.abs(overlap - coarse.values)) <= 1e-6 * scale
+        overlap = fine[::2]
+        scale = np.max(np.abs(coarse))
+        assert np.max(np.abs(overlap - coarse)) <= 1e-6 * scale
 
     def test_quantum_probe_enantiomer_pairs_differ_in_shape_or_sign(self):
         amp = BiphotonAmplitude.entangled(**ENTANGLED_DELAYS)
         grid = default_grid(amp, 1.0, resonant_dressed().lambdas)
         curve_l, curve_r = curve_pair(RESONANT_RIGHT, amp, NOISE, 0.99, grid)
         # dominant extrema carry opposite signs at this idler frequency
-        peak_l = curve_l.values[int(np.argmax(np.abs(curve_l.values)))]
-        peak_r = curve_r.values[int(np.argmax(np.abs(curve_r.values)))]
+        peak_l = curve_l[int(np.argmax(np.abs(curve_l)))]
+        peak_r = curve_r[int(np.argmax(np.abs(curve_r)))]
         assert peak_l * peak_r < 0
 
     def test_curve_metadata(self):
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
-        curve = right_curve(RESONANT_RIGHT, amp, -0.7, grid)
-        assert curve.chirality is Chirality.RIGHT
-        assert curve.omega_l_bar == -0.7
-        assert len(curve) == grid.points.size
-        assert np.all(np.diff(curve.delta_s) > 0)
+        values = right_curve(RESONANT_RIGHT, amp, -0.7, grid)
+        assert values.ndim == 1
+        assert values.size == grid.points.size
 
 
-class TestSpectrumCurveArrays:
-    def test_kernel_curves_share_the_scan_grid(self):
+class TestCurveArrays:
+    def test_kernel_curves_are_read_only_and_own_their_values(self, monkeypatch):
+        original, rows = spectrum.jsa_row, []
+
+        def recorded_jsa_row(*args):
+            rows.append(original(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(spectrum, "jsa_row", recorded_jsa_row)
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
         kernels = enantiomer_kernels(RESONANT_RIGHT, NOISE, scan)
-        for curve in kernel_curves(kernels, amp, 0.3):
-            assert np.shares_memory(curve.delta_s, scan.points)
-            assert not curve.values.flags.writeable
+        left, right = kernel_curves(kernels, amp, 0.3)
+        (row,) = rows
+        for curve, other in ((left, right), (right, left)):
+            assert curve.dtype == float and curve.shape == scan.points.shape
+            assert not curve.flags.writeable
+            assert not np.shares_memory(curve, row)
+            assert not np.shares_memory(curve, other)
 
-    def test_caller_arrays_are_copied(self):
-        delta_s = np.linspace(-1.0, 1.0, 21)
-        values = np.sin(delta_s)
-        read_only_view = values[:]
-        read_only_view.flags.writeable = False
-        curve = SpectrumCurve(Chirality.LEFT, 0.0, delta_s, read_only_view)
-        delta_s[:] = 0.0
-        values[:] = 7.0
-        assert np.array_equal(curve.delta_s, np.linspace(-1.0, 1.0, 21))
-        assert np.array_equal(curve.values, np.sin(curve.delta_s))
-        assert not curve.delta_s.flags.writeable and not curve.values.flags.writeable
-
-    def test_rejects_non_finite_values(self):
-        with pytest.raises(NonFiniteResult):
-            SpectrumCurve(Chirality.LEFT, 0.0, np.arange(3.0), [0.0, np.nan, 0.0])
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(1e160, 1e300))
+    def test_overflowing_jsa_row_is_non_finite(self, height):
+        amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
+        scan = FrequencyGrid.build(0.0, 6.0, 0.05)
+        kernel = enantiomer_kernels(RESONANT_RIGHT, NOISE, scan)[1]
+        row = height * spectrum.jsa_row(amp, scan, 0.3)
+        assert np.all(np.isfinite(row))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteResult):
+                kernel.curve(row)
 
 
 class TestZeroBandwidthPoint:
