@@ -3,9 +3,9 @@
 One YAML document drives a whole experiment.  The drive section always
 stores the right-handed coupling values; both enantiomers are derived
 from it at run time, so left/right comparisons cannot drift apart.
-Missing sections fall back to the resonant strong-dissipation defaults
-(gamma = 1, all couplings 0.1, zero detunings, uncorrelated probe of
-unit width).
+A key left out takes the default of the value type its section builds:
+the resonant strong-dissipation point (gamma = 1, all couplings 0.1, zero
+detunings, uncorrelated probe of unit width).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import yaml
 
 from .biphoton import BiphotonAmplitude, JsaKind
 from .errors import ParseError, ValidationError
-from .model import Chirality, DriveConfig, NoiseParams
+from .model import DriveConfig, NoiseParams
 
 _PROBE_KINDS = {
     "uncorrelated": JsaKind.UNCORRELATED_GAUSSIAN,
@@ -114,12 +114,6 @@ def _number(node: dict, key: str, default: float, where: str) -> float:
     return _as_number(node.get(key, default), f"{where}.{key}")
 
 
-def _optional_number(node: dict, key: str, where: str) -> Optional[float]:
-    if key not in node or node[key] is None:
-        return None
-    return _number(node, key, 0.0, where)
-
-
 def _integer(node: dict, key: str, where: str) -> int:
     value = node.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -127,55 +121,41 @@ def _integer(node: dict, key: str, where: str) -> int:
     return value
 
 
-def _parse_drive(node: dict) -> DriveConfig:
-    _reject_unknown(
-        node, {"omega21", "omega31", "omega32", "delta21", "delta31"}, "drive"
-    )
-    return DriveConfig(
-        omega21=_number(node, "omega21", 0.1, "drive"),
-        omega31=_number(node, "omega31", 0.1, "drive"),
-        omega32=_number(node, "omega32", 0.1, "drive"),
-        delta21=_number(node, "delta21", 0.0, "drive"),
-        delta31=_number(node, "delta31", 0.0, "drive"),
-        chirality=Chirality.RIGHT,
-    )
+def _same(*names: str) -> dict[str, str]:
+    return {name: name for name in names}
 
 
-def _parse_noise(node: dict) -> NoiseParams:
-    _reject_unknown(node, {"gamma"}, "noise")
-    return NoiseParams(gamma=_number(node, "gamma", 1.0, "noise"))
+#: The numeric keys of each section, in read order, and the field each sets in the
+#: value type the section builds (``ExperimentConfig`` for ``scan``).
+_FIELDS = {
+    "drive": _same("omega21", "omega31", "omega32", "delta21", "delta31"),
+    "noise": _same("gamma"),
+    "probe": {
+        "omega_s_center": "omega_sc",
+        "omega_l_center": "omega_lc",
+        **_same("sigma", "sigma_p", "t_s", "t_l"),
+        "omega_pump": "omega_p",
+    },
+    "scan": {"center": "scan_center", "half_width": "scan_half_width", "step": "scan_step"},
+}
+#: Fields whose key may be null, which means left out (their default is None).
+_NULLABLE = {"omega_p", "scan_center", "scan_half_width", "scan_step"}
 
 
-def _parse_probe(node: dict) -> BiphotonAmplitude:
-    _reject_unknown(
-        node,
-        {
-            "kind",
-            "sigma",
-            "sigma_p",
-            "t_s",
-            "t_l",
-            "omega_s_center",
-            "omega_l_center",
-            "omega_pump",
-        },
-        "probe",
-    )
-    kind_name = node.get("kind", "uncorrelated")
-    if kind_name not in _PROBE_KINDS:
-        raise ValidationError(
-            f"probe.kind must be one of {sorted(_PROBE_KINDS)}, got '{kind_name}'"
-        )
-    return BiphotonAmplitude(
-        kind=_PROBE_KINDS[kind_name],
-        omega_sc=_number(node, "omega_s_center", 0.0, "probe"),
-        omega_lc=_number(node, "omega_l_center", 0.0, "probe"),
-        sigma=_number(node, "sigma", 1.0, "probe"),
-        sigma_p=_number(node, "sigma_p", 1.0, "probe"),
-        t_s=_number(node, "t_s", 0.0, "probe"),
-        t_l=_number(node, "t_l", 0.0, "probe"),
-        omega_p=_optional_number(node, "omega_pump", "probe"),
-    )
+def _section(doc: dict, name: str, *other_keys: str) -> dict:
+    """Section ``name`` of the document, with unknown keys rejected."""
+    node = _require_mapping(doc.get(name), name)
+    _reject_unknown(node, {*_FIELDS.get(name, ()), *other_keys}, name)
+    return node
+
+
+def _numbers(node: dict, name: str) -> dict[str, float]:
+    """The numbers given in section ``name``, keyed by the field each sets."""
+    return {
+        field: _as_number(node[key], f"{name}.{key}")
+        for key, field in _FIELDS[name].items()
+        if key in node and not (node[key] is None and field in _NULLABLE)
+    }
 
 
 def _parse_idler(node) -> tuple[float, ...]:
@@ -184,7 +164,7 @@ def _parse_idler(node) -> tuple[float, ...]:
     node = _require_mapping(node, "idler")
     _reject_unknown(node, {"value", "values", "min", "max", "step"}, "idler")
     given = [k for k in ("value", "values", "min") if k in node]
-    if len(given) != 1:
+    if len(given) != 1 or (given != ["min"] and {"max", "step"} & node.keys()):
         raise ValidationError(
             "idler needs exactly one of: value, values, or min/max/step"
         )
@@ -244,22 +224,21 @@ def parse_config(text: str) -> ExperimentConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ParseError("config document must be a mapping")
-    _reject_unknown(
-        doc, {"drive", "noise", "probe", "scan", "idler", "sweep", "output"}, "<top>"
-    )
+    _reject_unknown(doc, {*_FIELDS, "idler", "sweep", "output"}, "<top>")
 
-    drive = _parse_drive(_require_mapping(doc.get("drive"), "drive"))
-    noise = _parse_noise(_require_mapping(doc.get("noise"), "noise"))
-    probe = _parse_probe(_require_mapping(doc.get("probe"), "probe"))
-
-    scan = _require_mapping(doc.get("scan"), "scan")
-    _reject_unknown(scan, {"center", "half_width", "step"}, "scan")
-    scan_center = _optional_number(scan, "center", "scan")
-    scan_half_width = _optional_number(scan, "half_width", "scan")
-    scan_step = _optional_number(scan, "step", "scan")
-    if scan_half_width is not None and scan_half_width <= 0:
+    drive = DriveConfig(**_numbers(_section(doc, "drive"), "drive"))
+    noise = NoiseParams(**_numbers(_section(doc, "noise"), "noise"))
+    node = _section(doc, "probe", "kind")
+    kind_name = node.get("kind", "uncorrelated")
+    if not isinstance(kind_name, str) or kind_name not in _PROBE_KINDS:
+        raise ValidationError(
+            f"probe.kind must be one of {sorted(_PROBE_KINDS)}, got '{kind_name}'"
+        )
+    probe = BiphotonAmplitude(_PROBE_KINDS[kind_name], **_numbers(node, "probe"))
+    scan = _numbers(_section(doc, "scan"), "scan")
+    if scan.get("scan_half_width", 1.0) <= 0:
         raise ValidationError("scan.half_width > 0")
-    if scan_step is not None and scan_step <= 0:
+    if scan.get("scan_step", 1.0) <= 0:
         raise ValidationError("scan.step > 0")
 
     idler = None
@@ -271,8 +250,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if idler is not None and sweep is not None:
         raise ValidationError("config must not declare both idler and sweep")
 
-    output = _require_mapping(doc.get("output"), "output")
-    _reject_unknown(output, {"directory"}, "output")
+    output = _section(doc, "output", "directory")
     out_dir = output.get("directory", "chirospec_out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ValidationError("output.directory must be a nonempty string")
@@ -281,48 +259,24 @@ def parse_config(text: str) -> ExperimentConfig:
         drive=drive,
         noise=noise,
         probe=probe,
-        scan_center=scan_center,
-        scan_half_width=scan_half_width,
-        scan_step=scan_step,
         idler=idler,
         sweep=sweep,
         output_dir=out_dir,
+        **scan,
     )
 
 
 def config_mapping(cfg: ExperimentConfig) -> dict:
     """Canonical mapping of a config: nested dicts of YAML scalars and lists."""
-    doc: dict = {
-        "drive": {
-            "omega21": float(cfg.drive.omega21.real),
-            "omega31": float(cfg.drive.omega31.real),
-            "omega32": float(cfg.drive.omega32.real),
-            "delta21": cfg.drive.delta21,
-            "delta31": cfg.drive.delta31,
-        },
-        "noise": {"gamma": cfg.noise.gamma},
-        "probe": {
-            "kind": _KIND_NAMES[cfg.probe.kind],
-            "sigma": cfg.probe.sigma,
-            "sigma_p": cfg.probe.sigma_p,
-            "t_s": cfg.probe.t_s,
-            "t_l": cfg.probe.t_l,
-            "omega_s_center": cfg.probe.omega_sc,
-            "omega_l_center": cfg.probe.omega_lc,
-        },
-        "output": {"directory": cfg.output_dir},
-    }
-    if cfg.probe.kind is not JsaKind.UNCORRELATED_GAUSSIAN:
-        doc["probe"]["omega_pump"] = cfg.probe.omega_p
-    scan = {}
-    if cfg.scan_center is not None:
-        scan["center"] = cfg.scan_center
-    if cfg.scan_half_width is not None:
-        scan["half_width"] = cfg.scan_half_width
-    if cfg.scan_step is not None:
-        scan["step"] = cfg.scan_step
-    if scan:
-        doc["scan"] = scan
+    doc: dict = {}
+    for name, fields in _FIELDS.items():
+        owner = cfg if name == "scan" else getattr(cfg, name)
+        node = {key: getattr(owner, field) for key, field in fields.items()}
+        node = {key: value for key, value in node.items() if value is not None}
+        if node:
+            doc[name] = node
+    doc["probe"]["kind"] = _KIND_NAMES[cfg.probe.kind]
+    doc["output"] = {"directory": cfg.output_dir}
     if cfg.idler is not None:
         doc["idler"] = {"values": list(cfg.idler)}
     if cfg.sweep is not None:

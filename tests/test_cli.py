@@ -360,6 +360,44 @@ class TestDressedCommand:
 
 
 # The config echo of the shipped configs' run records, one line per value.
+# classical_probe.yaml is the one shipped config with an uncorrelated probe, which
+# echoes no omega_pump, and with the {min, max, step} idler form, echoed as its values.
+CLASSICAL_ECHO = """\
+config.drive.delta21 = 0.0
+config.drive.delta31 = 0.0
+config.drive.omega21 = 0.1
+config.drive.omega31 = 0.1
+config.drive.omega32 = 0.1
+config.idler.values = -1.254
+config.idler.values = -1.1219999999999999
+config.idler.values = -0.99
+config.idler.values = -0.858
+config.idler.values = -0.726
+config.idler.values = -0.594
+config.idler.values = -0.46199999999999997
+config.idler.values = -0.32999999999999996
+config.idler.values = -0.19799999999999995
+config.idler.values = -0.06599999999999984
+config.idler.values = 0.06600000000000006
+config.idler.values = 0.19799999999999995
+config.idler.values = 0.33000000000000007
+config.idler.values = 0.4620000000000002
+config.idler.values = 0.5940000000000001
+config.idler.values = 0.726
+config.idler.values = 0.8580000000000001
+config.idler.values = 0.9900000000000002
+config.idler.values = 1.1220000000000003
+config.idler.values = 1.254
+config.noise.gamma = 1.0
+config.output.directory = out_classical
+config.probe.kind = uncorrelated
+config.probe.omega_l_center = 0.0
+config.probe.omega_s_center = 0.0
+config.probe.sigma = 1.0
+config.probe.sigma_p = 1.0
+config.probe.t_l = 0.0
+config.probe.t_s = 0.0
+"""
 ENTANGLED_ECHO = """\
 config.drive.delta21 = 0.0
 config.drive.delta31 = 0.0
@@ -437,6 +475,7 @@ class TestShippedConfigs:
     @pytest.mark.parametrize(
         "name, command, expected",
         [
+            ("classical_probe.yaml", "spectrum", CLASSICAL_ECHO),
             ("entangled_probe.yaml", "spectrum", ENTANGLED_ECHO),
             ("regime_map.yaml", "regime-map", REGIME_MAP_ECHO),
         ],

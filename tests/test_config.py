@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import math
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -70,6 +71,17 @@ class TestValidation:
         with pytest.raises(ValidationError, match="probe.kind"):
             parse_config("probe:\n  kind: squeezed\n")
 
+    @pytest.mark.parametrize("kind", ["[entangled]", "{entangled: 1}"])
+    def test_unhashable_probe_kind(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"probe:\n  kind: {kind}\nidler: 0.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["spectrum", "-c", str(path), "--out", str(out), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("chirospec: config error: probe.kind must be one of")
+        assert not out.exists()
+
     def test_nonnumeric_field(self):
         with pytest.raises(ValidationError, match="drive.omega21"):
             parse_config("drive:\n  omega21: strong\n")
@@ -119,6 +131,21 @@ class TestIdlerForms:
         cfg = parse_config("idler:\n  min: -1.0\n  max: 1.0\n  step: 0.5\n")
         assert cfg.idler == (-1.0, -0.5, 0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("form", ["value: 0.5", "values: [0.5]"])
+    @pytest.mark.parametrize("range_key", ["max: -3.0", "step: 0.25"])
+    def test_single_forms_take_no_range_key(self, tmp_path, capsys, form, range_key):
+        text = f"idler: {{{form}, {range_key}}}\n"
+        message = "idler needs exactly one of: value, values, or min/max/step"
+        with pytest.raises(ValidationError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text + f"output: {{directory: {tmp_path / 'out'}}}\n", encoding="utf-8")
+        assert cli.main(["spectrum", "-c", str(path), "--threads", "1"]) == 2
+        assert capsys.readouterr().err == f"chirospec: config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_axes(self):
@@ -139,6 +166,48 @@ class TestSweep:
             )
 
 
+# Every numeric config key and the field it sets, written out here rather
+# than read from the parser's table: a round trip reads and writes a key the
+# same way, so it cannot see a key paired with the wrong field.
+KEY_FIELDS = [
+    ("drive.omega21", "omega21"),
+    ("drive.omega31", "omega31"),
+    ("drive.omega32", "omega32"),
+    ("drive.delta21", "delta21"),
+    ("drive.delta31", "delta31"),
+    ("noise.gamma", "gamma"),
+    ("probe.omega_s_center", "omega_sc"),
+    ("probe.omega_l_center", "omega_lc"),
+    ("probe.sigma", "sigma"),
+    ("probe.sigma_p", "sigma_p"),
+    ("probe.t_s", "t_s"),
+    ("probe.t_l", "t_l"),
+    ("probe.omega_pump", "omega_p"),
+    ("scan.center", "scan_center"),
+    ("scan.half_width", "scan_half_width"),
+    ("scan.step", "scan_step"),
+]
+
+
+class TestKeyFields:
+    @pytest.mark.parametrize("key, field", KEY_FIELDS, ids=[k for k, _ in KEY_FIELDS])
+    def test_key_sets_only_its_field(self, key, field):
+        section, name = key.split(".")
+        # An entangled probe with its pump center given, so that energy
+        # matching cannot hide a swap of the probe's centers.
+        base = {"probe": {"kind": "entangled", "omega_pump": 0.75}} if section == "probe" else {}
+        doc = copy.deepcopy(base)
+        doc.setdefault(section, {})[name] = 0.375  # valid everywhere, no default
+        cfg, base_cfg = parse_config(yaml.safe_dump(doc)), parse_config(yaml.safe_dump(base))
+
+        if section == "scan":
+            expected = replace(base_cfg, **{field: 0.375})
+        else:
+            owner = replace(getattr(base_cfg, section), **{field: 0.375})
+            expected = replace(base_cfg, **{section: owner})
+        assert cfg == expected
+
+
 class TestRoundTrip:
     CASES = [
         "",
@@ -152,6 +221,8 @@ class TestRoundTrip:
             "  omega_l: {min: -1.254, max: 1.254, count: 20}\n"
             "output:\n  directory: results\n"
         ),
+        # An uncorrelated probe ignores its pump center, but the echo keeps it.
+        "probe:\n  kind: uncorrelated\n  omega_pump: 3.0\n",
     ]
 
     @pytest.mark.parametrize("text", CASES)
