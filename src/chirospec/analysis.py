@@ -84,7 +84,8 @@ def classify_lineshape(values: np.ndarray) -> LineShapeSignature:
     if peak < FLAT_CURVE_FLOOR:
         return LineShapeSignature.null()
 
-    slopes = np.sign(np.diff(v))
+    slopes = np.diff(v)
+    np.sign(slopes, out=slopes)
     moving = np.flatnonzero(slopes)
     turns = moving[1:][slopes[moving[1:]] != slopes[moving[:-1]]]
     extrema = turns if global_idx in turns else np.sort(np.append(turns, global_idx))

@@ -39,6 +39,8 @@ DEFAULT_SPAN_WIDTHS = 6.0
 MAX_GRID_POINTS = 1_000_000
 #: Fewest intervals a grid may have, so its half-width spans at least 5 steps.
 MIN_GRID_INTERVALS = 10
+#: A row is evaluated where its exponent E is at most this; exp(-E) is 0.0 above 745.14.
+UNDERFLOW_EXPONENT = 750.0
 
 
 class JsaKind(enum.Enum):
@@ -223,6 +225,35 @@ def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def row_support(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l) -> slice:
+    """Slice of grid_s.points outside which psi(., omega_l) is exactly 0.0.
+
+    At a fixed idler both sampled kinds are scale * exp(-E), E = curv * (d - mu)^2
+    + c0 in the signal detuning d.  The slice holds the points with E <=
+    UNDERFLOW_EXPONENT and one more on each side; all if the closed form overflows.
+    """
+    wl = float(omega_l)
+    try:
+        if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
+            curv, mu = 0.5 / amp.sigma**2, amp.omega_sc
+            c0 = curv * (wl - amp.omega_lc) ** 2
+        else:  # (d - a)^2 / (2 sigma_p^2) + (r (d - omega_sc) + k)^2
+            pump, r = 0.5 / amp.sigma_p**2, amp.t_s / 2.0
+            a, k = amp.omega_p - wl, (wl - amp.omega_lc) * (amp.t_l / 2.0)
+            curv = pump + r * r
+            mu = (pump * a + r * (r * amp.omega_sc - k)) / curv
+            c0 = pump * (mu - a) ** 2 + (r * (mu - amp.omega_sc) + k) ** 2
+        if c0 > UNDERFLOW_EXPONENT:
+            return slice(0, 0)
+        reach = math.sqrt((UNDERFLOW_EXPONENT - c0) / curv)
+    except ArithmeticError:  # overflow or division by zero
+        return slice(None)
+    if not math.isfinite(mu + reach):  # nan from inf - inf or inf / inf
+        return slice(None)
+    first, last = np.searchsorted(grid_s.points, [mu - reach, mu + reach], side="right")
+    return slice(max(int(first) - 1, 0), int(last) + 1)
 
 
 def default_grid(

@@ -119,8 +119,11 @@ def _write_curve(path: Path, row_blocks: list[str], values: np.ndarray) -> str:
     with open(path, "wb") as fh:
         fh.write(_CURVE_HEADER)
         for k, block in enumerate(row_blocks):
-            start = k * CSV_BLOCK_ROWS
-            rows = block % tuple(values[start:start + CSV_BLOCK_ROWS].tolist())
+            chunk = values[k * CSV_BLOCK_ROWS:(k + 1) * CSV_BLOCK_ROWS]
+            if chunk.any() or not np.signbit(chunk).all():
+                rows = block % tuple(chunk.tolist())
+            else:  # all -0.0, as where the probe amplitude underflows
+                rows = block.replace("%.9e", "-0.000000000e+00")
             data = rows.encode("utf-8")
             fh.write(data)
             digest.update(data)
@@ -177,6 +180,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     scan = build_scan_grid(cfg, cfg.probe)
     context = (enantiomer_kernels(cfg.drive, cfg.noise, scan), cfg.probe)
     results = run_jobs(_idler_result, context, list(cfg.idler), threads)
+    del context  # frees the kernels before the CSVs are written: lower peak memory
 
     out_dir.mkdir(parents=True, exist_ok=True)
     # TransmissionKernel.curve samples every curve on scan.points.

@@ -110,8 +110,10 @@ def _as_number(value, name: str) -> float:
     return value
 
 
-def _number(node: dict, key: str, default: float, where: str) -> float:
-    return _as_number(node.get(key, default), f"{where}.{key}")
+def _number(node: dict, key: str, where: str) -> float:
+    if key not in node:
+        raise ValidationError(f"{where}.{key} is required")
+    return _as_number(node[key], f"{where}.{key}")
 
 
 def _integer(node: dict, key: str, where: str) -> int:
@@ -169,7 +171,7 @@ def _parse_idler(node) -> tuple[float, ...]:
             "idler needs exactly one of: value, values, or min/max/step"
         )
     if "value" in node:
-        return (_number(node, "value", 0.0, "idler"),)
+        return (_number(node, "value", "idler"),)
     if "values" in node:
         values = node["values"]
         if not isinstance(values, list) or not values:
@@ -177,9 +179,9 @@ def _parse_idler(node) -> tuple[float, ...]:
         if len(values) > MAX_IDLER_COUNT:
             raise _too_many_idlers()
         return tuple(_as_number(v, f"idler.values[{k}]") for k, v in enumerate(values))
-    lo = _number(node, "min", 0.0, "idler")
-    hi = _number(node, "max", 0.0, "idler")
-    step = _number(node, "step", 0.0, "idler")
+    lo = _number(node, "min", "idler")
+    hi = _number(node, "max", "idler")
+    step = _number(node, "step", "idler")
     if step <= 0:
         raise ValidationError("idler.step > 0")
     if hi < lo:
@@ -205,11 +207,11 @@ def _parse_sweep(node: dict) -> SweepSpec:
     if not t0 or not wl:
         raise ValidationError("sweep needs both t0 and omega_l ranges")
     return SweepSpec(
-        t0_min=_number(t0, "min", 0.0, "sweep.t0"),
-        t0_max=_number(t0, "max", 0.0, "sweep.t0"),
+        t0_min=_number(t0, "min", "sweep.t0"),
+        t0_max=_number(t0, "max", "sweep.t0"),
         t0_count=_integer(t0, "count", "sweep.t0"),
-        omega_l_min=_number(wl, "min", 0.0, "sweep.omega_l"),
-        omega_l_max=_number(wl, "max", 0.0, "sweep.omega_l"),
+        omega_l_min=_number(wl, "min", "sweep.omega_l"),
+        omega_l_max=_number(wl, "max", "sweep.omega_l"),
         omega_l_count=_integer(wl, "count", "sweep.omega_l"),
     )
 

@@ -32,6 +32,7 @@ from .biphoton import (
     JsaKind,
     _require_resolving,
     jsa_value,
+    row_support,
 )
 from .errors import NonFiniteResult, ValidationError, WrongKind
 from .model import DressedTriad, DriveConfig, NoiseParams, dressed_pair
@@ -54,53 +55,63 @@ class DetectorPair:
             raise ValidationError("detector frequencies must be finite")
 
 
-def _trapezoid_uniform(values: np.ndarray, step: float) -> complex:
-    """Composite trapezoid rule on a uniform grid (deterministic order)."""
-    return step * (values.sum() - 0.5 * (values[0] + values[-1]))
-
-
 def jsa_row(
-    amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l_bar: float
+    amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l_bar: float, support=slice(None)
 ) -> np.ndarray:
-    """psi(d'', omega_l_bar) over grid_s, once grid_s is known to resolve amp."""
+    """psi(d'', omega_l_bar) over grid_s.points[support], once grid_s resolves amp."""
     _require_resolving(amp, grid_s)
-    return np.asarray(jsa_value(amp, grid_s.points, omega_l_bar))
+    return np.asarray(jsa_value(amp, grid_s.points[support], omega_l_bar))
 
 
 class TransmissionKernel:
     """One enantiomer's transmission spectrum on one signal grid.
 
     Holds what does not depend on the JSA row: the weights |eta_1i|^2 and
-    the three resonance denominators lambda_i - d'' + i*gamma over the
-    grid.  The grid is both the quadrature grid of the mode integrals Q_i
-    and, for curves, the scan of the signal detector, so one set of
-    denominators serves both.  Never mutated, so workers may share it.
+    the real parts lambda_i - d'' of the denominators lambda_i - d'' +
+    i*gamma.  The grid is both the quadrature grid of the mode integrals
+    Q_i and, for curves, the signal detector's scan.  A row is given on
+    the ``row_support`` slice of the grid, or on all of it.  A call writes
+    only to ``work``, a zero-filled complex array of the grid's size, and
+    leaves it zeroed; ``enantiomer_kernels`` gives both kernels of a pair
+    one, so their calls must not overlap (a forked worker has its copy).
     """
 
-    def __init__(self, dressed: DressedTriad, noise: NoiseParams, grid_s: FrequencyGrid):
+    def __init__(
+        self, dressed: DressedTriad, noise: NoiseParams, grid_s: FrequencyGrid, work=None
+    ):
         self.grid = grid_s
         self.weights = dressed.eta1_sq
-        self.denominators = [
-            lam - grid_s.points + 1j * noise.gamma for lam in dressed.lambdas
-        ]
+        self.offsets = [lam - grid_s.points for lam in dressed.lambdas]
+        self.gamma = noise.gamma
+        self.work = np.zeros(grid_s.points.size, dtype=complex) if work is None else work
 
-    def mode_integrals(self, psi_row: np.ndarray) -> list:
-        """Q_i = trapezoid of psi(d'', wl) / (lambda_i - d'' + i*gamma)."""
-        return [
-            _trapezoid_uniform(psi_row / den, self.grid.step) for den in self.denominators
-        ]
+    def mode_integrals(self, psi_row: np.ndarray, support=slice(None), curve_part=None) -> list:
+        """Q_i = trapezoid of psi(d'', wl) / (lambda_i - d'' + i*gamma).
 
-    def curve(self, psi_row: np.ndarray) -> np.ndarray:
+        Each psi / den is formed once, in the work array, so the trapezoid
+        sums in the order of a full row.  Given ``curve_part``, each adds
+        weight_i * Re(psi / den * Q_i) to it: the curve's psi* / den term, as rows are real.
+        """
+        quotient, q, step = self.work[support], [], self.grid.step
+        try:
+            for weight, offset in zip(self.weights, self.offsets):
+                np.divide(psi_row, offset[support] + 1j * self.gamma, out=quotient)
+                q.append(step * (self.work.sum() - 0.5 * (self.work[0] + self.work[-1])))
+                if curve_part is not None:
+                    curve_part += weight * (quotient * q[-1]).real
+        finally:
+            quotient[...] = 0.0
+        return q
+
+    def curve(self, psi_row: np.ndarray, support: slice = slice(None)) -> np.ndarray:
         """Read-only transmission values over the grid for one JSA row.
 
-        Raises NonFiniteResult if a value comes out NaN or infinite.
+        Outside the support the values are -0.0, as a full row's zeros
+        give.  Raises NonFiniteResult if a value comes out NaN or infinite.
         """
-        q = self.mode_integrals(psi_row)
-        conj_row = np.conj(psi_row)
-        total = np.zeros(psi_row.size, dtype=float)
-        for weight, den, q_i in zip(self.weights, self.denominators, q):
-            total += weight * (conj_row / den * q_i).real
-        values = -total
+        total = np.zeros(self.grid.points.size, dtype=float)
+        self.mode_integrals(psi_row, support, total[support])
+        values = np.negative(total, out=total)
         if not np.all(np.isfinite(values)):
             raise NonFiniteResult("spectrum curve contains non-finite values")
         values.flags.writeable = False
@@ -110,16 +121,18 @@ class TransmissionKernel:
 def enantiomer_kernels(
     cfg: DriveConfig, noise: NoiseParams, scan_s: FrequencyGrid
 ) -> tuple[TransmissionKernel, TransmissionKernel]:
-    """Left- and right-handed kernels of one drive on one scan grid."""
-    return tuple(TransmissionKernel(d, noise, scan_s) for d in dressed_pair(cfg))
+    """Left- and right-handed kernels of one drive on one scan grid, sharing a work array."""
+    work = np.zeros(scan_s.points.size, dtype=complex)
+    return tuple(TransmissionKernel(d, noise, scan_s, work) for d in dressed_pair(cfg))
 
 
 def kernel_curves(
     kernels: tuple[TransmissionKernel, ...], amp: BiphotonAmplitude, omega_l_bar: float
 ) -> tuple[np.ndarray, ...]:
     """One curve (read-only values) per kernel at one idler, from one JSA row."""
-    psi_row = jsa_row(amp, kernels[0].grid, omega_l_bar)
-    return tuple(kernel.curve(psi_row) for kernel in kernels)
+    support = row_support(amp, kernels[0].grid, omega_l_bar)
+    psi_row = jsa_row(amp, kernels[0].grid, omega_l_bar, support)
+    return tuple(kernel.curve(psi_row, support) for kernel in kernels)
 
 
 def transmission_point(
@@ -130,14 +143,13 @@ def transmission_point(
     grid_s: FrequencyGrid,
 ) -> float:
     """Transmission spectrum at one detector pair, by quadrature over grid_s."""
-    gamma = noise.gamma
     psi_row = jsa_row(amp, grid_s, det.omega_l_bar)
     kernel = TransmissionKernel(dressed, noise, grid_s)
     q = kernel.mode_integrals(psi_row)
     psi_det = jsa_value(amp, det.omega_s_bar, det.omega_l_bar)
     total = 0.0
     for i in range(3):
-        factor = np.conj(psi_det) / (dressed.lambdas[i] - det.omega_s_bar + 1j * gamma)
+        factor = np.conj(psi_det) / (dressed.lambdas[i] - det.omega_s_bar + 1j * kernel.gamma)
         total += kernel.weights[i] * (factor * q[i]).real
     result = -total
     if not math.isfinite(result):

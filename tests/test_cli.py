@@ -260,6 +260,49 @@ class TestCurveCsvOracle:
         assert digest == hashlib.sha256(expected).hexdigest()
 
 
+NEG_ZERO, POS_ZERO = "-0.000000000e+00", "0.000000000e+00"
+ROWS = 2 * CSV_BLOCK_ROWS + 3  # two full blocks and a short last one
+
+
+def zero_blocks(block_0, block_1, last):
+    """A curve and its P_c texts, one (value, text) pair per block."""
+    pairs = [block_0] * CSV_BLOCK_ROWS + [block_1] * CSV_BLOCK_ROWS + [last] * 3
+    return np.array([v for v, _ in pairs]), [t for _, t in pairs]
+
+
+def mixed_zero_blocks():
+    """-0.0 everywhere but one +0.0 in the second block and 1.25 in the last."""
+    values, texts = zero_blocks((-0.0, NEG_ZERO), (-0.0, NEG_ZERO), (-0.0, NEG_ZERO))
+    values[CSV_BLOCK_ROWS + 188], texts[CSV_BLOCK_ROWS + 188] = 0.0, POS_ZERO
+    values[ROWS - 2], texts[ROWS - 2] = 1.25, "1.250000000e+00"
+    return values, texts
+
+
+class TestCurveCsvZeroBlocks:
+    """Blocks of -0.0 are written without formatting; the bytes must not tell."""
+
+    @pytest.mark.parametrize(
+        "values,texts",
+        [
+            zero_blocks((-0.0, NEG_ZERO), (-0.0, NEG_ZERO), (-0.0, NEG_ZERO)),
+            zero_blocks((0.0, POS_ZERO), (0.0, POS_ZERO), (0.0, POS_ZERO)),
+            zero_blocks((-0.0, NEG_ZERO), (-2.5e-7, "-2.500000000e-07"), (0.0, POS_ZERO)),
+            zero_blocks((3.0, "3.000000000e+00"), (-0.0, NEG_ZERO), (-0.0, NEG_ZERO)),
+            mixed_zero_blocks(),
+        ],
+        ids=["all-negative-zero", "all-positive-zero", "zero-block-first",
+             "zero-blocks-last", "mixed-in-blocks"],
+    )
+    def test_matches_plain_formatting(self, tmp_path, values, texts):
+        delta_s = np.arange(ROWS) * 0.25 - 10.0
+        expected = "delta_s_bar,P_c\n" + "".join(
+            f"{d:.9e},{t}\n" for d, t in zip(delta_s.tolist(), texts)
+        )
+        digest = _write_curve(tmp_path / "curve.csv", _curve_row_blocks(delta_s), values)
+        assert (tmp_path / "curve.csv").read_bytes() == expected.encode("utf-8")
+        assert digest == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+
+
 class TestRegimeMapCommand:
     def test_outputs_and_determinism(self, tmp_path):
         runs = []

@@ -147,6 +147,37 @@ class TestIdlerForms:
         assert not (tmp_path / "out").exists()
 
 
+MISSING_RANGE_KEYS = [
+    ("spectrum", "idler: {min: -1.0, step: 0.5}", "idler.max"),
+    ("spectrum", "idler: {min: 1.0, step: 0.5}", "idler.max"),
+    ("spectrum", "idler: {min: -1.0, max: 1.0}", "idler.step"),
+    ("regime-map", "sweep:\n  t0: {max: 15.0, count: 3}\n"
+     "  omega_l: {min: -1.0, max: 1.0, count: 3}", "sweep.t0.min"),
+    ("regime-map", "sweep:\n  t0: {min: 1.0, count: 3}\n"
+     "  omega_l: {min: -1.0, max: 1.0, count: 3}", "sweep.t0.max"),
+    ("regime-map", "sweep:\n  t0: {min: 0.0, max: 15.0, count: 3}\n"
+     "  omega_l: {max: 1.0, count: 3}", "sweep.omega_l.min"),
+    ("regime-map", "sweep:\n  t0: {min: 0.0, max: 15.0, count: 3}\n"
+     "  omega_l: {min: -1.0, count: 3}", "sweep.omega_l.max"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,text,key", MISSING_RANGE_KEYS, ids=[case[2] for case in MISSING_RANGE_KEYS]
+)
+def test_missing_range_key_is_rejected(tmp_path, capsys, command, text, key):
+    # A missing bound or step used to be read as 0.0.
+    with pytest.raises(ValidationError) as info:
+        parse_config(text + "\n")
+    assert str(info.value) == f"{key} is required"
+
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text + f"\noutput: {{directory: {tmp_path / 'out'}}}\n", encoding="utf-8")
+    assert cli.main([command, "-c", str(path), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == f"chirospec: config error: {key} is required\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
     def test_axes(self):
         text = (

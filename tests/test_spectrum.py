@@ -5,12 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirospec import spectrum
-from chirospec.analysis import curve_pair
-from chirospec.biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
+from chirospec.analysis import SWEEP_T_L_RATIO, SWEEP_T_S_RATIO, curve_pair
+from chirospec.biphoton import (
+    BiphotonAmplitude,
+    FrequencyGrid,
+    default_grid,
+    jsa_value,
+    row_support,
+)
 from chirospec.errors import GridTooCoarse, NonFiniteResult, WrongKind
 from chirospec.model import (
     Chirality,
@@ -256,6 +262,65 @@ class TestCurveArrays:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteResult):
                 kernel.curve(row)
+
+
+@st.composite
+def sampled_rows(draw):
+    """A sampled amplitude, a grid that resolves it, and an idler, often off-centre."""
+    centers = st.floats(-2.0, 2.0)
+    omega_sc, omega_lc = draw(centers), draw(centers)
+    scale = draw(st.sampled_from([1.0, 1e-3, 7.5, 1e100]))
+    if draw(st.booleans()):
+        sigma = draw(st.floats(0.02, 3.0))
+        amp = BiphotonAmplitude.uncorrelated(omega_sc, omega_lc, sigma, scale)
+        offset = draw(st.floats(-50.0, 50.0)) * sigma  # beyond 38.7 sigma: empty
+    else:
+        amp = BiphotonAmplitude.entangled(
+            omega_sc, omega_lc,
+            sigma_p=draw(st.floats(0.02, 3.0)),
+            t_s=draw(st.floats(0.0, SWEEP_T_S_RATIO * 15.0)),
+            t_l=draw(st.floats(0.0, SWEEP_T_L_RATIO * 15.0)),
+            omega_p=draw(st.none() | st.floats(-3.0, 3.0)),
+            scale=scale,
+        )
+        offset = draw(st.floats(-8.0, 8.0))
+    grid = default_grid(amp, 1.0, resonant_dressed().lambdas)
+    return amp, grid, omega_lc + offset
+
+
+FAR_IDLER = (BiphotonAmplitude.uncorrelated(sigma=0.05), FrequencyGrid.build(0.0, 6.0, 0.005), 2.0)
+
+
+class TestRowSupport:
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_rows())
+    @example(FAR_IDLER)
+    def test_support_keeps_every_nonzero_point(self, row):
+        amp, grid, omega_l = row
+        support = row_support(amp, grid, omega_l)
+        outside = np.ones(grid.points.size, dtype=bool)
+        outside[support] = False
+        full = jsa_value(amp, grid.points, omega_l)
+        assert not np.any(full[outside])
+
+    def test_far_idler_has_empty_support(self):
+        amp, grid, omega_l = FAR_IDLER
+        assert grid.points[row_support(amp, grid, omega_l)].size == 0
+        assert not np.any(jsa_value(amp, grid.points, omega_l))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sampled_rows())
+    @example(FAR_IDLER)
+    def test_kernel_curves_equal_full_row_curves(self, row):
+        amp, grid, omega_l = row
+        kernels = enantiomer_kernels(RESONANT_RIGHT, NOISE, grid)
+        kernel_curves(kernels, amp, omega_l + 0.5)  # must leave the work array zeroed
+        full_row = spectrum.jsa_row(amp, grid, omega_l)
+        outside = np.ones(grid.points.size, dtype=bool)
+        outside[row_support(amp, grid, omega_l)] = False
+        for curve, kernel in zip(kernel_curves(kernels, amp, omega_l), kernels):
+            assert curve.tobytes() == kernel.curve(full_row).tobytes()
+            assert np.all(curve[outside] == 0.0) and np.all(np.signbit(curve[outside]))
 
 
 class TestZeroBandwidthPoint:
