@@ -19,8 +19,8 @@ import numpy as np
 
 from .biphoton import BiphotonAmplitude, FrequencyGrid
 from .errors import CurveTooShort, ValidationError
-from .model import DriveConfig, NoiseParams
-from .spectrum import enantiomer_kernels, kernel_curves
+from .model import DriveConfig, NoiseParams, dressed_pair
+from .spectrum import TransmissionKernel
 
 #: An extremum counts as significant above this fraction of the curve maximum.
 EXTREMUM_REL_THRESHOLD = 0.05
@@ -202,7 +202,7 @@ def curve_pair(
     scan_s: FrequencyGrid,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left- and right-handed curves of one drive: read-only values on scan_s.points."""
-    return kernel_curves(enantiomer_kernels(cfg, noise, scan_s), amp, omega_l_bar)
+    return TransmissionKernel(dressed_pair(cfg), noise, scan_s).curves(amp, omega_l_bar)
 
 
 def sweep_amplitude(amp_template: BiphotonAmplitude, t0: float) -> BiphotonAmplitude:
@@ -230,8 +230,8 @@ def _run_in_worker(job):
 def run_jobs(func, context, jobs: list, threads: Optional[int]) -> list:
     """``[func(context, job) for job in jobs]``, on a worker pool if threads > 1.
 
-    The pool has at most one worker per job.  The context (prepared
-    kernels, axes) reaches each forked worker once, through the pool
+    The pool has at most one worker per job.  The context (a prepared
+    kernel, axes) reaches each forked worker once, through the pool
     initializer; only jobs and results are pickled.  Results come back in
     job order for any worker count.
     """
@@ -246,10 +246,10 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> list:
 
 
 def _cell_result(context, idx: tuple[int, int]):
-    kernels, amp_template, t0_axis, omega_l_axis = context
+    kernel, amp_template, t0_axis, omega_l_axis = context
     i, j = idx
     amp = sweep_amplitude(amp_template, float(t0_axis[i]))
-    left, right = kernel_curves(kernels, amp, float(omega_l_axis[j]))
+    left, right = kernel.curves(amp, float(omega_l_axis[j]))
     return compare_pair(left, right)
 
 
@@ -277,9 +277,9 @@ def regime_map(
         raise ValidationError("T0 values must be >= 0")
 
     indices = [(i, j) for i in range(t0_axis.size) for j in range(omega_l_axis.size)]
-    kernels = enantiomer_kernels(cfg, noise, scan_s)
+    kernel = TransmissionKernel(dressed_pair(cfg), noise, scan_s)
     results = run_jobs(
-        _cell_result, (kernels, amp_template, t0_axis, omega_l_axis), indices, threads
+        _cell_result, (kernel, amp_template, t0_axis, omega_l_axis), indices, threads
     )
 
     labels = np.zeros((t0_axis.size, omega_l_axis.size), dtype=int)

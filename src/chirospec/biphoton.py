@@ -257,16 +257,21 @@ def row_support(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l) -> slice
 
 
 def default_grid(
-    amp: BiphotonAmplitude,
-    gamma: float,
-    lambdas: Sequence[float] = (),
+    amp: BiphotonAmplitude, gamma: float, lambdas: Sequence[float] = ()
 ) -> FrequencyGrid:
-    """Signal grid sized to the amplitude and the dressed lines.
+    """Signal grid sized to the amplitude and the dressed lines (see default_grid_parameters)."""
+    return FrequencyGrid.build(*default_grid_parameters(amp, gamma, lambdas))
 
-    Half-width covers DEFAULT_SPAN_WIDTHS times the larger of the
-    amplitude width and gamma, extended so every dressed eigenvalue is
-    covered with a 6-gamma margin.  The step resolves the narrowest
-    feature (and gamma) DEFAULT_STEP_FACTOR times.
+
+def default_grid_parameters(
+    amp: BiphotonAmplitude, gamma: float, lambdas: Sequence[float] = ()
+) -> tuple[float, float, float]:
+    """Center, half-width and largest step of ``default_grid``.
+
+    The center is the amplitude's signal center.  Half-width covers
+    DEFAULT_SPAN_WIDTHS times the larger of the amplitude width and gamma,
+    extended so every dressed eigenvalue is covered with a 6-gamma margin.
+    The step resolves the narrowest feature (and gamma) DEFAULT_STEP_FACTOR times.
     """
     if not (gamma > 0):
         raise ValidationError("gamma > 0")
@@ -278,4 +283,4 @@ def default_grid(
     for lam in lambdas:
         half_width = max(half_width, abs(float(lam)) + DEFAULT_SPAN_WIDTHS * gamma)
     step = min(gamma, *amp.feature_widths()) / DEFAULT_STEP_FACTOR
-    return FrequencyGrid.build(amp.omega_sc, half_width, step)
+    return amp.omega_sc, half_width, step

@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,11 +34,11 @@ from .analysis import (
     run_jobs,
     sweep_amplitude,
 )
-from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid
+from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid_parameters
 from .config import ExperimentConfig, config_mapping, parse_config
 from .errors import ConfigError, NonFiniteResult, ValidationError
 from .model import Chirality, dressed_pair
-from .spectrum import enantiomer_kernels, kernel_curves
+from .spectrum import TransmissionKernel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,31 +55,19 @@ def _fmt(x: float) -> str:
 
 
 def build_scan_grid(cfg: ExperimentConfig, amp: BiphotonAmplitude) -> FrequencyGrid:
-    """Signal-detector scan grid: explicit values win, the rest is derived.
+    """Signal-detector scan grid: explicit ``scan`` values win, the rest are default_grid's.
 
     A grid that cannot be built is rejected naming the field of its center.
     """
-    left, right = dressed_pair(cfg.drive)
-    lambdas = np.concatenate([left.lambdas, right.lambdas])
-    with _scan_grid_errors("probe.omega_s_center", amp.omega_sc):
-        derived = default_grid(amp, cfg.noise.gamma, lambdas)
-    if cfg.scan_center is None:
-        source, center = "probe.omega_s_center", derived.center
-    else:
-        source, center = "scan.center", cfg.scan_center
-    half_width = (
-        cfg.scan_half_width if cfg.scan_half_width is not None else derived.half_width
+    lambdas = np.concatenate([dressed.lambdas for dressed in dressed_pair(cfg.drive)])
+    derived = default_grid_parameters(amp, cfg.noise.gamma, lambdas)
+    explicit = (cfg.scan_center, cfg.scan_half_width, cfg.scan_step)
+    center, half_width, step = (
+        default if value is None else value for default, value in zip(derived, explicit)
     )
-    step = cfg.scan_step if cfg.scan_step is not None else derived.step
-    with _scan_grid_errors(source, center):
-        return FrequencyGrid.build(center, half_width, step)
-
-
-@contextmanager
-def _scan_grid_errors(source: str, center: float):
-    """Prefix a rejected scan grid's message with the field of its center."""
+    source = "probe.omega_s_center" if cfg.scan_center is None else "scan.center"
     try:
-        yield
+        return FrequencyGrid.build(center, half_width, step)
     except ValidationError as exc:
         raise ValidationError(f"scan grid centered at {source} = {center:g}: {exc}") from exc
 
@@ -167,8 +154,8 @@ def _write_run_record(
 
 def _idler_result(context, omega_l_bar: float):
     """Left and right values and the ``compare_pair`` result of one idler."""
-    kernels, amp = context
-    left, right = kernel_curves(kernels, amp, omega_l_bar)
+    kernel, amp = context
+    left, right = kernel.curves(amp, omega_l_bar)
     return left, right, compare_pair(left, right)
 
 
@@ -178,12 +165,12 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         raise ValidationError("spectrum command needs an idler section")
     started = time.time()
     scan = build_scan_grid(cfg, cfg.probe)
-    context = (enantiomer_kernels(cfg.drive, cfg.noise, scan), cfg.probe)
+    context = (TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan), cfg.probe)
     results = run_jobs(_idler_result, context, list(cfg.idler), threads)
-    del context  # frees the kernels before the CSVs are written: lower peak memory
+    del context  # frees the kernel before the CSVs are written: lower peak memory
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    # TransmissionKernel.curve samples every curve on scan.points.
+    # TransmissionKernel.curves samples every curve on scan.points.
     row_blocks = _curve_row_blocks(scan.points)
     digests: dict[str, str] = {}
     manifest = [f"idler_count = {len(results)}"]

@@ -35,7 +35,7 @@ from .biphoton import (
     row_support,
 )
 from .errors import NonFiniteResult, ValidationError, WrongKind
-from .model import DressedTriad, DriveConfig, NoiseParams, dressed_pair
+from .model import DressedTriad, NoiseParams
 
 
 @dataclass(frozen=True)
@@ -64,37 +64,36 @@ def jsa_row(
 
 
 class TransmissionKernel:
-    """One enantiomer's transmission spectrum on one signal grid.
+    """Transmission spectra of dressed triads, e.g. an enantiomer pair, on one signal grid.
 
-    Holds what does not depend on the JSA row: the weights |eta_1i|^2 and
-    the real parts lambda_i - d'' of the denominators lambda_i - d'' +
-    i*gamma.  The grid is both the quadrature grid of the mode integrals
-    Q_i and, for curves, the signal detector's scan.  A row is given on
-    the ``row_support`` slice of the grid, or on all of it.  A call writes
-    only to ``work``, a zero-filled complex array of the grid's size, and
-    leaves it zeroed; ``enantiomer_kernels`` gives both kernels of a pair
-    one, so their calls must not overlap (a forked worker has its copy).
+    Holds what does not depend on the JSA row: per triad, the weights
+    |eta_1i|^2 and the real parts lambda_i - d'' of the denominators
+    lambda_i - d'' + i*gamma.  The grid is both the quadrature grid of the
+    mode integrals Q_i and, for curves, the signal detector's scan.  The
+    kernel owns ``work``, a zero-filled complex array of the grid's size;
+    a call writes only to it and leaves it zeroed, so calls on one kernel
+    must not overlap (a forked worker has its own copy).
     """
 
-    def __init__(
-        self, dressed: DressedTriad, noise: NoiseParams, grid_s: FrequencyGrid, work=None
-    ):
-        self.grid = grid_s
-        self.weights = dressed.eta1_sq
-        self.offsets = [lam - grid_s.points for lam in dressed.lambdas]
+    def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid):
+        self.grid, points = grid_s, grid_s.points
+        self.triads = [(d.eta1_sq, [lam - points for lam in d.lambdas]) for d in dressed_triads]
         self.gamma = noise.gamma
-        self.work = np.zeros(grid_s.points.size, dtype=complex) if work is None else work
+        self.work = np.zeros(points.size, dtype=complex)
 
-    def mode_integrals(self, psi_row: np.ndarray, support=slice(None), curve_part=None) -> list:
-        """Q_i = trapezoid of psi(d'', wl) / (lambda_i - d'' + i*gamma).
+    def mode_integrals(self, psi_row, support=slice(None), triad=0, curve_part=None) -> list:
+        """Q_i = trapezoid of psi(d'', wl) / (lambda_i - d'' + i*gamma) of one triad.
 
-        Each psi / den is formed once, in the work array, so the trapezoid
-        sums in the order of a full row.  Given ``curve_part``, each adds
-        weight_i * Re(psi / den * Q_i) to it: the curve's psi* / den term, as rows are real.
+        A row is given on the ``row_support`` slice of the grid, or on all
+        of it.  Each psi / den is formed once, in the work array, so the
+        trapezoid sums in the order of a full row.  Given ``curve_part``,
+        each adds weight_i * Re(psi / den * Q_i) to it: the curve's psi* /
+        den term, as rows are real.
         """
+        weights, offsets = self.triads[triad]
         quotient, q, step = self.work[support], [], self.grid.step
         try:
-            for weight, offset in zip(self.weights, self.offsets):
+            for weight, offset in zip(weights, offsets):
                 np.divide(psi_row, offset[support] + 1j * self.gamma, out=quotient)
                 q.append(step * (self.work.sum() - 0.5 * (self.work[0] + self.work[-1])))
                 if curve_part is not None:
@@ -103,36 +102,24 @@ class TransmissionKernel:
             quotient[...] = 0.0
         return q
 
-    def curve(self, psi_row: np.ndarray, support: slice = slice(None)) -> np.ndarray:
-        """Read-only transmission values over the grid for one JSA row.
+    def curves(self, amp: BiphotonAmplitude, omega_l_bar: float) -> tuple[np.ndarray, ...]:
+        """One read-only curve per triad at one idler, sampled on the grid from one JSA row.
 
-        Outside the support the values are -0.0, as a full row's zeros
+        Outside the row's support the values are -0.0, as a full row's zeros
         give.  Raises NonFiniteResult if a value comes out NaN or infinite.
         """
-        total = np.zeros(self.grid.points.size, dtype=float)
-        self.mode_integrals(psi_row, support, total[support])
-        values = np.negative(total, out=total)
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteResult("spectrum curve contains non-finite values")
-        values.flags.writeable = False
-        return values
-
-
-def enantiomer_kernels(
-    cfg: DriveConfig, noise: NoiseParams, scan_s: FrequencyGrid
-) -> tuple[TransmissionKernel, TransmissionKernel]:
-    """Left- and right-handed kernels of one drive on one scan grid, sharing a work array."""
-    work = np.zeros(scan_s.points.size, dtype=complex)
-    return tuple(TransmissionKernel(d, noise, scan_s, work) for d in dressed_pair(cfg))
-
-
-def kernel_curves(
-    kernels: tuple[TransmissionKernel, ...], amp: BiphotonAmplitude, omega_l_bar: float
-) -> tuple[np.ndarray, ...]:
-    """One curve (read-only values) per kernel at one idler, from one JSA row."""
-    support = row_support(amp, kernels[0].grid, omega_l_bar)
-    psi_row = jsa_row(amp, kernels[0].grid, omega_l_bar, support)
-    return tuple(kernel.curve(psi_row, support) for kernel in kernels)
+        support = row_support(amp, self.grid, omega_l_bar)
+        psi_row = jsa_row(amp, self.grid, omega_l_bar, support)
+        curves = []
+        for triad in range(len(self.triads)):
+            values = np.zeros(self.grid.points.size)
+            self.mode_integrals(psi_row, support, triad, values[support])
+            np.negative(values, out=values)
+            if not np.all(np.isfinite(values)):
+                raise NonFiniteResult("spectrum curve contains non-finite values")
+            values.flags.writeable = False
+            curves.append(values)
+        return tuple(curves)
 
 
 def transmission_point(
@@ -144,13 +131,12 @@ def transmission_point(
 ) -> float:
     """Transmission spectrum at one detector pair, by quadrature over grid_s."""
     psi_row = jsa_row(amp, grid_s, det.omega_l_bar)
-    kernel = TransmissionKernel(dressed, noise, grid_s)
-    q = kernel.mode_integrals(psi_row)
+    q = TransmissionKernel([dressed], noise, grid_s).mode_integrals(psi_row)
     psi_det = jsa_value(amp, det.omega_s_bar, det.omega_l_bar)
     total = 0.0
     for i in range(3):
-        factor = np.conj(psi_det) / (dressed.lambdas[i] - det.omega_s_bar + 1j * kernel.gamma)
-        total += kernel.weights[i] * (factor * q[i]).real
+        factor = np.conj(psi_det) / (dressed.lambdas[i] - det.omega_s_bar + 1j * noise.gamma)
+        total += dressed.eta1_sq[i] * (factor * q[i]).real
     result = -total
     if not math.isfinite(result):
         raise NonFiniteResult("transmission quadrature produced a non-finite value")

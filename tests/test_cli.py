@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirospec import analysis, cli
-from chirospec.biphoton import MAX_GRID_POINTS
+from chirospec.biphoton import MAX_GRID_POINTS, FrequencyGrid, default_grid
 from chirospec.cli import CSV_BLOCK_ROWS, _curve_row_blocks, _write_curve, main
 from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS, parse_config
-from chirospec.spectrum import enantiomer_kernels
+from chirospec.model import dressed_pair
+from chirospec.spectrum import TransmissionKernel
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -193,7 +194,7 @@ class TestSpectrumCommand:
         # a worker pickles this back: the values, not the curves and their grid
         cfg = parse_config((CONFIG_DIR / "entangled_probe.yaml").read_text(encoding="utf-8"))
         scan = cli.build_scan_grid(cfg, cfg.probe)
-        context = (enantiomer_kernels(cfg.drive, cfg.noise, scan), cfg.probe)
+        context = (TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan), cfg.probe)
         result = cli._idler_result(context, cfg.idler[0])
         arrays = [item for item in result if isinstance(item, np.ndarray)]
         assert len(arrays) == 2
@@ -536,6 +537,34 @@ class TestShippedConfigs:
         out = capsys.readouterr().out
         assert "[discrimination_window]" in out
         assert "empty" not in out
+
+
+class TestScanGrid:
+    def test_derived_scan_grid_is_default_grid(self):
+        # rebuilding from the built grid's own step gave this probe one interval more
+        cfg = parse_config("probe: {kind: uncorrelated, sigma: 0.64}\nidler: 0.0\n")
+        lambdas = np.concatenate([dressed.lambdas for dressed in dressed_pair(cfg.drive)])
+        expected = default_grid(cfg.probe, cfg.noise.gamma, lambdas)
+        assert expected.points.size == 389
+        scan = cli.build_scan_grid(cfg, cfg.probe)
+        assert scan.points.tobytes() == expected.points.tobytes()
+        assert (scan.center, scan.half_width, scan.step) == (
+            expected.center, expected.half_width, expected.step
+        )
+
+    def test_explicit_scan_skips_derived_grid(self, tmp_path, capsys):
+        # the derived grid of this probe is too large, but the command never uses it
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "probe: {kind: uncorrelated, sigma: 1.0e-6}\n"
+            "scan: {half_width: 1.0e-5, step: 1.0e-8}\nidler: 0.0\n"
+            f"output:\n  directory: {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert main(["spectrum", "-c", str(path), "--threads", "1"]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out" / "curve_left_000.csv").read_text(encoding="utf-8")
+        assert rows.count("\n") == 1 + FrequencyGrid.build(0.0, 1.0e-5, 1.0e-8).points.size
 
 
 class TestExitCodes:

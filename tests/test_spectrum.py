@@ -24,12 +24,12 @@ from chirospec.model import (
     DriveConfig,
     NoiseParams,
     build_rotating_hamiltonian,
+    dressed_pair,
     dressed_states,
 )
 from chirospec.spectrum import (
     DetectorPair,
-    enantiomer_kernels,
-    kernel_curves,
+    TransmissionKernel,
     transmission_point,
     zero_bandwidth_point,
 )
@@ -242,8 +242,8 @@ class TestCurveArrays:
         monkeypatch.setattr(spectrum, "jsa_row", recorded_jsa_row)
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
-        kernels = enantiomer_kernels(RESONANT_RIGHT, NOISE, scan)
-        left, right = kernel_curves(kernels, amp, 0.3)
+        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
+        left, right = kernel.curves(amp, 0.3)
         (row,) = rows
         for curve, other in ((left, right), (right, left)):
             assert curve.dtype == float and curve.shape == scan.points.shape
@@ -254,14 +254,13 @@ class TestCurveArrays:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(1e160, 1e300))
     def test_overflowing_jsa_row_is_non_finite(self, height):
-        amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
+        amp = BiphotonAmplitude.uncorrelated(sigma=1.0, scale=height)
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
-        kernel = enantiomer_kernels(RESONANT_RIGHT, NOISE, scan)[1]
-        row = height * spectrum.jsa_row(amp, scan, 0.3)
-        assert np.all(np.isfinite(row))
+        kernel = TransmissionKernel([dressed_pair(RESONANT_RIGHT)[1]], NOISE, scan)
+        assert np.all(np.isfinite(spectrum.jsa_row(amp, scan, 0.3)))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteResult):
-                kernel.curve(row)
+                kernel.curves(amp, 0.3)
 
 
 @st.composite
@@ -313,14 +312,31 @@ class TestRowSupport:
     @example(FAR_IDLER)
     def test_kernel_curves_equal_full_row_curves(self, row):
         amp, grid, omega_l = row
-        kernels = enantiomer_kernels(RESONANT_RIGHT, NOISE, grid)
-        kernel_curves(kernels, amp, omega_l + 0.5)  # must leave the work array zeroed
-        full_row = spectrum.jsa_row(amp, grid, omega_l)
+        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, grid)
+        kernel.curves(amp, omega_l + 0.5)
+        assert not np.any(kernel.work)  # left zeroed for the next call
         outside = np.ones(grid.points.size, dtype=bool)
         outside[row_support(amp, grid, omega_l)] = False
-        for curve, kernel in zip(kernel_curves(kernels, amp, omega_l), kernels):
-            assert curve.tobytes() == kernel.curve(full_row).tobytes()
+        curves = kernel.curves(amp, omega_l)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectrum, "row_support", lambda *args: slice(None))
+            full_row_curves = kernel.curves(amp, omega_l)
+        for curve, full_row_curve in zip(curves, full_row_curves, strict=True):
+            assert curve.tobytes() == full_row_curve.tobytes()
             assert np.all(curve[outside] == 0.0) and np.all(np.signbit(curve[outside]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sampled_rows())
+    @example(FAR_IDLER)
+    def test_pair_kernel_equals_one_triad_kernels(self, row):
+        # the pair shares one work array: one triad's call must not leak into the other's
+        amp, grid, omega_l = row
+        pair = dressed_pair(RESONANT_RIGHT)
+        curves = TransmissionKernel(pair, NOISE, grid).curves(amp, omega_l)
+        assert len(curves) == 2
+        for curve, dressed in zip(curves, pair):
+            (alone,) = TransmissionKernel([dressed], NOISE, grid).curves(amp, omega_l)
+            assert curve.tobytes() == alone.tobytes()
 
 
 class TestZeroBandwidthPoint:
