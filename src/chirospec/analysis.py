@@ -11,7 +11,7 @@ working regions of the entanglement-assisted scheme.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -86,8 +86,12 @@ def classify_lineshape(values: np.ndarray) -> LineShapeSignature:
 
     slopes = np.diff(v)
     np.sign(slopes, out=slopes)
-    moving = np.flatnonzero(slopes)
-    turns = moving[1:][slopes[moving[1:]] != slopes[moving[:-1]]]
+    # Runs of equal slope sign: a turn starts a nonzero run whose sign
+    # differs from the previous nonzero run's, so zero runs (plateaus, and
+    # the -0.0 tails outside a JSA row's support) never make or break one.
+    starts = np.flatnonzero(np.concatenate(([True], slopes[1:] != slopes[:-1])))
+    runs = starts[slopes[starts] != 0]
+    turns = runs[1:][slopes[runs[1:]] != slopes[runs[:-1]]]
     extrema = turns if global_idx in turns else np.sort(np.append(turns, global_idx))
     significant = extrema[magnitude[extrema] >= EXTREMUM_REL_THRESHOLD * peak]
     signs = np.where(v[significant] > 0, 1, -1)
@@ -230,14 +234,17 @@ def _run_in_worker(job):
 def run_jobs(func, context, jobs: list, threads: Optional[int]) -> list:
     """``[func(context, job) for job in jobs]``, on a worker pool if threads > 1.
 
-    The pool has at most one worker per job.  The context (a prepared
-    kernel, axes) reaches each forked worker once, through the pool
-    initializer; only jobs and results are pickled.  Results come back in
-    job order for any worker count.
+    The pool has at most one worker per job and one per core; with one
+    worker the jobs run in process, and ``multiprocessing`` is not
+    imported.  The context (a prepared kernel, axes) reaches each forked
+    worker once, through the pool initializer; only jobs and results are
+    pickled.  Results come back in job order for any worker count.
     """
-    if threads is None or threads <= 1 or len(jobs) <= 1:
+    workers = min(threads or 1, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(context, job) for job in jobs]
-    workers = min(threads, len(jobs))
+    import multiprocessing
+
     chunk = max(1, len(jobs) // (workers * 4))
     with multiprocessing.get_context("fork").Pool(
         processes=workers, initializer=_init_worker, initargs=(func, context)
@@ -246,10 +253,9 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> list:
 
 
 def _cell_result(context, idx: tuple[int, int]):
-    kernel, amp_template, t0_axis, omega_l_axis = context
+    kernel, amps, omega_l_axis = context
     i, j = idx
-    amp = sweep_amplitude(amp_template, float(t0_axis[i]))
-    left, right = kernel.curves(amp, float(omega_l_axis[j]))
+    left, right = kernel.curves(amps[i], float(omega_l_axis[j]))
     return compare_pair(left, right)
 
 
@@ -278,9 +284,8 @@ def regime_map(
 
     indices = [(i, j) for i in range(t0_axis.size) for j in range(omega_l_axis.size)]
     kernel = TransmissionKernel(dressed_pair(cfg), noise, scan_s)
-    results = run_jobs(
-        _cell_result, (kernel, amp_template, t0_axis, omega_l_axis), indices, threads
-    )
+    amps = [sweep_amplitude(amp_template, float(t0)) for t0 in t0_axis]
+    results = run_jobs(_cell_result, (kernel, amps, omega_l_axis), indices, threads)
 
     labels = np.zeros((t0_axis.size, omega_l_axis.size), dtype=int)
     interned: dict[tuple[LineShapeSignature, LineShapeSignature], int] = {}

@@ -67,18 +67,21 @@ class TransmissionKernel:
     """Transmission spectra of dressed triads, e.g. an enantiomer pair, on one signal grid.
 
     Holds what does not depend on the JSA row: per triad, the weights
-    |eta_1i|^2 and the real parts lambda_i - d'' of the denominators
-    lambda_i - d'' + i*gamma.  The grid is both the quadrature grid of the
-    mode integrals Q_i and, for curves, the signal detector's scan.  The
-    kernel owns ``work``, a zero-filled complex array of the grid's size;
-    a call writes only to it and leaves it zeroed, so calls on one kernel
-    must not overlap (a forked worker has its own copy).
+    |eta_1i|^2 and the complex denominators lambda_i - d'' + i*gamma, 16 B
+    per grid point per mode (0.9 MB for the canonical pair's 9301 points).
+    The grid is both the quadrature grid of the mode integrals Q_i and, for
+    curves, the signal detector's scan.  The kernel owns ``work``, a
+    zero-filled complex array of the grid's size; a call writes only to it
+    and leaves it zeroed, so calls on one kernel must not overlap (a forked
+    worker has its own copy).
     """
 
     def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid):
         self.grid, points = grid_s, grid_s.points
-        self.triads = [(d.eta1_sq, [lam - points for lam in d.lambdas]) for d in dressed_triads]
-        self.gamma = noise.gamma
+        self.triads = [
+            (d.eta1_sq, [lam - points + 1j * noise.gamma for lam in d.lambdas])
+            for d in dressed_triads
+        ]
         self.work = np.zeros(points.size, dtype=complex)
 
     def mode_integrals(self, psi_row, support=slice(None), triad=0, curve_part=None) -> list:
@@ -90,11 +93,11 @@ class TransmissionKernel:
         each adds weight_i * Re(psi / den * Q_i) to it: the curve's psi* /
         den term, as rows are real.
         """
-        weights, offsets = self.triads[triad]
+        weights, dens = self.triads[triad]
         quotient, q, step = self.work[support], [], self.grid.step
         try:
-            for weight, offset in zip(weights, offsets):
-                np.divide(psi_row, offset[support] + 1j * self.gamma, out=quotient)
+            for weight, den in zip(weights, dens):
+                np.divide(psi_row, den[support], out=quotient)
                 q.append(step * (self.work.sum() - 0.5 * (self.work[0] + self.work[-1])))
                 if curve_part is not None:
                     curve_part += weight * (quotient * q[-1]).real

@@ -124,14 +124,17 @@ def reference_signature(values, rel_threshold=EXTREMUM_REL_THRESHOLD):
 
 #: Curve lengths: exactly the minimum, or a little longer.
 LENGTHS = st.one_of(st.just(MIN_CURVE_POINTS), st.integers(MIN_CURVE_POINTS, 80))
-#: Few distinct levels give plateaus and repeated values; fine steps exact
-#: under power-of-two rescaling; arbitrary floats for everything else.
+#: Few distinct levels, -0.0 among them, give plateaus and repeated values;
+#: fine steps exact under power-of-two rescaling; arbitrary floats for
+#: everything else.
 LEVELS = (
-    st.integers(-3, 3).map(float),
+    st.one_of(st.integers(-3, 3).map(float), st.just(-0.0)),
     st.integers(-10**6, 10**6).map(lambda k: k / 64.0),
     st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
 )
-SHAPES = ("as drawn", "rising", "falling", "flat", "sign-flipped")
+#: "padded" embeds the values between runs of signed zeros, as the kernel
+#: writes -0.0 outside a JSA row's support.
+SHAPES = ("as drawn", "rising", "falling", "flat", "sign-flipped", "padded")
 
 
 @st.composite
@@ -147,6 +150,10 @@ def curve_values(draw, levels=st.one_of(*LEVELS)):
         values = np.full(n, values[0])
     elif shape == "sign-flipped":
         values = -values
+    elif shape == "padded":
+        pads = [np.full(draw(st.integers(0, 8)), draw(st.sampled_from((-0.0, 0.0))))
+                for _ in range(2)]
+        values = np.concatenate((pads[0], values, pads[1]))
     return values
 
 
@@ -157,6 +164,10 @@ class TestClassifierOracle:
     @example(np.array([0.0, 1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 0.0] * 2))
     @example(np.array([2.0] * 5 + [1.0] * 6 + [2.0] * 5))
     @example(np.array([0.0, 20.0, 0.0, 1.0] + [0.0] * 12))  # a lobe at exactly 5%
+    # zero slopes inside runs of one sign: no turn there
+    @example(np.array([-0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0,
+                       2.0, 2.0, 1.0, 1.0, 0.0, -1.0, -1.0, -0.0]))
+    @example(np.array([-0.0] * 3 + [0.5, 0.5, 2.0, 2.0, 1.0, 3.0, 3.0, 0.2] + [0.0] * 5))
     def test_matches_reference_loop(self, values):
         assert classify_lineshape(values) == reference_signature(values)
 

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface and its file contracts."""
 
 import hashlib
+import multiprocessing
+import os
 import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +69,32 @@ sweep:
 output:
   directory: {out}
 """
+
+
+def in_process_pool(monkeypatch):
+    """Make ``run_jobs`` pools run in process; returns the worker counts asked for."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            pools.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs, chunksize):
+            return [func(job) for job in jobs]
+
+    class InProcessContext:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(analysis, "_WORKER", {})
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InProcessContext)
+    return pools
 
 
 def write_cfg(tmp_path, template, name="cfg.yaml", out="out"):
@@ -159,29 +189,8 @@ class TestSpectrumCommand:
         assert main(["spectrum", "-c", str(path)]) == 2
 
     def test_pool_has_at_most_one_worker_per_idler(self, tmp_path, monkeypatch):
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, processes, initializer, initargs):
-                pools.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, jobs, chunksize):
-                return [func(job) for job in jobs]
-
-        class InProcessContext:
-            Pool = InProcessPool
-
-        monkeypatch.setattr(analysis, "_WORKER", {})
-        monkeypatch.setattr(
-            analysis.multiprocessing, "get_context", lambda method: InProcessContext
-        )
+        pools = in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         runs = []
         for tag, threads in (("a", "1"), ("b", "64")):
             cfg = write_cfg(tmp_path, SPECTRUM_CFG, name=f"cfg_{tag}.yaml", out=f"out_{tag}")
@@ -313,6 +322,34 @@ class TestRegimeMapCommand:
             runs.append(read_outputs(tmp_path / f"map_{tag}"))
         assert runs[0] == runs[1]
         assert set(runs[0]) == {"regime_map.csv", "legend.csv"}
+
+    def test_pool_has_at_most_one_worker_per_core(self, tmp_path, monkeypatch):
+        pools = in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        runs = []
+        for tag, threads in (("a", "1"), ("b", "64")):
+            cfg = write_cfg(tmp_path, MAP_CFG, name=f"map_{tag}.yaml", out=f"map_{tag}")
+            assert main(["regime-map", "-c", str(cfg), "--threads", threads]) == 0
+            runs.append(read_outputs(tmp_path / f"map_{tag}"))
+        assert pools == [3]
+        assert runs[0] == runs[1]
+
+    def test_serial_run_never_imports_multiprocessing(self, tmp_path):
+        cfg = write_cfg(tmp_path, MAP_CFG)
+        script = (
+            "import sys\n"
+            "import chirospec.cli\n"
+            f"code = chirospec.cli.main(['regime-map', '-c', {str(cfg)!r}, '--threads', '1'])\n"
+            "assert code == 0, code\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "regime_map.csv").is_file()
 
     def test_map_rows_and_legend(self, tmp_path):
         cfg = write_cfg(tmp_path, MAP_CFG)

@@ -205,6 +205,21 @@ class TestTransmissionCurve:
             p = transmission_point(dressed, amp, NOISE, det, grid)
             assert curve[k] == pytest.approx(p, rel=1e-13, abs=1e-300)
 
+    def test_distinct_weights_against_riemann_oracle(self):
+        # each |eta_1i|^2 must meet its own lambda_i; equal weights hide a swap
+        dressed = manual_dressed([-0.7, 0.2, 1.1], np.sqrt([0.6, 0.3, 0.1]))
+        amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
+        grid = default_grid(amp, 1.0, dressed.lambdas)
+        curve = TransmissionKernel([dressed], NOISE, grid).curves(amp, 0.4)[0]
+        for target in (-1.0, -0.3, 0.4, 1.2):
+            k = int(np.argmin(np.abs(grid.points - target)))
+            det = DetectorPair(float(grid.points[k]), 0.4)
+            oracle = riemann_oracle_uncorrelated(
+                dressed, 1.0, 1.0, det, grid.center, grid.half_width,
+                4 * (grid.points.size - 1),
+            )
+            assert curve[k] == pytest.approx(oracle, rel=1e-9)
+
     def test_density_doubling_convergence(self):
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
