@@ -236,9 +236,10 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> list:
 
     The pool has at most one worker per job and one per core; with one
     worker the jobs run in process, and ``multiprocessing`` is not
-    imported.  The context (a prepared kernel, axes) reaches each forked
-    worker once, through the pool initializer; only jobs and results are
-    pickled.  Results come back in job order for any worker count.
+    imported.  The pool uses the platform's default start method.  The
+    context (a prepared kernel, axes) reaches each worker once, through the
+    pool initializer; only jobs and results are pickled.  Results come back
+    in job order for any worker count.
     """
     workers = min(threads or 1, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
@@ -246,17 +247,17 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> list:
     import multiprocessing
 
     chunk = max(1, len(jobs) // (workers * 4))
-    with multiprocessing.get_context("fork").Pool(
+    with multiprocessing.get_context().Pool(
         processes=workers, initializer=_init_worker, initargs=(func, context)
     ) as pool:
         return pool.map(_run_in_worker, jobs, chunksize=chunk)
 
 
-def _cell_result(context, idx: tuple[int, int]):
-    kernel, amps, omega_l_axis = context
-    i, j = idx
-    left, right = kernel.curves(amps[i], float(omega_l_axis[j]))
-    return compare_pair(left, right)
+def _row_result(context, t0: float) -> list:
+    """The ``compare_pair`` result of every idler of one T0 row."""
+    kernel, amp_template, omega_l_axis = context
+    amp = sweep_amplitude(amp_template, t0)
+    return [compare_pair(*kernel.curves(amp, wl)) for wl in omega_l_axis]
 
 
 def regime_map(
@@ -270,28 +271,26 @@ def regime_map(
 ) -> RegimeMap:
     """Label every (T0, idler frequency) cell by its signature pair.
 
-    Cells are independent and may be evaluated by a worker pool
-    (``threads`` > 1); the label-interning pass runs sequentially in
-    row-major first-encounter order afterwards, so the result is
-    identical for any thread count.
+    One job is one T0 row, and rows may be evaluated by a worker pool
+    (``threads`` > 1) that gets the kernel and axes once per worker.  The
+    label-interning pass runs sequentially in row-major first-encounter
+    order afterwards, so the result is identical for any thread count.
     """
     t0_axis = np.asarray(list(t0_grid), dtype=float)
     omega_l_axis = np.asarray(list(omega_l_grid), dtype=float)
     if t0_axis.size == 0 or omega_l_axis.size == 0:
         raise ValidationError("sweep axes must be nonempty")
-    if np.any(t0_axis < 0):
-        raise ValidationError("T0 values must be >= 0")
 
-    indices = [(i, j) for i in range(t0_axis.size) for j in range(omega_l_axis.size)]
     kernel = TransmissionKernel(dressed_pair(cfg), noise, scan_s)
-    amps = [sweep_amplitude(amp_template, float(t0)) for t0 in t0_axis]
-    results = run_jobs(_cell_result, (kernel, amps, omega_l_axis), indices, threads)
+    context = (kernel, amp_template, omega_l_axis.tolist())
+    rows = run_jobs(_row_result, context, t0_axis.tolist(), threads)
 
     labels = np.zeros((t0_axis.size, omega_l_axis.size), dtype=int)
     interned: dict[tuple[LineShapeSignature, LineShapeSignature], int] = {}
-    for (i, j), (sig_l, sig_r, _, distinguishable) in zip(indices, results):
-        if distinguishable:
-            labels[i, j] = interned.setdefault((sig_l, sig_r), len(interned) + 1)
+    for i, row in enumerate(rows):
+        for j, (sig_l, sig_r, _, distinguishable) in enumerate(row):
+            if distinguishable:
+                labels[i, j] = interned.setdefault((sig_l, sig_r), len(interned) + 1)
     legend = {label: key for key, label in interned.items()}
 
     return RegimeMap(

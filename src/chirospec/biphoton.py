@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, UnsupportedKind, ValidationError
+from .errors import GridTooCoarse, ValidationError, WrongKind
 
 #: A sampling step must resolve the narrowest amplitude feature by this factor.
 RESOLVE_FACTOR = 10.0
@@ -115,10 +115,6 @@ class BiphotonAmplitude:
             JsaKind.ZERO_BANDWIDTH_CORRELATED, omega_sc=omega_sc, sigma=sigma, omega_p=omega_p
         )
 
-    @property
-    def samplable(self) -> bool:
-        return self.kind is not JsaKind.ZERO_BANDWIDTH_CORRELATED
-
     def envelope(self, delta_s):
         """Signal envelope phi_s of the zero-bandwidth kind."""
         return np.exp(-((delta_s - self.omega_sc) ** 2) / (2.0 * self.sigma**2))
@@ -202,29 +198,26 @@ def _require_resolving(amp: BiphotonAmplitude, grid: FrequencyGrid) -> None:
 
 
 def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
-    """Joint spectral amplitude at (omega_s, omega_l); accepts arrays.
+    """Real joint spectral amplitude at (omega_s, omega_l); accepts arrays.
 
-    Raises UnsupportedKind for the zero-bandwidth kind, whose delta
-    factor cannot be evaluated pointwise.
+    Raises WrongKind for the zero-bandwidth kind, whose delta factor
+    cannot be evaluated pointwise.
     """
-    if not amp.samplable:
-        raise UnsupportedKind("zero-bandwidth amplitude is handled analytically")
+    if amp.kind is JsaKind.ZERO_BANDWIDTH_CORRELATED:
+        raise WrongKind("zero-bandwidth amplitude is handled analytically")
     ws = np.asarray(omega_s, dtype=float)
     wl = np.asarray(omega_l, dtype=float)
     if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
         expo = ((ws - amp.omega_sc) ** 2 + (wl - amp.omega_lc) ** 2) / (
             2.0 * amp.sigma**2
         )
-        out = amp.scale * np.exp(-expo) + 0.0j
     else:
         pump = ((ws + wl - amp.omega_p) ** 2) / (2.0 * amp.sigma_p**2)
         kappa = (ws - amp.omega_sc) * (amp.t_s / 2.0) + (wl - amp.omega_lc) * (
             amp.t_l / 2.0
         )
-        out = amp.scale * np.exp(-pump - kappa**2) + 0.0j
-    if out.ndim == 0:
-        return complex(out)
-    return out
+        expo = pump + kappa**2
+    return amp.scale * np.exp(-expo)
 
 
 def row_support(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l) -> slice:
@@ -254,6 +247,16 @@ def row_support(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l) -> slice
         return slice(None)
     first, last = np.searchsorted(grid_s.points, [mu - reach, mu + reach], side="right")
     return slice(max(int(first) - 1, 0), int(last) + 1)
+
+
+def jsa_row(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l: float):
+    """``(support, row)``: psi(., omega_l) sampled on its ``row_support`` slice of grid_s.
+
+    Raises GridTooCoarse unless grid_s resolves amp.
+    """
+    _require_resolving(amp, grid_s)
+    support = row_support(amp, grid_s, omega_l)
+    return support, jsa_value(amp, grid_s.points[support], omega_l)
 
 
 def default_grid(

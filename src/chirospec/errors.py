@@ -9,10 +9,6 @@ class NonHermitianInput(ChirospecError):
     """A matrix expected to be Hermitian is not (beyond tolerance)."""
 
 
-class UnsupportedKind(ChirospecError):
-    """Operation does not support this joint-spectral-amplitude kind."""
-
-
 class WrongKind(ChirospecError):
     """Operation requires a different joint-spectral-amplitude kind."""
 

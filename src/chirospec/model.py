@@ -18,6 +18,7 @@ energies are expressed in units of the dissipation rate gamma.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -196,8 +197,9 @@ def dressed_states(h: HermitianTriad, chirality: Chirality) -> DressedTriad:
     return DressedTriad(lambdas=lam, eta1=eta, chirality=chirality)
 
 
+@functools.lru_cache(maxsize=1)
 def dressed_pair(cfg: DriveConfig) -> tuple[DressedTriad, DressedTriad]:
-    """Dressed states of the left- and right-handed molecule of one drive."""
+    """Dressed states of both enantiomers of one drive; the last drive's pair is cached."""
     return tuple(
         dressed_states(build_rotating_hamiltonian(replace(cfg, chirality=c)), c)
         for c in (Chirality.LEFT, Chirality.RIGHT)

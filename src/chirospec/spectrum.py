@@ -14,6 +14,8 @@ gamma the uniform dissipation rate.  The continuum mode sum is a
 composite trapezoidal quadrature over the signal grid; the mode density
 and every physical prefactor are absorbed into C = 1, keeping the
 leading minus sign because the sign pattern carries the chiral signal.
+Both sampled probes give a real JSA row (``biphoton.jsa_row``), so
+psi* = psi and each psi / (lambda_i - d'' + i*gamma) is formed once.
 
 For a zero-bandwidth energy-correlated pair the transmission collapses
 to a closed form pinned at ds = omega_p - wl.
@@ -26,14 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import (
-    BiphotonAmplitude,
-    FrequencyGrid,
-    JsaKind,
-    _require_resolving,
-    jsa_value,
-    row_support,
-)
+from .biphoton import BiphotonAmplitude, FrequencyGrid, JsaKind, jsa_row, jsa_value
 from .errors import NonFiniteResult, ValidationError, WrongKind
 from .model import DressedTriad, NoiseParams
 
@@ -55,14 +50,6 @@ class DetectorPair:
             raise ValidationError("detector frequencies must be finite")
 
 
-def jsa_row(
-    amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l_bar: float, support=slice(None)
-) -> np.ndarray:
-    """psi(d'', omega_l_bar) over grid_s.points[support], once grid_s resolves amp."""
-    _require_resolving(amp, grid_s)
-    return np.asarray(jsa_value(amp, grid_s.points[support], omega_l_bar))
-
-
 class TransmissionKernel:
     """Transmission spectra of dressed triads, e.g. an enantiomer pair, on one signal grid.
 
@@ -72,7 +59,7 @@ class TransmissionKernel:
     The grid is both the quadrature grid of the mode integrals Q_i and, for
     curves, the signal detector's scan.  The kernel owns ``work``, a
     zero-filled complex array of the grid's size; a call writes only to it
-    and leaves it zeroed, so calls on one kernel must not overlap (a forked
+    and leaves it zeroed, so calls on one kernel must not overlap (a pool
     worker has its own copy).
     """
 
@@ -84,14 +71,14 @@ class TransmissionKernel:
         ]
         self.work = np.zeros(points.size, dtype=complex)
 
-    def mode_integrals(self, psi_row, support=slice(None), triad=0, curve_part=None) -> list:
+    def mode_integrals(self, psi_row, support, triad=0, curve_part=None) -> list:
         """Q_i = trapezoid of psi(d'', wl) / (lambda_i - d'' + i*gamma) of one triad.
 
-        A row is given on the ``row_support`` slice of the grid, or on all
-        of it.  Each psi / den is formed once, in the work array, so the
-        trapezoid sums in the order of a full row.  Given ``curve_part``,
-        each adds weight_i * Re(psi / den * Q_i) to it: the curve's psi* /
-        den term, as rows are real.
+        The row is given on its ``support`` slice of the grid, as
+        ``jsa_row`` samples it.  Each psi / den is formed once, in the work
+        array, so the trapezoid sums in the order of a full row.  Given
+        ``curve_part``, each adds weight_i * Re(psi / den * Q_i) to it: the
+        curve's psi* / den term, as rows are real.
         """
         weights, dens = self.triads[triad]
         quotient, q, step = self.work[support], [], self.grid.step
@@ -111,8 +98,7 @@ class TransmissionKernel:
         Outside the row's support the values are -0.0, as a full row's zeros
         give.  Raises NonFiniteResult if a value comes out NaN or infinite.
         """
-        support = row_support(amp, self.grid, omega_l_bar)
-        psi_row = jsa_row(amp, self.grid, omega_l_bar, support)
+        support, psi_row = jsa_row(amp, self.grid, omega_l_bar)
         curves = []
         for triad in range(len(self.triads)):
             values = np.zeros(self.grid.points.size)
@@ -133,12 +119,12 @@ def transmission_point(
     grid_s: FrequencyGrid,
 ) -> float:
     """Transmission spectrum at one detector pair, by quadrature over grid_s."""
-    psi_row = jsa_row(amp, grid_s, det.omega_l_bar)
-    q = TransmissionKernel([dressed], noise, grid_s).mode_integrals(psi_row)
+    support, psi_row = jsa_row(amp, grid_s, det.omega_l_bar)
+    q = TransmissionKernel([dressed], noise, grid_s).mode_integrals(psi_row, support)
     psi_det = jsa_value(amp, det.omega_s_bar, det.omega_l_bar)
     total = 0.0
     for i in range(3):
-        factor = np.conj(psi_det) / (dressed.lambdas[i] - det.omega_s_bar + 1j * noise.gamma)
+        factor = psi_det / (dressed.lambdas[i] - det.omega_s_bar + 1j * noise.gamma)
         total += dressed.eta1_sq[i] * (factor * q[i]).real
     result = -total
     if not math.isfinite(result):
@@ -159,8 +145,10 @@ def zero_bandwidth_point(
     the dressed state carrying the largest |eta_1|^2 contributes, which
     reduces the spectrum to
 
-        P = -|eta_1|^2 Re[ phi*(ds) phi(dpl)
-                           / ((l1 - ds + i*g)(l1 - dpl + i*g)) ].
+        P = -|eta_1|^2 Re[ phi(ds) phi(dpl)
+                           / ((l1 - ds + i*g)(l1 - dpl + i*g)) ],
+
+    as the envelope phi is real.
     """
     if amp.kind is not JsaKind.ZERO_BANDWIDTH_CORRELATED:
         raise WrongKind("zero_bandwidth_point needs a zero-bandwidth amplitude")
@@ -174,7 +162,7 @@ def zero_bandwidth_point(
     phi_s = amp.envelope(det.omega_s_bar)
     phi_pl = amp.envelope(dpl)
     denom = (lam - det.omega_s_bar + 1j * gamma) * (lam - dpl + 1j * gamma)
-    value = -weight * (np.conj(phi_s) * phi_pl / denom).real
+    value = -weight * (phi_s * phi_pl / denom).real
     if not math.isfinite(value):
         raise NonFiniteResult("zero-bandwidth evaluation produced a non-finite value")
     return float(value)

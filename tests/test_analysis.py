@@ -1,5 +1,8 @@
 """Tests of line-shape classification, discrimination metrics, and regime maps."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -314,6 +317,22 @@ class TestRegimeMap:
         for other in maps[1:]:
             assert np.array_equal(maps[0].labels, other.labels)
             assert maps[0].legend == other.legend
+
+    def test_spawn_pool_gives_the_serial_map(self, small_axes, monkeypatch):
+        # the start method of platforms without fork; the pool starts two workers
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        t0, wl, scan = small_axes
+        serial, pooled = (
+            regime_map(
+                wp.DRIVE, wp.ENTANGLED_TEMPLATE, wp.NOISE, t0[1:], wl[:2], scan,
+                threads=threads,
+            )
+            for threads in (1, 2)
+        )
+        assert np.array_equal(serial.labels, pooled.labels)
+        assert serial.legend == pooled.legend
 
     def test_sliver_column_is_nonzero(self, small_axes):
         t0, wl, scan = small_axes

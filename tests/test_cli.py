@@ -15,7 +15,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chirospec import analysis, cli
+from chirospec import analysis, cli, model
 from chirospec.biphoton import MAX_GRID_POINTS, FrequencyGrid, default_grid
 from chirospec.cli import CSV_BLOCK_ROWS, _curve_row_blocks, _write_curve, main
 from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS, parse_config
@@ -93,7 +93,7 @@ def in_process_pool(monkeypatch):
         Pool = InProcessPool
 
     monkeypatch.setattr(analysis, "_WORKER", {})
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InProcessContext)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: InProcessContext)
     return pools
 
 
@@ -334,6 +334,20 @@ class TestRegimeMapCommand:
         assert pools == [3]
         assert runs[0] == runs[1]
 
+    def test_one_job_per_t0_row(self, tmp_path, monkeypatch):
+        in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        original, jobs = analysis.run_jobs, []
+
+        def recorded_run_jobs(func, context, job_list, threads):
+            jobs.append(job_list)
+            return original(func, context, job_list, threads)
+
+        monkeypatch.setattr(analysis, "run_jobs", recorded_run_jobs)
+        cfg = write_cfg(tmp_path, MAP_CFG)
+        assert main(["regime-map", "-c", str(cfg), "--threads", "2"]) == 0
+        assert jobs == [[9.0, 10.5, 12.0]]
+
     def test_serial_run_never_imports_multiprocessing(self, tmp_path):
         cfg = write_cfg(tmp_path, MAP_CFG)
         script = (
@@ -383,6 +397,26 @@ class TestRegimeMapCommand:
         assert main(["regime-map", "-c", str(path), "--threads", "2"]) == 0
         legend = (tmp_path / "out" / "legend.csv").read_text().splitlines()
         assert len(legend) - 1 >= 2
+
+
+class TestDressedPairOncePerCommand:
+    @pytest.mark.parametrize(
+        "command, template",
+        [("spectrum", SPECTRUM_CFG), ("regime-map", MAP_CFG)],
+        ids=["spectrum", "regime-map"],
+    )
+    def test_each_enantiomer_diagonalized_once(self, tmp_path, monkeypatch, command, template):
+        original, calls = model.dressed_states, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(model, "dressed_states", counted)
+        model.dressed_pair.cache_clear()
+        cfg = write_cfg(tmp_path, template)
+        assert main([command, "-c", str(cfg), "--threads", "1"]) == 0
+        assert len(calls) == 2
 
 
 class TestDressedCommand:

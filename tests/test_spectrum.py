@@ -14,6 +14,7 @@ from chirospec.biphoton import (
     BiphotonAmplitude,
     FrequencyGrid,
     default_grid,
+    jsa_row,
     jsa_value,
     row_support,
 )
@@ -251,8 +252,9 @@ class TestCurveArrays:
         original, rows = spectrum.jsa_row, []
 
         def recorded_jsa_row(*args):
-            rows.append(original(*args))
-            return rows[-1]
+            support, row = original(*args)
+            rows.append(row)
+            return support, row
 
         monkeypatch.setattr(spectrum, "jsa_row", recorded_jsa_row)
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
@@ -272,7 +274,7 @@ class TestCurveArrays:
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0, scale=height)
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
         kernel = TransmissionKernel([dressed_pair(RESONANT_RIGHT)[1]], NOISE, scan)
-        assert np.all(np.isfinite(spectrum.jsa_row(amp, scan, 0.3)))
+        assert np.all(np.isfinite(jsa_row(amp, scan, 0.3)[1]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteResult):
                 kernel.curves(amp, 0.3)
@@ -311,10 +313,13 @@ class TestRowSupport:
     @example(FAR_IDLER)
     def test_support_keeps_every_nonzero_point(self, row):
         amp, grid, omega_l = row
-        support = row_support(amp, grid, omega_l)
+        support, sampled = jsa_row(amp, grid, omega_l)
+        assert support == row_support(amp, grid, omega_l)
         outside = np.ones(grid.points.size, dtype=bool)
         outside[support] = False
         full = jsa_value(amp, grid.points, omega_l)
+        assert full.dtype == np.float64
+        assert sampled.tobytes() == full[support].tobytes()
         assert not np.any(full[outside])
 
     def test_far_idler_has_empty_support(self):
@@ -334,7 +339,10 @@ class TestRowSupport:
         outside[row_support(amp, grid, omega_l)] = False
         curves = kernel.curves(amp, omega_l)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectrum, "row_support", lambda *args: slice(None))
+            patch.setattr(
+                spectrum, "jsa_row",
+                lambda amp, grid, wl: (slice(None), jsa_value(amp, grid.points, wl)),
+            )
             full_row_curves = kernel.curves(amp, omega_l)
         for curve, full_row_curve in zip(curves, full_row_curves, strict=True):
             assert curve.tobytes() == full_row_curve.tobytes()
