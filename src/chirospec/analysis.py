@@ -84,11 +84,13 @@ def classify_lineshape(values: np.ndarray) -> LineShapeSignature:
     if peak < FLAT_CURVE_FLOOR:
         return LineShapeSignature.null()
 
-    slopes = np.diff(v)
-    np.sign(slopes, out=slopes)
-    # Runs of equal slope sign: a turn starts a nonzero run whose sign
-    # differs from the previous nonzero run's, so zero runs (plateaus, and
-    # the -0.0 tails outside a JSA row's support) never make or break one.
+    # Slope signs as int8 codes from two comparisons: for finite values they
+    # equal sign(diff(v)), as distinct doubles never differ by 0 and an
+    # overflowing difference keeps its sign.  Runs of equal code: a turn
+    # starts a nonzero run whose code differs from the previous nonzero
+    # run's, so zero runs (plateaus, and the -0.0 tails outside a JSA row's
+    # support) never make or break one.
+    slopes = (v[1:] > v[:-1]).view(np.int8) - (v[1:] < v[:-1]).view(np.int8)
     starts = np.flatnonzero(np.concatenate(([True], slopes[1:] != slopes[:-1])))
     runs = starts[slopes[starts] != 0]
     turns = runs[1:][slopes[runs[1:]] != slopes[runs[:-1]]]

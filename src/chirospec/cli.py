@@ -9,7 +9,8 @@ Outputs are UTF-8 CSV files with a header row, LF line endings and
 record (config echo, version, wall time, sha256 per output).  Given the
 same config the output bytes are identical for any thread count.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure
+or out of memory.
 """
 
 from __future__ import annotations
@@ -315,6 +316,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_IO
     except NonFiniteResult as exc:
         print(f"chirospec: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"chirospec: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -1,0 +1,26 @@
+"""Transmission curves by plain complex division: a test oracle.
+
+It divides each JSA row by lambda_i - d'' + i*gamma with ``np.divide``, as
+the kernel did before it stored Smith's factors, and sums in the kernel's
+order, so its curves must equal the kernel's byte for byte.
+"""
+
+import numpy as np
+
+from chirospec.biphoton import jsa_row
+
+
+def plain_division_curves(dressed_triads, noise, grid, amp, omega_l_bar):
+    """One curve per triad, sampled on ``grid.points``."""
+    support, psi_row = jsa_row(amp, grid, omega_l_bar)
+    curves = []
+    for dressed in dressed_triads:
+        values = np.zeros(grid.points.size)
+        for lam, weight in zip(dressed.lambdas, dressed.eta1_sq):
+            work = np.zeros(grid.points.size, dtype=complex)
+            den = lam - grid.points + 1j * noise.gamma
+            work[support] = np.divide(psi_row, den[support])
+            q = grid.step * (work.sum() - 0.5 * (work[0] + work[-1]))
+            values[support] += weight * (work[support] * q).real
+        curves.append(-values)
+    return curves

@@ -127,13 +127,19 @@ def reference_signature(values, rel_threshold=EXTREMUM_REL_THRESHOLD):
 
 #: Curve lengths: exactly the minimum, or a little longer.
 LENGTHS = st.one_of(st.just(MIN_CURVE_POINTS), st.integers(MIN_CURVE_POINTS, 80))
+#: Largest finite double: neighbours of opposite sign near it differ by an
+#: overflowing (infinite) step.
+HUGE = np.finfo(float).max
 #: Few distinct levels, -0.0 among them, give plateaus and repeated values;
 #: fine steps exact under power-of-two rescaling; arbitrary floats for
-#: everything else.
+#: everything else; values near +-HUGE, whose steps overflow; and multiples
+#: of the smallest subnormal, whose steps are subnormal.
 LEVELS = (
     st.one_of(st.integers(-3, 3).map(float), st.just(-0.0)),
     st.integers(-10**6, 10**6).map(lambda k: k / 64.0),
     st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+    st.floats(0.9 * HUGE, HUGE) | st.floats(-HUGE, -0.9 * HUGE),
+    st.integers(-4, 4).map(lambda k: k * 5e-324),
 )
 #: "padded" embeds the values between runs of signed zeros, as the kernel
 #: writes -0.0 outside a JSA row's support.
@@ -171,6 +177,13 @@ class TestClassifierOracle:
     @example(np.array([-0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0,
                        2.0, 2.0, 1.0, 1.0, 0.0, -1.0, -1.0, -0.0]))
     @example(np.array([-0.0] * 3 + [0.5, 0.5, 2.0, 2.0, 1.0, 3.0, 3.0, 0.2] + [0.0] * 5))
+    # steps that overflow to +-inf keep their sign
+    @example(np.array([HUGE, -HUGE, -HUGE, 0.95 * HUGE, -0.0] * 4))
+    @example(np.array([-HUGE] * 4 + [HUGE] * 4 + [1.0, -HUGE] * 4))
+    # subnormal steps still turn, next to a curve maximum of 1
+    @example(np.array([1.0] + [5e-324, 1e-323, 5e-324, -0.0, -5e-324, 0.0, 1e-323] * 2
+                      + [-5e-324]))
+    @example(np.array([2e-323, 1.5e-323, 1e-323, 1.5e-323] * 4 + [1e-13]))
     def test_matches_reference_loop(self, values):
         assert classify_lineshape(values) == reference_signature(values)
 

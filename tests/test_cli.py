@@ -754,6 +754,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "chirospec: numerical failure: dressed energies overflow\n"
 
+    @pytest.mark.parametrize(
+        "command, config, error, reported",
+        [
+            ("spectrum", "entangled_probe.yaml",
+             MemoryError("Unable to allocate 16.0 GiB for an array"),
+             "Unable to allocate 16.0 GiB for an array"),
+            ("regime-map", "regime_map.yaml", MemoryError(), "an allocation failed"),
+        ],
+    )
+    def test_memory_error_is_4(self, command, config, error, reported, tmp_path,
+                               monkeypatch, capsys):
+        def exhausted(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "run_jobs", exhausted)
+        monkeypatch.setattr(analysis, "run_jobs", exhausted)
+        out = tmp_path / "out"
+        args = [command, "-c", str(CONFIG_DIR / config), "--out", str(out), "--threads", "1"]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"chirospec: out of memory: {reported}\n"
+        assert not out.exists()
+
     def test_undecodable_config_is_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
         path.write_bytes(b"\xff\xfe")

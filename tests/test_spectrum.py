@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirospec import spectrum
-from chirospec.analysis import SWEEP_T_L_RATIO, SWEEP_T_S_RATIO, curve_pair
+from chirospec.analysis import SWEEP_T_L_RATIO, SWEEP_T_S_RATIO, curve_pair, sweep_amplitude
 from chirospec.biphoton import (
     BiphotonAmplitude,
     FrequencyGrid,
@@ -18,6 +19,8 @@ from chirospec.biphoton import (
     jsa_value,
     row_support,
 )
+from chirospec.cli import build_scan_grid
+from chirospec.config import parse_config
 from chirospec.errors import GridTooCoarse, NonFiniteResult, WrongKind
 from chirospec.model import (
     Chirality,
@@ -34,6 +37,7 @@ from chirospec.spectrum import (
     transmission_point,
     zero_bandwidth_point,
 )
+from plain_division import plain_division_curves
 
 NOISE = NoiseParams(1.0)
 RESONANT_RIGHT = DriveConfig(0.1, 0.1, 0.1, 0.0, 0.0, Chirality.RIGHT)
@@ -360,6 +364,70 @@ class TestRowSupport:
         for curve, dressed in zip(curves, pair):
             (alone,) = TransmissionKernel([dressed], NOISE, grid).curves(amp, omega_l)
             assert curve.tobytes() == alone.tobytes()
+
+
+HUGE = np.finfo(float).max
+#: Nonzero JSA values: normal, subnormal and near-overflow magnitudes.
+PSI_VALUES = st.floats(-HUGE, HUGE, allow_nan=False, allow_infinity=False).filter(bool)
+
+
+@st.composite
+def divisions(draw):
+    """gamma, Re(lambda - d'' + i*gamma) from both of Smith's branches, and nonzero psi."""
+    gamma = draw(st.floats(1e-3, 1e3))
+    narrow = st.floats(-1.0, 1.0).map(lambda x: x * gamma)  # |Re| < gamma: rat = Re / gamma
+    wide = st.floats(1.0, 1e12).map(lambda x: x * gamma)  # |Re| >= gamma: rat = gamma / Re
+    edges = st.sampled_from((0.0, -0.0, gamma, -gamma))
+    real_parts = edges | narrow | wide | wide.map(lambda x: -x)
+    den_re = np.array(draw(st.lists(real_parts, min_size=1, max_size=8)))
+    psi = draw(st.lists(PSI_VALUES, min_size=den_re.size, max_size=den_re.size))
+    return gamma, den_re, np.array(psi)
+
+
+class TestSmithFactors:
+    """The kernel's stored factors against ``np.divide``.
+
+    This pins numpy's complex division, Smith's algorithm: a numpy that
+    divides another way fails here before any curve changes.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(divisions())
+    @example((1.0, np.array([0.0, -0.0, 1.0, -1.0, 3.0, -0.5]),
+              np.array([5e-324, -HUGE, 1e-310, -2.5, HUGE, -5e-324])))
+    @example((1e3, np.array([0.0, -2e3, 0.25]), np.array([-5e-324, 1e-320, HUGE])))
+    def test_factors_reproduce_np_divide(self, division):
+        gamma, den_re, psi = division
+        den = np.empty(den_re.size, dtype=complex)
+        den.real, den.imag = den_re, gamma  # keeps a -0.0 real part
+        mul, scl = spectrum._smith_factors(den_re, gamma)
+        assert mul.dtype == complex and scl.dtype == float
+        with np.errstate(over="ignore"):
+            expected = np.divide(psi, den)
+            quotient = np.multiply(psi, mul)
+            np.multiply(quotient, scl, out=quotient)
+        assert np.array_equal(quotient, expected)
+        # bit for bit in both parts, but for the sign of a zero part (a
+        # subnormal psi's underflowed product): + 0.0 maps both zeros to +0.0
+        assert (quotient.view(float) + 0.0).tobytes() == (expected.view(float) + 0.0).tobytes()
+
+    def test_regime_map_curves_equal_plain_division(self):
+        config = Path(__file__).resolve().parent.parent / "configs" / "regime_map.yaml"
+        cfg = parse_config(config.read_text(encoding="utf-8"))
+        t0_values = cfg.sweep.t0_values()
+        scan = build_scan_grid(cfg, sweep_amplitude(cfg.probe, max(t0_values)))
+        pair = dressed_pair(cfg.drive)
+        kernel = TransmissionKernel(pair, cfg.noise, scan)
+        compared = 0
+        for t0 in t0_values:
+            amp = sweep_amplitude(cfg.probe, t0)
+            for omega_l in cfg.sweep.omega_l_values():
+                curves = kernel.curves(amp, omega_l)
+                plain = plain_division_curves(pair, cfg.noise, scan, amp, omega_l)
+                for curve, reference in zip(curves, plain, strict=True):
+                    assert curve.tobytes() == reference.tobytes()
+                    compared += 1
+        assert compared == 800
 
 
 class TestZeroBandwidthPoint:
