@@ -12,8 +12,10 @@ working regions of the entanglement-assisted scheme.
 from __future__ import annotations
 
 import os
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +35,8 @@ SWEEP_T_S_RATIO = 2.4
 SWEEP_T_L_RATIO = 2.5
 
 MIN_CURVE_POINTS = 16
+#: Jobs per pool worker that ``run_jobs`` keeps submitted and not yet consumed.
+JOBS_IN_FLIGHT_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -233,26 +237,38 @@ def _run_in_worker(job):
     return func(context, job)
 
 
-def run_jobs(func, context, jobs: list, threads: Optional[int]) -> list:
-    """``[func(context, job) for job in jobs]``, on a worker pool if threads > 1.
+def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
+    """Yield ``func(context, job)`` per job in job order, on a worker pool if threads > 1.
 
     The pool has at most one worker per job and one per core; with one
-    worker the jobs run in process, and ``multiprocessing`` is not
-    imported.  The pool uses the platform's default start method.  The
-    context (a prepared kernel, axes) reaches each worker once, through the
-    pool initializer; only jobs and results are pickled.  Results come back
-    in job order for any worker count.
+    worker the jobs run in process one at a time, and ``multiprocessing``
+    is not imported.  The pool uses the platform's default start method.
+    The context (a prepared kernel, axes) reaches each worker once, through
+    the pool initializer; only jobs and results are pickled.  At most
+    JOBS_IN_FLIGHT_PER_WORKER jobs per worker are submitted and not yet
+    taken by the caller, the one being handled included, so a slow caller
+    holds a bounded number of results however many jobs there are.  A job
+    that raises ends the iteration with its exception; the pool is
+    terminated when the generator ends, fails or is closed.
     """
     workers = min(threads or 1, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
-        return [func(context, job) for job in jobs]
+        for job in jobs:
+            yield func(context, job)
+        return
     import multiprocessing
 
-    chunk = max(1, len(jobs) // (workers * 4))
+    limit = JOBS_IN_FLIGHT_PER_WORKER * workers
+    pending: deque = deque()
     with multiprocessing.get_context().Pool(
         processes=workers, initializer=_init_worker, initargs=(func, context)
     ) as pool:
-        return pool.map(_run_in_worker, jobs, chunksize=chunk)
+        for job in jobs:
+            if len(pending) == limit:
+                yield pending.popleft().get()
+            pending.append(pool.apply_async(_run_in_worker, (job,)))
+        while pending:
+            yield pending.popleft().get()
 
 
 def _row_result(context, t0: float) -> list:
@@ -274,9 +290,10 @@ def regime_map(
     """Label every (T0, idler frequency) cell by its signature pair.
 
     One job is one T0 row, and rows may be evaluated by a worker pool
-    (``threads`` > 1) that gets the kernel and axes once per worker.  The
-    label-interning pass runs sequentially in row-major first-encounter
-    order afterwards, so the result is identical for any thread count.
+    (``threads`` > 1) that gets the kernel and axes once per worker.  Rows
+    arrive in order and their labels are interned as each arrives, in
+    row-major first-encounter order, so the result is identical for any
+    thread count.
     """
     t0_axis = np.asarray(list(t0_grid), dtype=float)
     omega_l_axis = np.asarray(list(omega_l_grid), dtype=float)
@@ -285,14 +302,13 @@ def regime_map(
 
     kernel = TransmissionKernel(dressed_pair(cfg), noise, scan_s)
     context = (kernel, amp_template, omega_l_axis.tolist())
-    rows = run_jobs(_row_result, context, t0_axis.tolist(), threads)
-
     labels = np.zeros((t0_axis.size, omega_l_axis.size), dtype=int)
     interned: dict[tuple[LineShapeSignature, LineShapeSignature], int] = {}
-    for i, row in enumerate(rows):
-        for j, (sig_l, sig_r, _, distinguishable) in enumerate(row):
-            if distinguishable:
-                labels[i, j] = interned.setdefault((sig_l, sig_r), len(interned) + 1)
+    with closing(run_jobs(_row_result, context, t0_axis.tolist(), threads)) as rows:
+        for i, row in enumerate(rows):
+            for j, (sig_l, sig_r, _, distinguishable) in enumerate(row):
+                if distinguishable:
+                    labels[i, j] = interned.setdefault((sig_l, sig_r), len(interned) + 1)
     legend = {label: key for key, label in interned.items()}
 
     return RegimeMap(

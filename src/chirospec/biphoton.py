@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -138,12 +138,16 @@ class BiphotonAmplitude:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform, endpoint-inclusive sampling grid on one frequency axis."""
+    """Uniform, endpoint-inclusive sampling grid on one frequency axis.
+
+    Grids compare and hash by center, half-width and step; ``points``
+    follows from them and takes no part.
+    """
 
     center: float
     half_width: float
     step: float
-    points: np.ndarray
+    points: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).copy()

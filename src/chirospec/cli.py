@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -161,36 +162,42 @@ def _idler_result(context, omega_l_bar: float):
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    """Write per-idler left/right curves, a manifest, and a run record."""
+    """Write per-idler left/right curves, a manifest, and a run record.
+
+    Each idler's curves are written as soon as its result arrives, so the
+    command holds a bounded number of curves for any idler count.  The
+    output directory is made when the first result arrives; a failure
+    after that leaves the curves written so far, but no manifest and no
+    run record.
+    """
     if cfg.idler is None:
         raise ValidationError("spectrum command needs an idler section")
     started = time.time()
     scan = build_scan_grid(cfg, cfg.probe)
     context = (TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan), cfg.probe)
-    results = run_jobs(_idler_result, context, list(cfg.idler), threads)
-    del context  # frees the kernel before the CSVs are written: lower peak memory
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     # TransmissionKernel.curves samples every curve on scan.points.
     row_blocks = _curve_row_blocks(scan.points)
     digests: dict[str, str] = {}
-    manifest = [f"idler_count = {len(results)}"]
-    for index, (left, right, (sig_l, sig_r, metric, dist)) in enumerate(results):
-        tag = f"{index:03d}"
-        for name, values in (("left", left), ("right", right)):
-            file_name = f"curve_{name}_{tag}.csv"
-            digests[file_name] = _write_curve(out_dir / file_name, row_blocks, values)
-        manifest.extend(
-            [
-                f"idler.{tag}.omega_l_bar = {_fmt(cfg.idler[index])}",
-                f"idler.{tag}.file_left = curve_left_{tag}.csv",
-                f"idler.{tag}.file_right = curve_right_{tag}.csv",
-                f"idler.{tag}.signature_left = {sig_l.compact()}",
-                f"idler.{tag}.signature_right = {sig_r.compact()}",
-                f"idler.{tag}.metric = {_fmt(metric)}",
-                f"idler.{tag}.distinguishable = {'true' if dist else 'false'}",
-            ]
-        )
+    manifest = [f"idler_count = {len(cfg.idler)}"]
+    with closing(run_jobs(_idler_result, context, list(cfg.idler), threads)) as results:
+        for index, (left, right, (sig_l, sig_r, metric, dist)) in enumerate(results):
+            if index == 0:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            tag = f"{index:03d}"
+            for name, values in (("left", left), ("right", right)):
+                file_name = f"curve_{name}_{tag}.csv"
+                digests[file_name] = _write_curve(out_dir / file_name, row_blocks, values)
+            manifest.extend(
+                [
+                    f"idler.{tag}.omega_l_bar = {_fmt(cfg.idler[index])}",
+                    f"idler.{tag}.file_left = curve_left_{tag}.csv",
+                    f"idler.{tag}.file_right = curve_right_{tag}.csv",
+                    f"idler.{tag}.signature_left = {sig_l.compact()}",
+                    f"idler.{tag}.signature_right = {sig_r.compact()}",
+                    f"idler.{tag}.metric = {_fmt(metric)}",
+                    f"idler.{tag}.distinguishable = {'true' if dist else 'false'}",
+                ]
+            )
     digests["manifest.txt"] = _write_text(
         out_dir / "manifest.txt", "\n".join(manifest) + "\n"
     )

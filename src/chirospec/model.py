@@ -27,7 +27,6 @@ import numpy as np
 from .errors import NonFiniteResult, NonHermitianInput, ValidationError
 
 HERMITICITY_TOL = 1e-12
-COMPLETENESS_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
 

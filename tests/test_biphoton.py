@@ -156,6 +156,14 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid.build(0.0, 1.0, -0.5)
 
+    def test_equality_and_hash_follow_the_parameters(self):
+        g = FrequencyGrid.build(0.0, 1.0, 0.1)
+        assert g == FrequencyGrid.build(0.0, 1.0, 0.1)
+        assert hash(g) == hash(FrequencyGrid.build(0.0, 1.0, 0.1))
+        assert g != FrequencyGrid.build(0.0, 1.0, 0.05)
+        assert g != g.halved_step()
+        assert len({g, FrequencyGrid.build(0.0, 1.0, 0.1), g.halved_step()}) == 2
+
 
 def jsa_table(amp, grid_s, grid_l):
     """The amplitude on grid_s x grid_l, by broadcasting jsa_value."""

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from chirospec import analysis, cli, model
 from chirospec.biphoton import MAX_GRID_POINTS, FrequencyGrid, default_grid
 from chirospec.cli import CSV_BLOCK_ROWS, _curve_row_blocks, _write_curve, main
 from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS, parse_config
+from chirospec.errors import NonFiniteResult
 from chirospec.model import dressed_pair
 from chirospec.spectrum import TransmissionKernel
 
@@ -86,8 +88,8 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, jobs, chunksize):
-            return [func(job) for job in jobs]
+        def apply_async(self, func, args):
+            return SimpleNamespace(get=lambda: func(*args))
 
     class InProcessContext:
         Pool = InProcessPool
@@ -237,6 +239,125 @@ EDGE_FLOATS = [
 ]
 BLOCK_LENGTHS = [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
                  2 * CSV_BLOCK_ROWS + 1]
+
+
+STREAM_CFG = """\
+probe:
+  kind: uncorrelated
+  sigma: 1.0
+scan:
+  half_width: 4.0
+  step: 0.05
+idler:
+  values: [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75]
+output:
+  directory: {out}
+"""
+
+MEMORY_CFG = """\
+probe:
+  kind: entangled
+  sigma_p: 1.0
+  t_s: 24.0
+  t_l: 25.0
+scan: {{half_width: 6.2, step: 0.004}}
+idler:
+  values: {idlers}
+output:
+  directory: {out}
+"""
+
+PEAK_MEMORY_SCRIPT = """\
+import resource, sys
+from chirospec.cli import main
+assert main(["spectrum", "-c", sys.argv[1], "--threads", "1"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+# Linux carries a process's peak memory across exec into the program it
+# starts, so a child of the test process would report the test's own peak.
+# A small interpreter in between starts the measured one instead.
+PEAK_MEMORY_LAUNCHER = """\
+import subprocess, sys
+sys.exit(subprocess.call([sys.executable, "-c", sys.argv[1], sys.argv[2]]))
+"""
+
+
+def fork_pool(monkeypatch):
+    """Real two-worker pools started by fork, so they see this test's patches."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+class TestStreamedSpectrum:
+    def test_more_idlers_than_jobs_in_flight_keep_the_bytes(self, tmp_path):
+        # 7 idlers exceed the 2 x 2 jobs a two-worker pool keeps in flight
+        runs = []
+        for tag, threads in (("a", "1"), ("b", "2"), ("c", "64")):
+            cfg = write_cfg(tmp_path, STREAM_CFG, name=f"cfg_{tag}.yaml", out=f"out_{tag}")
+            assert main(["spectrum", "-c", str(cfg), "--threads", threads]) == 0
+            runs.append(read_outputs(tmp_path / f"out_{tag}"))
+        assert len(runs[0]) == 2 * 7 + 1
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_peak_memory_does_not_grow_with_idler_count(self, tmp_path):
+        # 3101-point curves: holding 200 idlers' curves would add about 10 MB
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        peaks = {}
+        for count in (20, 200):
+            idlers = [round(-1.0 + 2.0 * k / (count - 1), 6) for k in range(count)]
+            path = tmp_path / f"cfg_{count}.yaml"
+            path.write_text(
+                MEMORY_CFG.format(idlers=idlers, out=tmp_path / f"out_{count}"),
+                encoding="utf-8",
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", PEAK_MEMORY_LAUNCHER, PEAK_MEMORY_SCRIPT, str(path)],
+                env=env,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            peaks[count] = int(done.stdout.split()[-1])
+            assert len(list((tmp_path / f"out_{count}").iterdir())) == 2 * count + 2
+        assert peaks[200] <= 1.1 * peaks[20], peaks
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failure_on_third_idler_leaves_no_manifest(self, tmp_path, monkeypatch,
+                                                       capsys, threads):
+        fork_pool(monkeypatch)
+        original = cli._idler_result
+
+        def failing(context, omega_l_bar):
+            if omega_l_bar == -0.25:
+                raise NonFiniteResult("curve is not finite")
+            return original(context, omega_l_bar)
+
+        monkeypatch.setattr(cli, "_idler_result", failing)
+        cfg = write_cfg(tmp_path, STREAM_CFG)
+        assert main(["spectrum", "-c", str(cfg), "--threads", threads]) == 4
+        assert capsys.readouterr().err == "chirospec: numerical failure: curve is not finite\n"
+        assert multiprocessing.active_children() == []
+        names = {p.name for p in (tmp_path / "out").iterdir()}
+        assert names == {f"curve_{side}_{k:03d}.csv" for side in ("left", "right") for k in (0, 1)}
+
+    def test_writer_failure_terminates_the_pool(self, tmp_path, monkeypatch, capsys):
+        fork_pool(monkeypatch)
+        written = []
+
+        def failing_write(path, row_blocks, values):
+            if len(written) == 4:
+                raise OSError("disk full")
+            written.append(path.name)
+            return _write_curve(path, row_blocks, values)
+
+        monkeypatch.setattr(cli, "_write_curve", failing_write)
+        cfg = write_cfg(tmp_path, STREAM_CFG)
+        assert main(["spectrum", "-c", str(cfg), "--threads", "2"]) == 3
+        assert capsys.readouterr().err == "chirospec: i/o error: disk full\n"
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(written)
 
 
 @st.composite
