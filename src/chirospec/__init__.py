@@ -1,7 +1,6 @@
 """chirospec: coincidence spectroscopy of chiral molecules with entangled photon pairs."""
 
 from .analysis import (
-    DiscriminationWindow,
     LineShapeSignature,
     RegimeMap,
     classify_lineshape,
@@ -38,7 +37,6 @@ __all__ = [
     "BiphotonAmplitude",
     "Chirality",
     "DetectorPair",
-    "DiscriminationWindow",
     "DressedTriad",
     "DriveConfig",
     "FrequencyGrid",

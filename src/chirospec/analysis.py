@@ -130,33 +130,12 @@ def compare_pair(
     return sig_l, sig_r, metric, sig_l != sig_r or metric >= DISCRIMINABILITY_THRESHOLD
 
 
-@dataclass(frozen=True)
-class DiscriminationWindow:
-    """Disjoint sorted open intervals of pinned detuning with opposite signs."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        prev_hi = -np.inf
-        for lo, hi in self.intervals:
-            if not (lo < hi):
-                raise ValueError("intervals must be nonempty")
-            if lo < prev_hi:
-                raise ValueError("intervals must be disjoint and sorted")
-            prev_hi = hi
-
-    @property
-    def total_measure(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
-    def contains(self, x: float) -> bool:
-        return any(lo < x < hi for lo, hi in self.intervals)
-
-
 def discrimination_window(
     lambda_l: float, lambda_r: float, gamma: float
-) -> DiscriminationWindow:
+) -> tuple[tuple[float, float], ...]:
     """Pinned detunings where the zero-bandwidth spectra have opposite signs.
+
+    Returns the set as disjoint, sorted, nonempty open intervals ``(lo, hi)``.
 
     The sign of each enantiomer's spectrum flips on the circle
     |lambda - dpl| = gamma, so the opposite-sign set is the symmetric
@@ -168,13 +147,11 @@ def discrimination_window(
     if not (gamma > 0):
         raise ValidationError("gamma > 0")
     a, b = sorted((float(lambda_l), float(lambda_r)))
-    if b - a >= 2.0 * gamma:
+    if a + gamma <= b - gamma:  # the rounded endpoints decide, so no two intervals overlap
         intervals = ((a - gamma, a + gamma), (b - gamma, b + gamma))
     else:
         intervals = ((a - gamma, b - gamma), (a + gamma, b + gamma))
-    return DiscriminationWindow(
-        intervals=tuple((lo, hi) for lo, hi in intervals if lo < hi)
-    )
+    return tuple((lo, hi) for lo, hi in intervals if lo < hi)
 
 
 @dataclass(frozen=True)

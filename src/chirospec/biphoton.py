@@ -120,7 +120,11 @@ class BiphotonAmplitude:
         return np.exp(-((delta_s - self.omega_sc) ** 2) / (2.0 * self.sigma**2))
 
     def feature_widths(self) -> list[float]:
-        """Characteristic widths (units of gamma) of every amplitude feature."""
+        """Characteristic widths (units of gamma) of every amplitude feature.
+
+        The first is the envelope width: ``sigma`` for the uncorrelated kind,
+        ``sigma_p`` for the others, which add 1/t_s and 1/t_l for nonzero delays.
+        """
         if self.kind is JsaKind.UNCORRELATED_GAUSSIAN:
             widths = [self.sigma]
         else:
@@ -130,10 +134,6 @@ class BiphotonAmplitude:
             if self.t_l > 0:
                 widths.append(1.0 / self.t_l)
         return widths
-
-    def resolution_scale(self) -> float:
-        """Narrowest feature width, capped at the unit scale."""
-        return min(1.0, *self.feature_widths())
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,8 @@ def _check_point_count(intervals: float, half_width: float, step: float) -> None
 
 
 def _require_resolving(amp: BiphotonAmplitude, grid: FrequencyGrid) -> None:
-    limit = amp.resolution_scale() / RESOLVE_FACTOR
+    """Raise GridTooCoarse unless the step resolves the narrowest width, capped at 1."""
+    limit = min(1.0, *amp.feature_widths()) / RESOLVE_FACTOR
     if grid.step > limit * (1.0 + 1e-12):
         raise GridTooCoarse(
             f"grid step {grid.step:g} exceeds {limit:g} needed to resolve the amplitude"
@@ -276,18 +277,15 @@ def default_grid_parameters(
     """Center, half-width and largest step of ``default_grid``.
 
     The center is the amplitude's signal center.  Half-width covers
-    DEFAULT_SPAN_WIDTHS times the larger of the amplitude width and gamma,
+    DEFAULT_SPAN_WIDTHS times the larger of the envelope width and gamma,
     extended so every dressed eigenvalue is covered with a 6-gamma margin.
     The step resolves the narrowest feature (and gamma) DEFAULT_STEP_FACTOR times.
     """
     if not (gamma > 0):
         raise ValidationError("gamma > 0")
-    if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
-        width = amp.sigma
-    else:
-        width = amp.sigma_p
-    half_width = DEFAULT_SPAN_WIDTHS * max(width, gamma)
+    widths = amp.feature_widths()
+    half_width = DEFAULT_SPAN_WIDTHS * max(widths[0], gamma)
     for lam in lambdas:
         half_width = max(half_width, abs(float(lam)) + DEFAULT_SPAN_WIDTHS * gamma)
-    step = min(gamma, *amp.feature_widths()) / DEFAULT_STEP_FACTOR
+    step = min(gamma, *widths) / DEFAULT_STEP_FACTOR
     return amp.omega_sc, half_width, step

@@ -265,13 +265,13 @@ def cmd_dressed(cfg: ExperimentConfig, stream=None) -> int:
             )
     top_l = left.lambdas[int(np.argmax(left.eta1_sq))]
     top_r = right.lambdas[int(np.argmax(right.eta1_sq))]
-    window = discrimination_window(top_l, top_r, cfg.noise.gamma)
+    intervals = discrimination_window(top_l, top_r, cfg.noise.gamma)
     print("[discrimination_window]", file=stream)
-    if not window.intervals:
+    if not intervals:
         print("  empty", file=stream)
-    for lo, hi in window.intervals:
+    for lo, hi in intervals:
         print(f"  ({_fmt(lo)}, {_fmt(hi)})", file=stream)
-    print(f"  total_measure = {_fmt(window.total_measure)}", file=stream)
+    print(f"  total_measure = {_fmt(sum(hi - lo for lo, hi in intervals))}", file=stream)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 import yaml
 
@@ -21,11 +21,8 @@ from .biphoton import BiphotonAmplitude, JsaKind
 from .errors import ParseError, ValidationError
 from .model import DriveConfig, NoiseParams
 
-_PROBE_KINDS = {
-    "uncorrelated": JsaKind.UNCORRELATED_GAUSSIAN,
-    "entangled": JsaKind.ENTANGLED_SPDC,
-}
-_KIND_NAMES = {v: k for k, v in _PROBE_KINDS.items()}
+#: The sampled probe kinds, each named in a config by its ``JsaKind`` value.
+_PROBE_KINDS = {k.value: k for k in (JsaKind.UNCORRELATED_GAUSSIAN, JsaKind.ENTANGLED_SPDC)}
 
 #: Most idler frequencies one spectrum command may hold (the shipped configs use 20).
 MAX_IDLER_COUNT = 1_000
@@ -94,7 +91,7 @@ def _require_mapping(node, where: str) -> dict:
     return node
 
 
-def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(node: dict, allowed: Collection[str], where: str) -> None:
     for key in node:
         if key not in allowed:
             raise ValidationError(f"unknown key '{key}' in section '{where}'")
@@ -104,7 +101,10 @@ def _as_number(value, name: str) -> float:
     """A YAML scalar as a finite float; ranges are checked by the value types."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite")
     return value
@@ -142,6 +142,10 @@ _FIELDS = {
 }
 #: Fields whose key may be null, which means left out (their default is None).
 _NULLABLE = {"omega_p", "scan_center", "scan_half_width", "scan_step"}
+#: The axes of a sweep and the range keys of each axis with their readers, in read
+#: order; key ``key`` of axis ``axis`` sets the ``SweepSpec`` field ``{axis}_{key}``.
+_SWEEP_AXES = ("t0", "omega_l")
+_RANGE_KEYS = {"min": _number, "max": _number, "count": _integer}
 
 
 def _section(doc: dict, name: str, *other_keys: str) -> dict:
@@ -199,21 +203,17 @@ def _too_many_idlers() -> ValidationError:
 
 
 def _parse_sweep(node: dict) -> SweepSpec:
-    _reject_unknown(node, {"t0", "omega_l"}, "sweep")
-    t0 = _require_mapping(node.get("t0"), "sweep.t0")
-    wl = _require_mapping(node.get("omega_l"), "sweep.omega_l")
-    _reject_unknown(t0, {"min", "max", "count"}, "sweep.t0")
-    _reject_unknown(wl, {"min", "max", "count"}, "sweep.omega_l")
-    if not t0 or not wl:
-        raise ValidationError("sweep needs both t0 and omega_l ranges")
-    return SweepSpec(
-        t0_min=_number(t0, "min", "sweep.t0"),
-        t0_max=_number(t0, "max", "sweep.t0"),
-        t0_count=_integer(t0, "count", "sweep.t0"),
-        omega_l_min=_number(wl, "min", "sweep.omega_l"),
-        omega_l_max=_number(wl, "max", "sweep.omega_l"),
-        omega_l_count=_integer(wl, "count", "sweep.omega_l"),
-    )
+    _reject_unknown(node, _SWEEP_AXES, "sweep")
+    axes = {axis: _require_mapping(node.get(axis), f"sweep.{axis}") for axis in _SWEEP_AXES}
+    for axis, ranges in axes.items():
+        _reject_unknown(ranges, _RANGE_KEYS, f"sweep.{axis}")
+    if not all(axes.values()):
+        raise ValidationError(f"sweep needs both {' and '.join(_SWEEP_AXES)} ranges")
+    return SweepSpec(**{
+        f"{axis}_{key}": read(ranges, key, f"sweep.{axis}")
+        for axis, ranges in axes.items()
+        for key, read in _RANGE_KEYS.items()
+    })
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -222,6 +222,8 @@ def parse_config(text: str) -> ExperimentConfig:
         doc = yaml.safe_load(io.StringIO(text))
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed config: {exc}") from exc
+    except RecursionError:
+        raise ParseError("malformed config: nested too deeply") from None
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -254,8 +256,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     output = _section(doc, "output", "directory")
     out_dir = output.get("directory", "chirospec_out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ValidationError("output.directory must be a nonempty string")
+    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
+        raise ValidationError("output.directory must be a nonempty string without NUL")
 
     return ExperimentConfig(
         drive=drive,
@@ -277,22 +279,14 @@ def config_mapping(cfg: ExperimentConfig) -> dict:
         node = {key: value for key, value in node.items() if value is not None}
         if node:
             doc[name] = node
-    doc["probe"]["kind"] = _KIND_NAMES[cfg.probe.kind]
+    doc["probe"]["kind"] = cfg.probe.kind.value
     doc["output"] = {"directory": cfg.output_dir}
     if cfg.idler is not None:
         doc["idler"] = {"values": list(cfg.idler)}
     if cfg.sweep is not None:
         doc["sweep"] = {
-            "t0": {
-                "min": cfg.sweep.t0_min,
-                "max": cfg.sweep.t0_max,
-                "count": cfg.sweep.t0_count,
-            },
-            "omega_l": {
-                "min": cfg.sweep.omega_l_min,
-                "max": cfg.sweep.omega_l_max,
-                "count": cfg.sweep.omega_l_count,
-            },
+            axis: {key: getattr(cfg.sweep, f"{axis}_{key}") for key in _RANGE_KEYS}
+            for axis in _SWEEP_AXES
         }
     return doc
 

@@ -78,7 +78,10 @@ class DriveConfig:
 
 @dataclass(frozen=True)
 class HermitianTriad:
-    """3x3 complex matrix in the basis (|1>, |2>, |3>)."""
+    """3x3 complex matrix in the basis (|1>, |2>, |3>), Hermitian within HERMITICITY_TOL.
+
+    Construction raises NonHermitianInput when the matrix is not.
+    """
 
     matrix: np.ndarray
 
@@ -89,6 +92,10 @@ class HermitianTriad:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        if self.hermiticity_defect() > HERMITICITY_TOL:
+            raise NonHermitianInput(
+                f"matrix deviates from Hermitian by {self.hermiticity_defect():.3e}"
+            )
 
     def hermiticity_defect(self) -> float:
         """Max-entry deviation from H = H^dagger."""
@@ -164,17 +171,12 @@ def _gauge_fix(vec: np.ndarray) -> np.ndarray:
 def dressed_states(h: HermitianTriad, chirality: Chirality) -> DressedTriad:
     """Diagonalize the triad and report eigenvalues + overlaps with |1>.
 
-    Raises NonHermitianInput if the matrix fails the Hermiticity
-    tolerance, and NonFiniteResult if an eigenvalue overflows.
-    Eigenvalues come out sorted ascending; each eigenvector is gauge
-    fixed (largest component real positive).  Degenerate blocks
-    (eigenvalues within DEGENERACY_TOL) report the evenly split block
-    projection of |1>, which is the only gauge-independent content.
+    ``h`` is Hermitian by construction.  Raises NonFiniteResult if an
+    eigenvalue overflows.  Eigenvalues come out sorted ascending; each
+    eigenvector is gauge fixed (largest component real positive).
+    Degenerate blocks (eigenvalues within DEGENERACY_TOL) report the evenly
+    split block projection of |1>, which is the only gauge-independent content.
     """
-    if h.hermiticity_defect() > HERMITICITY_TOL:
-        raise NonHermitianInput(
-            f"matrix deviates from Hermitian by {h.hermiticity_defect():.3e}"
-        )
     lam, vecs = np.linalg.eigh(h.matrix)
     if not np.all(np.isfinite(lam)):
         raise NonFiniteResult("dressed energies overflow")
@@ -209,10 +211,8 @@ def characteristic_invariants(h: HermitianTriad) -> tuple[float, float, float]:
     """Coefficients of the characteristic polynomial: trace, pair sum, det.
 
     Returns (sum lambda_i, sum_{i<j} lambda_i lambda_j, prod lambda_i); all
-    three are real for Hermitian input.
+    three are real, as ``h`` is Hermitian by construction.
     """
-    if h.hermiticity_defect() > HERMITICITY_TOL:
-        raise NonHermitianInput("characteristic invariants need Hermitian input")
     m = h.matrix
     trace = float(np.trace(m).real)
     pair = 0.0

@@ -16,7 +16,6 @@ from chirospec.analysis import (
     EXTREMUM_REL_THRESHOLD,
     FLAT_CURVE_FLOOR,
     MIN_CURVE_POINTS,
-    DiscriminationWindow,
     LineShapeSignature,
     classify_lineshape,
     compare_pair,
@@ -250,15 +249,19 @@ class TestDiscriminability:
         assert dist is False
 
 
+def _measure(intervals) -> float:
+    return sum(hi - lo for lo, hi in intervals)
+
+
 class TestDiscriminationWindow:
     def test_equal_lambdas_empty(self):
-        assert discrimination_window(0.3, 0.3, 1.0).intervals == ()
+        assert discrimination_window(0.3, 0.3, 1.0) == ()
 
     @pytest.mark.parametrize("lam", [0.0, -0.1, 0.3, 7.8e-18, 1.0e-3])
     def test_nearly_equal_lambdas_drop_collapsed_intervals(self, lam):
         win = discrimination_window(lam, lam + 1e-17, 1.0)
-        assert all(lo < hi for lo, hi in win.intervals)
-        assert win.total_measure <= 1e-15
+        assert all(lo < hi for lo, hi in win)
+        assert _measure(win) <= 1e-15
 
     @given(
         a=st.floats(-1e3, 1e3),
@@ -268,17 +271,31 @@ class TestDiscriminationWindow:
     @settings(max_examples=200, deadline=None)
     def test_close_lambdas_never_raise(self, a, gap, gamma):
         win = discrimination_window(a, a + gap, gamma)
-        assert win.total_measure >= 0.0
+        assert _measure(win) >= 0.0
+
+    @given(
+        lam_l=st.floats(-1e3, 1e3),
+        lam_r=st.floats(-1e3, 1e3),
+        gamma=st.floats(1e-3, 1e3),
+    )
+    # lambdas 2 gamma apart, where a + gamma rounds above b - gamma
+    @example(lam_l=-697.4283469421754, lam_r=675.8293512723192, gamma=686.6288491072473)
+    @settings(max_examples=300, deadline=None)
+    def test_intervals_are_disjoint_sorted_and_nonempty(self, lam_l, lam_r, gamma):
+        previous_hi = -np.inf
+        for lo, hi in discrimination_window(lam_l, lam_r, gamma):
+            assert previous_hi <= lo < hi
+            previous_hi = hi
 
     def test_overlapping_resonances(self):
         win = discrimination_window(-0.2, 0.2, 1.0)
-        assert win.intervals == ((-1.2, -0.8), (0.8, 1.2))
+        assert win == ((-1.2, -0.8), (0.8, 1.2))
         # one branch is the band between (gamma - lambda_L) and (gamma - lambda_R)
-        assert win.intervals[1] == (0.8, 1.2)
+        assert win[1] == (0.8, 1.2)
 
     def test_disjoint_resonances(self):
         win = discrimination_window(-1.5, 1.5, 1.0)
-        assert win.intervals == ((-2.5, -0.5), (0.5, 2.5))
+        assert win == ((-2.5, -0.5), (0.5, 2.5))
 
     def test_symmetry_and_measure_identity(self):
         rng = np.random.default_rng(41)
@@ -289,25 +306,21 @@ class TestDiscriminationWindow:
             assert win == discrimination_window(lam_r, lam_l, gamma)
             gap = abs(lam_l - lam_r)
             if gap == 0.0:
-                assert win.total_measure == 0.0
+                assert _measure(win) == 0.0
             elif gap <= 2.0 * gamma:
-                assert win.total_measure == pytest.approx(2.0 * gap, rel=1e-12)
+                assert _measure(win) == pytest.approx(2.0 * gap, rel=1e-12)
             else:
-                assert win.total_measure == pytest.approx(4.0 * gamma, rel=1e-12)
+                assert _measure(win) == pytest.approx(4.0 * gamma, rel=1e-12)
 
     def test_boundaries_excluded(self):
+        # -1.2 and 0.8 are exact endpoints of the open intervals, 1.0 lies inside one
         win = discrimination_window(-0.2, 0.2, 1.0)
-        assert not win.contains(-1.2)
-        assert not win.contains(0.8)
-        assert win.contains(1.0)
+        assert not any(lo < x < hi for x in (-1.2, 0.8) for lo, hi in win)
+        assert any(lo < 1.0 < hi for lo, hi in win)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             discrimination_window(0.0, 0.1, 0.0)
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            DiscriminationWindow(intervals=((0.0, 1.0), (0.5, 2.0)))
 
 
 class TestRunJobs:

@@ -863,6 +863,26 @@ class TestExitCodes:
         assert main([command, "-c", str(path)]) == 2
         assert capsys.readouterr().err == f"chirospec: config error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["spectrum", "regime-map", "dressed"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("noise: {gamma: 1" + "0" * 400 + "}", "noise.gamma must be finite"),
+            ('output: {directory: "a\\0b"}\nidler: 0.0', "output.directory"),
+            ("idler: " + "[" * 3000 + "]" * 3000, "nested too deeply"),
+        ],
+        ids=["integer_beyond_float", "nul_in_directory", "deep_nesting"],
+    )
+    def test_unrepresentable_input_is_2(self, tmp_path, monkeypatch, capsys, command,
+                                        text, message):
+        monkeypatch.chdir(tmp_path)  # the default and the NUL directory are relative
+        (tmp_path / "cfg.yaml").write_text(text + "\n", encoding="utf-8")
+        assert main([command, "-c", "cfg.yaml"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("chirospec: config error:")
+        assert message in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
     def test_overflowing_dressed_energies_is_4(self, tmp_path, capsys):
         # finite couplings whose eigenvalues exceed the largest float
         path = tmp_path / "cfg.yaml"

@@ -316,7 +316,7 @@ def configs(draw):
         scan_step=draw(st.none() | positive),
         idler=idler,
         sweep=sweep,
-        output_dir=draw(st.text(min_size=1)),
+        output_dir=draw(st.text(st.characters(exclude_characters="\0"), min_size=1)),
     )
 
 

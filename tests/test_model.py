@@ -72,6 +72,17 @@ class TestChirality:
             assert c.mirror() is not c
 
 
+class TestHermitianTriad:
+    def test_rejects_non_hermitian(self):
+        # the one check: dressed_states and characteristic_invariants rely on it
+        m = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        m[0, 1] = 1e-13  # within HERMITICITY_TOL
+        assert HermitianTriad(m).hermiticity_defect() == 1e-13
+        m[0, 1] = 1.0
+        with pytest.raises(NonHermitianInput, match=r"deviates from Hermitian by 1\.000e\+00"):
+            HermitianTriad(m)
+
+
 class TestBuildRotatingHamiltonian:
     def test_no_drive_limit(self):
         h = build_rotating_hamiltonian(DriveConfig(0, 0, 0, 2.0, 5.0))
@@ -133,11 +144,6 @@ class TestDressedStates:
         assert np.allclose(d.lambdas, [-0.2, 0.1, 0.1], atol=1e-10)
         assert np.allclose(d.lambdas, cubic_eigenvalues_oracle(h.matrix), atol=1e-10)
 
-    def test_rejects_non_hermitian(self):
-        bad = HermitianTriad(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
-        with pytest.raises(NonHermitianInput):
-            dressed_states(bad, Chirality.RIGHT)
-
     def test_completeness_random(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -198,11 +204,6 @@ class TestCharacteristicInvariants:
     def test_no_drive(self):
         h = build_rotating_hamiltonian(DriveConfig(0, 0, 0, 2.0, 5.0))
         assert characteristic_invariants(h) == (7.0, 10.0, 0.0)
-
-    def test_rejects_non_hermitian(self):
-        bad = HermitianTriad(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
-        with pytest.raises(NonHermitianInput):
-            characteristic_invariants(bad)
 
     def test_matches_eigenvalue_products(self):
         rng = np.random.default_rng(19)
