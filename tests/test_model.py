@@ -144,6 +144,14 @@ class TestDressedStates:
         assert np.allclose(d.lambdas, [-0.2, 0.1, 0.1], atol=1e-10)
         assert np.allclose(d.lambdas, cubic_eigenvalues_oracle(h.matrix), atol=1e-10)
 
+    def test_rejects_non_hermitian(self):
+        # the triad's constructor raises, so the matrix never reaches the solver
+        with pytest.raises(NonHermitianInput):
+            dressed_states(
+                HermitianTriad(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)),
+                Chirality.RIGHT,
+            )
+
     def test_completeness_random(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -204,6 +212,13 @@ class TestCharacteristicInvariants:
     def test_no_drive(self):
         h = build_rotating_hamiltonian(DriveConfig(0, 0, 0, 2.0, 5.0))
         assert characteristic_invariants(h) == (7.0, 10.0, 0.0)
+
+    def test_rejects_non_hermitian(self):
+        # the triad's constructor raises, so the matrix never reaches the invariants
+        with pytest.raises(NonHermitianInput):
+            characteristic_invariants(
+                HermitianTriad(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
+            )
 
     def test_matches_eigenvalue_products(self):
         rng = np.random.default_rng(19)
