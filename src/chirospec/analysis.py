@@ -173,7 +173,7 @@ class RegimeMap:
         wl = np.asarray(self.omega_l_axis, dtype=float).copy()
         lab = np.asarray(self.labels, dtype=int).copy()
         if lab.shape != (t0.size, wl.size):
-            raise ValueError("labels table must match the axes")
+            raise ValidationError("labels table must match the axes")
         for arr in (t0, wl, lab):
             arr.flags.writeable = False
         object.__setattr__(self, "t0_axis", t0)

@@ -1,15 +1,13 @@
 """Joint spectral amplitudes of the two-photon probe.
 
-Three probe families are supported:
+Two probe families are supported:
 
 * uncorrelated Gaussian pairs,
       psi(ws, wl) = exp(-[(ws-wsc)^2 + (wl-wlc)^2] / (2 sigma^2)),
 * frequency-entangled pairs from downconversion, a Gaussian pump
   envelope times the crystal phase-mismatch factor,
       psi(ws, wl) = exp(-(ws+wl-wp)^2 / (2 sigma_p^2)) * exp(-kappa^2),
-      kappa = (ws - wsc) Ts/2 + (wl - wlc) Tl/2,
-* the zero-bandwidth limit psi = phi_s(ws) delta(ws + wl - wp), which is
-  never sampled on a grid and is consumed analytically downstream.
+      kappa = (ws - wsc) Ts/2 + (wl - wlc) Tl/2.
 
 Signal frequencies are stored as detunings from the |0> -> |1>
 transition; idler frequencies from an arbitrary idler origin.  The pump
@@ -26,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, ValidationError, WrongKind
+from .errors import GridTooCoarse, ValidationError
 
 #: A sampling step must resolve the narrowest amplitude feature by this factor.
 RESOLVE_FACTOR = 10.0
@@ -46,7 +44,6 @@ UNDERFLOW_EXPONENT = 750.0
 class JsaKind(enum.Enum):
     UNCORRELATED_GAUSSIAN = "uncorrelated"
     ENTANGLED_SPDC = "entangled"
-    ZERO_BANDWIDTH_CORRELATED = "zero_bandwidth"
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,7 @@ class BiphotonAmplitude:
     """Descriptor of one two-photon joint spectral amplitude.
 
     ``scale`` multiplies the raw amplitude (the default construction
-    peaks at 1).  The zero-bandwidth kind's signal envelope is the
-    Gaussian of width ``sigma`` centered at ``omega_sc``.
+    peaks at 1).
     """
 
     kind: JsaKind
@@ -109,21 +105,11 @@ class BiphotonAmplitude:
             scale=scale,
         )
 
-    @classmethod
-    def zero_bandwidth(cls, omega_p=0.0, omega_sc=0.0, sigma=1.0):
-        return cls(
-            JsaKind.ZERO_BANDWIDTH_CORRELATED, omega_sc=omega_sc, sigma=sigma, omega_p=omega_p
-        )
-
-    def envelope(self, delta_s):
-        """Signal envelope phi_s of the zero-bandwidth kind."""
-        return np.exp(-((delta_s - self.omega_sc) ** 2) / (2.0 * self.sigma**2))
-
     def feature_widths(self) -> list[float]:
         """Characteristic widths (units of gamma) of every amplitude feature.
 
         The first is the envelope width: ``sigma`` for the uncorrelated kind,
-        ``sigma_p`` for the others, which add 1/t_s and 1/t_l for nonzero delays.
+        ``sigma_p`` for the entangled kind, which adds 1/t_s and 1/t_l for nonzero delays.
         """
         if self.kind is JsaKind.UNCORRELATED_GAUSSIAN:
             widths = [self.sigma]
@@ -203,13 +189,7 @@ def _require_resolving(amp: BiphotonAmplitude, grid: FrequencyGrid) -> None:
 
 
 def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
-    """Real joint spectral amplitude at (omega_s, omega_l); accepts arrays.
-
-    Raises WrongKind for the zero-bandwidth kind, whose delta factor
-    cannot be evaluated pointwise.
-    """
-    if amp.kind is JsaKind.ZERO_BANDWIDTH_CORRELATED:
-        raise WrongKind("zero-bandwidth amplitude is handled analytically")
+    """Real joint spectral amplitude at (omega_s, omega_l); accepts arrays."""
     ws = np.asarray(omega_s, dtype=float)
     wl = np.asarray(omega_l, dtype=float)
     if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
@@ -228,7 +208,7 @@ def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
 def row_support(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l) -> slice:
     """Slice of grid_s.points outside which psi(., omega_l) is exactly 0.0.
 
-    At a fixed idler both sampled kinds are scale * exp(-E), E = curv * (d - mu)^2
+    At a fixed idler both kinds are scale * exp(-E), E = curv * (d - mu)^2
     + c0 in the signal detuning d.  The slice holds the points with E <=
     UNDERFLOW_EXPONENT and one more on each side; all if the closed form overflows.
     """

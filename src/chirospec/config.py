@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass
 from typing import Collection, Optional
 
@@ -21,8 +22,8 @@ from .biphoton import BiphotonAmplitude, JsaKind
 from .errors import ParseError, ValidationError
 from .model import DriveConfig, NoiseParams
 
-#: The sampled probe kinds, each named in a config by its ``JsaKind`` value.
-_PROBE_KINDS = {k.value: k for k in (JsaKind.UNCORRELATED_GAUSSIAN, JsaKind.ENTANGLED_SPDC)}
+#: The probe kinds, each named in a config by its ``JsaKind`` value.
+_PROBE_KINDS = {k.value: k for k in JsaKind}
 
 #: Most idler frequencies one spectrum command may hold (the shipped configs use 20).
 MAX_IDLER_COUNT = 1_000
@@ -258,6 +259,10 @@ def parse_config(text: str) -> ExperimentConfig:
     out_dir = output.get("directory", "chirospec_out")
     if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
         raise ValidationError("output.directory must be a nonempty string without NUL")
+    try:
+        os.fsencode(out_dir)
+    except UnicodeEncodeError:  # e.g. a lone surrogate that surrogateescape cannot map
+        raise ValidationError("output.directory is not encodable as a file name") from None
 
     return ExperimentConfig(
         drive=drive,

@@ -9,10 +9,6 @@ class NonHermitianInput(ChirospecError):
     """A matrix expected to be Hermitian is not (beyond tolerance)."""
 
 
-class WrongKind(ChirospecError):
-    """Operation requires a different joint-spectral-amplitude kind."""
-
-
 class NonFiniteResult(ChirospecError):
     """A numerical result came out NaN or infinite."""
 

@@ -88,7 +88,7 @@ class HermitianTriad:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (3, 3):
-            raise ValueError("triad matrix must be 3x3")
+            raise ValidationError("triad matrix must be 3x3")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -120,7 +120,7 @@ class DressedTriad:
         lam = np.asarray(self.lambdas, dtype=float).copy()
         eta = np.asarray(self.eta1, dtype=complex).copy()
         if lam.shape != (3,) or eta.shape != (3,):
-            raise ValueError("dressed triad needs 3 eigenvalues and 3 overlaps")
+            raise ValidationError("dressed triad needs 3 eigenvalues and 3 overlaps")
         lam.flags.writeable = False
         eta.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)

@@ -14,11 +14,12 @@ gamma the uniform dissipation rate.  The continuum mode sum is a
 composite trapezoidal quadrature over the signal grid; the mode density
 and every physical prefactor are absorbed into C = 1, keeping the
 leading minus sign because the sign pattern carries the chiral signal.
-Both sampled probes give a real JSA row (``biphoton.jsa_row``), so
+Both probe kinds give a real JSA row (``biphoton.jsa_row``), so
 psi* = psi and each psi / (lambda_i - d'' + i*gamma) is formed once.
 
 For a zero-bandwidth energy-correlated pair the transmission collapses
-to a closed form pinned at ds = omega_p - wl.
+to a closed form in the pinned detuning dpl = omega_p - wl
+(``zero_bandwidth_point``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import BiphotonAmplitude, FrequencyGrid, JsaKind, jsa_row, jsa_value
-from .errors import NonFiniteResult, ValidationError, WrongKind
+from .biphoton import BiphotonAmplitude, FrequencyGrid, jsa_row, jsa_value
+from .errors import NonFiniteResult, ValidationError
 from .model import DressedTriad, NoiseParams
 
 
@@ -163,36 +164,26 @@ def transmission_point(
 
 
 def zero_bandwidth_point(
-    dressed: DressedTriad,
-    amp: BiphotonAmplitude,
-    noise: NoiseParams,
-    det: DetectorPair,
+    dressed: DressedTriad, noise: NoiseParams, dpl: float, sigma: float
 ) -> float:
-    """Closed-form transmission for a zero-bandwidth energy-correlated pair.
+    """Closed-form transmission of a zero-bandwidth energy-correlated pair.
 
-    The delta factor pins the signal detector at
-    dpl = omega_p - omega_l_bar; any other omega_s_bar returns 0.  Only
-    the dressed state carrying the largest |eta_1|^2 contributes, which
-    reduces the spectrum to
+    The pair psi = phi(ds) delta(ds + wl - omega_p) pins the signal
+    detector at dpl = omega_p - wl, and the signal envelope is
+    phi(d) = exp(-d^2 / (2 sigma^2)).  Only the dressed state carrying
+    the largest |eta_1|^2 contributes, which reduces the spectrum to
 
-        P = -|eta_1|^2 Re[ phi(ds) phi(dpl)
-                           / ((l1 - ds + i*g)(l1 - dpl + i*g)) ],
+        P(dpl) = -|eta_1|^2 Re[ phi(dpl)^2 / (l1 - dpl + i*g)^2 ],
 
-    as the envelope phi is real.
+    formed as the square of phi(dpl) / (l1 - dpl + i*g), which cannot
+    overflow where phi has underflowed.
     """
-    if amp.kind is not JsaKind.ZERO_BANDWIDTH_CORRELATED:
-        raise WrongKind("zero_bandwidth_point needs a zero-bandwidth amplitude")
-    gamma = noise.gamma
-    dpl = amp.omega_p - det.omega_l_bar
-    if det.omega_s_bar != dpl:
-        return 0.0
+    if not (math.isfinite(dpl) and math.isfinite(sigma) and sigma > 0):
+        raise ValidationError("dpl must be finite and sigma finite and > 0")
     top = int(np.argmax(dressed.eta1_sq))
-    lam = dressed.lambdas[top]
-    weight = dressed.eta1_sq[top]
-    phi_s = amp.envelope(det.omega_s_bar)
-    phi_pl = amp.envelope(dpl)
-    denom = (lam - det.omega_s_bar + 1j * gamma) * (lam - dpl + 1j * gamma)
-    value = -weight * (phi_s * phi_pl / denom).real
+    x = dpl / sigma
+    ratio = math.exp(-0.5 * x * x) / (dressed.lambdas[top] - dpl + 1j * noise.gamma)
+    value = -dressed.eta1_sq[top] * (ratio * ratio).real
     if not math.isfinite(value):
         raise NonFiniteResult("zero-bandwidth evaluation produced a non-finite value")
     return float(value)

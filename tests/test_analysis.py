@@ -1,7 +1,9 @@
 """Tests of line-shape classification, discrimination metrics, and regime maps."""
 
+import math
 import multiprocessing
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +19,7 @@ from chirospec.analysis import (
     FLAT_CURVE_FLOOR,
     MIN_CURVE_POINTS,
     LineShapeSignature,
+    RegimeMap,
     classify_lineshape,
     compare_pair,
     curve_pair,
@@ -26,6 +29,8 @@ from chirospec.analysis import (
 )
 from chirospec.biphoton import BiphotonAmplitude
 from chirospec.errors import CurveTooShort, ValidationError
+from chirospec.model import Chirality, DressedTriad, NoiseParams
+from chirospec.spectrum import zero_bandwidth_point
 
 
 def gaussian_peak(x, center, width, height):
@@ -253,6 +258,14 @@ def _measure(intervals) -> float:
     return sum(hi - lo for lo, hi in intervals)
 
 
+@st.composite
+def dressed_triads(draw, chirality):
+    """A triad of drawn energies and overlaps; the largest |eta_1|^2 is at least 0.01."""
+    lambdas = draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    eta1 = draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
+    return DressedTriad(sorted(lambdas), eta1, chirality)
+
+
 class TestDiscriminationWindow:
     def test_equal_lambdas_empty(self):
         assert discrimination_window(0.3, 0.3, 1.0) == ()
@@ -322,6 +335,24 @@ class TestDiscriminationWindow:
         with pytest.raises(ValueError):
             discrimination_window(0.0, 0.1, 0.0)
 
+    @given(
+        left=dressed_triads(Chirality.LEFT),
+        right=dressed_triads(Chirality.RIGHT),
+        gamma=st.floats(0.05, 5.0),
+        dpl=st.floats(-10.0, 10.0),
+        sigma=st.floats(0.1, 10.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_window_is_where_zero_bandwidth_signs_differ(self, left, right, gamma, dpl, sigma):
+        # the window the dressed command prints, against the closed form it summarizes
+        tops = [d.lambdas[int(np.argmax(d.eta1_sq))] for d in (left, right)]
+        assume(all(abs(abs(lam - dpl) - gamma) > 1e-6 for lam in tops))
+        assume(math.exp(-((dpl / sigma) ** 2)) >= sys.float_info.min)  # phi(dpl)^2 is normal
+        noise = NoiseParams(gamma)
+        p_l, p_r = (zero_bandwidth_point(d, noise, dpl, sigma) for d in (left, right))
+        inside = any(lo < dpl < hi for lo, hi in discrimination_window(*tops, gamma))
+        assert inside == (np.sign(p_l) * np.sign(p_r) < 0)
+
 
 class TestRunJobs:
     def test_serial_run_computes_one_job_per_result_taken(self):
@@ -370,6 +401,10 @@ def small_axes():
 
 
 class TestRegimeMap:
+    def test_rejects_labels_off_the_axes(self):
+        with pytest.raises(ValidationError, match="labels table must match the axes"):
+            RegimeMap([0.0, 1.0], [0.0, 1.0, 2.0], np.zeros((2, 2), dtype=int), {})
+
     def test_deterministic_across_runs_and_threads(self, small_axes):
         t0, wl, scan = small_axes
         maps = [

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from chirospec.biphoton import (
     BiphotonAmplitude,
     FrequencyGrid,
-    JsaKind,
     _require_resolving,
     default_grid,
     jsa_row,
     jsa_value,
 )
-from chirospec.errors import GridTooCoarse, ValidationError, WrongKind
+from chirospec.errors import GridTooCoarse, ValidationError
+from chirospec.model import Chirality, DressedTriad, NoiseParams
+from chirospec.spectrum import zero_bandwidth_point
 
 ENTANGLED_DELAYS = dict(sigma_p=1.0, t_s=24.0, t_l=25.0)
 EPS = np.finfo(float).eps
@@ -45,11 +46,6 @@ class TestJsaValue:
         value = jsa_value(amp, 0.05, -0.048)
         assert abs(value - 1.0) < 1e-5
         assert value == pytest.approx(math.exp(-(0.002**2) / 2.0), abs=1e-15)
-
-    def test_zero_bandwidth_not_samplable(self):
-        amp = BiphotonAmplitude.zero_bandwidth(omega_p=0.0)
-        with pytest.raises(WrongKind):
-            jsa_value(amp, 0.0, 0.0)
 
     def test_energy_matching_default(self):
         amp = BiphotonAmplitude.entangled(omega_sc=1.5, omega_lc=-0.5, **ENTANGLED_DELAYS)
@@ -244,10 +240,8 @@ class TestDefaultGrid:
 
 class TestZeroBandwidthEnvelope:
     def test_default_gaussian(self):
-        amp = BiphotonAmplitude.zero_bandwidth(omega_p=0.0, omega_sc=0.5, sigma=2.0)
-        assert amp.envelope(0.5) == pytest.approx(1.0)
-        assert amp.envelope(2.5) == pytest.approx(math.exp(-0.5))
-
-    def test_kind_flag(self):
-        amp = BiphotonAmplitude.zero_bandwidth(omega_p=1.0)
-        assert amp.kind is JsaKind.ZERO_BANDWIDTH_CORRELATED
+        # with the dominant line at dpl and gamma = 1 the spectrum is phi(dpl)^2
+        for dpl, phi in ((0.0, 1.0), (2.0, math.exp(-0.5))):
+            dressed = DressedTriad([dpl, 5.0, 6.0], [1.0, 0.0, 0.0], Chirality.RIGHT)
+            value = zero_bandwidth_point(dressed, NoiseParams(1.0), dpl, 2.0)
+            assert value == pytest.approx(phi**2)

@@ -869,13 +869,15 @@ class TestExitCodes:
         [
             ("noise: {gamma: 1" + "0" * 400 + "}", "noise.gamma must be finite"),
             ('output: {directory: "a\\0b"}\nidler: 0.0', "output.directory"),
+            ('output: {directory: "a\\ud800b"}\nidler: 0.0', "output.directory"),
             ("idler: " + "[" * 3000 + "]" * 3000, "nested too deeply"),
         ],
-        ids=["integer_beyond_float", "nul_in_directory", "deep_nesting"],
+        ids=["integer_beyond_float", "nul_in_directory", "lone_surrogate_in_directory",
+             "deep_nesting"],
     )
     def test_unrepresentable_input_is_2(self, tmp_path, monkeypatch, capsys, command,
                                         text, message):
-        monkeypatch.chdir(tmp_path)  # the default and the NUL directory are relative
+        monkeypatch.chdir(tmp_path)  # the default and the rejected directories are relative
         (tmp_path / "cfg.yaml").write_text(text + "\n", encoding="utf-8")
         assert main([command, "-c", "cfg.yaml"]) == 2
         err = capsys.readouterr().err

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -254,6 +255,8 @@ class TestRoundTrip:
         ),
         # An uncorrelated probe ignores its pump center, but the echo keeps it.
         "probe:\n  kind: uncorrelated\n  omega_pump: 3.0\n",
+        # A surrogate-escaped byte is a file name (os.fsencode gives b"a\x80b").
+        'output:\n  directory: "a\\udc80b"\n',
     ]
 
     @pytest.mark.parametrize("text", CASES)
@@ -273,6 +276,15 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 centers = st.floats(-1e300, 1e300)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+def _is_file_name(text: str) -> bool:
+    """Whether os.fsencode maps ``text`` to bytes, as a config's output.directory must."""
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @st.composite
@@ -316,7 +328,9 @@ def configs(draw):
         scan_step=draw(st.none() | positive),
         idler=idler,
         sweep=sweep,
-        output_dir=draw(st.text(st.characters(exclude_characters="\0"), min_size=1)),
+        output_dir=draw(
+            st.text(st.characters(exclude_characters="\0"), min_size=1).filter(_is_file_name)
+        ),
     )
 
 

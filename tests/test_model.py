@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from chirospec.errors import NonHermitianInput
+from chirospec.errors import NonHermitianInput, ValidationError
 from chirospec.model import (
     Chirality,
+    DressedTriad,
     DriveConfig,
     HermitianTriad,
     NoiseParams,
@@ -81,6 +82,19 @@ class TestHermitianTriad:
         m[0, 1] = 1.0
         with pytest.raises(NonHermitianInput, match=r"deviates from Hermitian by 1\.000e\+00"):
             HermitianTriad(m)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValidationError, match="3x3"):
+            HermitianTriad(np.eye(2, dtype=complex))
+
+
+class TestDressedTriad:
+    @pytest.mark.parametrize(
+        "lambdas, eta1", [([0.0, 1.0], [1.0, 0.0, 0.0]), ([0.0, 1.0, 2.0], [1.0, 0.0])]
+    )
+    def test_rejects_wrong_shape(self, lambdas, eta1):
+        with pytest.raises(ValidationError, match="3 eigenvalues and 3 overlaps"):
+            DressedTriad(lambdas, eta1, Chirality.RIGHT)
 
 
 class TestBuildRotatingHamiltonian:

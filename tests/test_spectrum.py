@@ -21,7 +21,7 @@ from chirospec.biphoton import (
 )
 from chirospec.cli import build_scan_grid
 from chirospec.config import parse_config
-from chirospec.errors import GridTooCoarse, NonFiniteResult, WrongKind
+from chirospec.errors import GridTooCoarse, NonFiniteResult, ValidationError
 from chirospec.model import (
     Chirality,
     DressedTriad,
@@ -432,48 +432,51 @@ class TestSmithFactors:
 
 class TestZeroBandwidthPoint:
     def test_on_resonance_positive(self):
-        amp = BiphotonAmplitude.zero_bandwidth(omega_p=0.0, sigma=1.0)
         dressed = manual_dressed([0.0, 5.0, 6.0], [1.0, 0.0, 0.0])
-        det = DetectorPair(0.0, 0.0)  # dpl = 0 - 0 = 0
-        assert zero_bandwidth_point(dressed, amp, NOISE, det) == pytest.approx(1.0)
+        assert zero_bandwidth_point(dressed, NOISE, 0.0, 1.0) == pytest.approx(1.0)
 
     def test_zero_at_one_gamma_offset(self):
-        amp = BiphotonAmplitude.zero_bandwidth(omega_p=0.0, sigma=1.0)
         dressed = manual_dressed([0.0, 5.0, 6.0], [1.0, 0.0, 0.0])
-        det = DetectorPair(1.0, -1.0)  # dpl = 1, |lambda - dpl| = gamma
-        assert zero_bandwidth_point(dressed, amp, NOISE, det) == 0.0
+        # |lambda - dpl| = gamma
+        assert zero_bandwidth_point(dressed, NOISE, 1.0, 1.0) == 0.0
 
     def test_enantiomer_sign_pattern(self):
-        amp = BiphotonAmplitude.zero_bandwidth(omega_p=0.0, sigma=1.0)
-        det = DetectorPair(1.0, -1.0)  # dpl = 1.0
+        dpl = 1.0
         left = manual_dressed([-0.2, 5.0, 6.0], [1.0, 0.0, 0.0], Chirality.LEFT)
         right = manual_dressed([0.2, 5.0, 6.0], [1.0, 0.0, 0.0], Chirality.RIGHT)
-        p_l = zero_bandwidth_point(left, amp, NOISE, det)
-        p_r = zero_bandwidth_point(right, amp, NOISE, det)
+        p_l = zero_bandwidth_point(left, NOISE, dpl, 1.0)
+        p_r = zero_bandwidth_point(right, NOISE, dpl, 1.0)
         assert p_l < 0 < p_r
         # sign(P) = sign(gamma^2 - (lambda - dpl)^2) per enantiomer
         assert math.copysign(1.0, p_l) == math.copysign(1.0, 1.0 - (-0.2 - 1.0) ** 2)
         assert math.copysign(1.0, p_r) == math.copysign(1.0, 1.0 - (0.2 - 1.0) ** 2)
 
-    def test_off_pinned_frequency_is_zero(self):
-        amp = BiphotonAmplitude.zero_bandwidth(omega_p=0.0, sigma=1.0)
-        dressed = manual_dressed([0.0, 5.0, 6.0], [1.0, 0.0, 0.0])
-        assert zero_bandwidth_point(dressed, amp, NOISE, DetectorPair(0.5, 0.0)) == 0.0
-
-    def test_wrong_kind_rejected(self):
-        amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
-        dressed = manual_dressed([0.0, 5.0, 6.0], [1.0, 0.0, 0.0])
-        with pytest.raises(WrongKind):
-            zero_bandwidth_point(dressed, amp, NOISE, DetectorPair(0.0, 0.0))
-
     def test_uses_dominant_dressed_state(self):
-        amp = BiphotonAmplitude.zero_bandwidth(omega_p=0.0, sigma=1.0)
         dressed = manual_dressed(
             [-3.0, 0.0, 3.0], [0.1, math.sqrt(0.98), 0.1]
         )
-        det = DetectorPair(0.0, 0.0)
-        value = zero_bandwidth_point(dressed, amp, NOISE, det)
+        value = zero_bandwidth_point(dressed, NOISE, 0.0, 1.0)
         assert value == pytest.approx(0.98, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dpl, sigma",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, -1.0), (0.0, math.inf),
+         (0.0, math.nan)],
+    )
+    def test_rejects_bad_inputs(self, dpl, sigma):
+        dressed = manual_dressed([0.0, 5.0, 6.0], [1.0, 0.0, 0.0])
+        with pytest.raises(ValidationError):
+            zero_bandwidth_point(dressed, NOISE, dpl, sigma)
+
+    def test_far_detuning_underflows_to_zero(self):
+        # (lambda - dpl)^2 overflows, but phi(dpl) / (lambda - dpl + i*gamma) does not
+        dressed = manual_dressed([0.0, 5.0, 6.0], [1.0, 0.0, 0.0])
+        assert zero_bandwidth_point(dressed, NOISE, 1e160, 1.0) == 0.0
+
+    def test_overflow_is_non_finite_result(self):
+        dressed = manual_dressed([0.0, 5.0, 6.0], [1.0, 0.0, 0.0])
+        with pytest.raises(NonFiniteResult), np.errstate(over="ignore"):
+            zero_bandwidth_point(dressed, NoiseParams(1e-300), 0.0, 1.0)
 
 
 class TestZeroBandwidthConsistency:
@@ -481,7 +484,6 @@ class TestZeroBandwidthConsistency:
         # sum-localized entangled probe vs the analytic pinned formula
         big_d = 10.0
         amp = BiphotonAmplitude.entangled(sigma_p=0.05, t_s=20.0, t_l=20.0)
-        zb = BiphotonAmplitude.zero_bandwidth(omega_p=amp.omega_p, sigma=1.0)
         agree = total = 0
         for chirality in Chirality:
             cfg = DriveConfig(0.1, 0.1, 0.1, big_d, big_d, chirality)
@@ -493,7 +495,7 @@ class TestZeroBandwidthConsistency:
                     continue
                 det = DetectorPair(float(dpl), amp.omega_p - float(dpl))
                 p_full = transmission_point(dressed, amp, NOISE, det, grid)
-                p_zb = zero_bandwidth_point(dressed, zb, NOISE, det)
+                p_zb = zero_bandwidth_point(dressed, NOISE, float(dpl), 1.0)
                 total += 1
                 agree += int(np.sign(p_full) == np.sign(p_zb))
         assert total >= 30
