@@ -214,6 +214,11 @@ def _run_in_worker(job):
     return func(context, job)
 
 
+def pool_workers(threads: Optional[int], job_count: int) -> int:
+    """Workers ``run_jobs`` runs ``job_count`` jobs on: at most one per job and per core."""
+    return min(threads or 1, job_count, os.cpu_count() or 1)
+
+
 def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
     """Yield ``func(context, job)`` per job in job order, on a worker pool if threads > 1.
 
@@ -228,7 +233,7 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
     that raises ends the iteration with its exception; the pool is
     terminated when the generator ends, fails or is closed.
     """
-    workers = min(threads or 1, len(jobs), os.cpu_count() or 1)
+    workers = pool_workers(threads, len(jobs))
     if workers <= 1:
         for job in jobs:
             yield func(context, job)

@@ -6,8 +6,10 @@
 
 Outputs are UTF-8 CSV files with a header row, LF line endings and
 %.9e numeric formatting, plus a flat key-value manifest and a run
-record (config echo, version, wall time, sha256 per output).  Given the
-same config the output bytes are identical for any thread count.
+record (config echo, version, wall time, counts, sha256 per output).
+Curve numbers come from a vectorized formatter that equals Python's
+%.9e byte for byte: correctly rounded, ties to even.  Given the same
+config the output bytes are identical for any thread count.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure
 or out of memory.
@@ -16,6 +18,7 @@ or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -32,6 +35,7 @@ from . import __version__
 from .analysis import (
     compare_pair,
     discrimination_window,
+    pool_workers,
     regime_map,
     run_jobs,
     sweep_amplitude,
@@ -47,8 +51,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-#: Rows formatted per string when a curve CSV is written.
+#: Rows per write of a curve CSV.
 CSV_BLOCK_ROWS = 512
+#: Bytes of the widest %.9e number, "-1.234567890e-308".
+_FIELD = 17
 _CURVE_HEADER = b"delta_s_bar,P_c\n"
 
 
@@ -82,38 +88,122 @@ def _write_text(path: Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _curve_row_blocks(delta_s: np.ndarray) -> list[str]:
-    """Row templates of a curve CSV, ``CSV_BLOCK_ROWS`` rows per block.
+@functools.cache
+def _e9_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables of ``_format_e9``, built on first use.
 
-    Each row holds its formatted ``delta_s`` value and a ``%.9e`` slot for
-    ``P_c``, so the shared scan column is formatted once per command.
+    For each exponent ``e`` in -324..308: the factors ``10**s1`` and
+    ``10**s2`` with ``s1 = floor((9 - e) / 2)`` and ``s2 = 9 - e - s1``
+    (correctly rounded, as ``float`` parses them), and ``"e%+03d"`` as four
+    bytes plus a fifth that is a digit or NUL.  Also ``"\\0D.D"`` and
+    ``"-D.D"`` heads for the first two digits, and ``"%04d"`` of 0..9999.
+    Text tables are read as native integers, so one gather writes four
+    bytes.
     """
-    points = delta_s.tolist()
-    blocks = []
-    for start in range(0, len(points), CSV_BLOCK_ROWS):
-        chunk = points[start:start + CSV_BLOCK_ROWS]
-        blocks.append(("%.9e,%%.9e\n" * len(chunk)) % tuple(chunk))
-    return blocks
+    exponents = range(-324, 309)
+    scale1 = np.array([float(f"1e{(9 - e) >> 1}") for e in exponents])
+    scale2 = np.array([float(f"1e{(10 - e) >> 1}") for e in exponents])
+    heads = b"".join(
+        sign + b"%d.%d" % divmod(k, 10) for sign in (b"\0", b"-") for k in range(100)
+    )
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + ord("0")
+    exps = [b"e%+03d" % e for e in exponents]
+    return (
+        scale1,
+        scale2,
+        np.frombuffer(heads, np.uint32),
+        np.ascontiguousarray(digits).view(np.uint32)[:, 0],
+        np.frombuffer(b"".join(x[:4] for x in exps), np.uint32),
+        np.frombuffer(b"".join(x[4:].ljust(1, b"\0") for x in exps), np.uint8),
+    )
 
 
-def _write_curve(path: Path, row_blocks: list[str], values: np.ndarray) -> str:
-    """Write one curve CSV block by block; return the sha256 of its bytes.
+def _words(field: np.ndarray, start: int) -> np.ndarray:
+    """Bytes ``start:start + 4`` of each row of ``field`` as one uint32 column."""
+    return field[:, start:start + 4].view(np.uint32)[:, 0]
 
-    ``row_blocks`` comes from ``_curve_row_blocks`` of the grid the curve
-    was sampled on.  Filling one block at a time keeps every transient
-    string small: one string per curve fragments the heap and raises the
-    peak memory of the command.
+
+def _format_e9(values: np.ndarray, field: np.ndarray) -> None:
+    """Write ``b"%.9e" % v`` of each value into its row of ``field``, NUL-padded.
+
+    ``field`` is an (n, 17) uint8 array whose rows are contiguous; every
+    byte of it is written.  Removing the NULs leaves exactly Python's
+    ``%.9e``: correctly rounded, ties to even.  With ``e = floor(log10|v|)``,
+    the ten digits are ``rint(m)`` of ``m = |v| * 10**s1 * 10**s2``,
+    ``s1 + s2 = 9 - e``: each factor is a correctly rounded double and each
+    intermediate is a normal double, even for subnormal ``v``, so ``m`` is
+    within 4.5e-16 relative, below 5e-6 absolute, of the exact value.  A
+    value goes to Python's ``%`` instead when ``rint(m)`` is not ten digits
+    (a wrong ``e``, or rounding up into the next decade), when ``m`` lies
+    within 1e-5 of a tie (every exact tie does), or when it is not finite.
     """
+    scale1, scale2, heads, quads, exp4, exp1 = _e9_tables()
+    # Each array is as long as the curve: dropping each one when done
+    # keeps the peak memory of a command down.
+    m = np.abs(values)
+    finite = m <= sys.float_info.max  # NaN compares false
+    live = m > 0.0
+    live &= finite
+    np.copyto(m, 1.0, where=~live)  # zeros and non-finite values get e = 0
+    e = np.log10(m)
+    e = np.floor(e, out=e).astype(np.intp)
+    e += 324  # the tables start at e = -324
+    m *= scale1[e]
+    m *= scale2[e]
+    _words(field, 12)[:] = exp4[e]
+    field[:, 16] = exp1[e]
+    del e
+    q = np.rint(m)
+    m -= q
+    fallback = np.abs(m, out=m) > 0.5 - 1e-5
+    del m
+    fallback |= q < 1e9
+    fallback |= q >= 1e10
+    fallback |= ~finite
+    live &= ~fallback
+    q *= live  # zeros print ten zero digits; fallbacks keep the tables in range
+    q = q.astype(np.int64)
+    upper = q // 10000  # digits 1-6
+    q -= upper * 10000  # digits 7-10
+    _words(field, 8)[:] = quads[q]
+    q = upper // 10000  # digits 1-2
+    upper -= q * 10000  # digits 3-6
+    _words(field, 4)[:] = quads[upper]
+    np.add(q, 100, out=q, where=np.signbit(values))
+    _words(field, 0)[:] = heads[q]
+    for i in np.flatnonzero(fallback).tolist():
+        text = b"%.9e" % float(values[i])
+        field[i] = np.frombuffer(text.ljust(_FIELD, b"\0"), np.uint8)
+
+
+def _curve_rows(delta_s: np.ndarray) -> np.ndarray:
+    """Row buffer of a curve CSV: ``delta_s``, ``,``, a ``P_c`` field, ``\\n``.
+
+    Each number has a NUL-padded ``_FIELD``-byte field.  The scan column
+    is formatted here, once per command; ``_write_curve`` fills the other.
+    """
+    rows = np.zeros((delta_s.size, 2 * _FIELD + 2), np.uint8)
+    _format_e9(delta_s, rows[:, :_FIELD])
+    rows[:, _FIELD] = ord(",")
+    rows[:, -1] = ord("\n")
+    return rows
+
+
+def _write_curve(path: Path, rows: np.ndarray, values: np.ndarray) -> str:
+    """Write one curve CSV; return the sha256 of its bytes.
+
+    ``rows`` comes from ``_curve_rows`` of the grid the curve was sampled
+    on; its ``P_c`` fields are overwritten.  The file is written and
+    hashed ``CSV_BLOCK_ROWS`` rows at a time, so every transient bytes
+    object is small: one per curve fragments the heap and raises the peak
+    memory of the command.
+    """
+    _format_e9(values, rows[:, _FIELD + 1:-1])
     digest = hashlib.sha256(_CURVE_HEADER)
     with open(path, "wb") as fh:
         fh.write(_CURVE_HEADER)
-        for k, block in enumerate(row_blocks):
-            chunk = values[k * CSV_BLOCK_ROWS:(k + 1) * CSV_BLOCK_ROWS]
-            if chunk.any() or not np.signbit(chunk).all():
-                rows = block % tuple(chunk.tolist())
-            else:  # all -0.0, as where the probe amplitude underflows
-                rows = block.replace("%.9e", "-0.000000000e+00")
-            data = rows.encode("utf-8")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            data = rows[start:start + CSV_BLOCK_ROWS].tobytes().replace(b"\0", b"")
             fh.write(data)
             digest.update(data)
     return digest.hexdigest()
@@ -139,14 +229,16 @@ def _flat_config_items(node: dict, prefix: str = "config"):
 
 def _write_run_record(
     path: Path, command: str, cfg: ExperimentConfig, digests: dict[str, str],
-    wall_time: float,
+    wall_time: float, stats: dict[str, object],
 ) -> None:
+    """Write the run record; ``stats`` holds its ``count.*`` and ``time.*`` lines."""
     lines = [
         "tool = chirospec",
         f"version = {__version__}",
         f"command = {command}",
         f"wall_time_s = {wall_time:.3f}",
     ]
+    lines.extend(f"{key} = {value}" for key, value in stats.items())
     for key, value in _flat_config_items(config_mapping(cfg)):
         lines.append(f"{key} = {value}")
     for name, digest in digests.items():
@@ -176,17 +268,20 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     scan = build_scan_grid(cfg, cfg.probe)
     context = (TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan), cfg.probe)
     # TransmissionKernel.curves samples every curve on scan.points.
-    row_blocks = _curve_row_blocks(scan.points)
+    rows = _curve_rows(scan.points)
     digests: dict[str, str] = {}
     manifest = [f"idler_count = {len(cfg.idler)}"]
+    write_s = 0.0
     with closing(run_jobs(_idler_result, context, list(cfg.idler), threads)) as results:
         for index, (left, right, (sig_l, sig_r, metric, dist)) in enumerate(results):
             if index == 0:
                 out_dir.mkdir(parents=True, exist_ok=True)
             tag = f"{index:03d}"
+            write_started = time.perf_counter()
             for name, values in (("left", left), ("right", right)):
                 file_name = f"curve_{name}_{tag}.csv"
-                digests[file_name] = _write_curve(out_dir / file_name, row_blocks, values)
+                digests[file_name] = _write_curve(out_dir / file_name, rows, values)
+            write_s += time.perf_counter() - write_started
             manifest.extend(
                 [
                     f"idler.{tag}.omega_l_bar = {_fmt(cfg.idler[index])}",
@@ -201,8 +296,14 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     digests["manifest.txt"] = _write_text(
         out_dir / "manifest.txt", "\n".join(manifest) + "\n"
     )
+    stats = {
+        "count.curves": 2 * len(cfg.idler),
+        "count.scan_points": scan.points.size,
+        "count.workers": pool_workers(threads, len(cfg.idler)),
+        "time.write_s": f"{write_s:.3f}",
+    }
     _write_run_record(
-        out_dir / "run_record.txt", "spectrum", cfg, digests, time.time() - started
+        out_dir / "run_record.txt", "spectrum", cfg, digests, time.time() - started, stats
     )
     return EXIT_OK
 
@@ -244,8 +345,15 @@ def cmd_regime_map(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         out_dir / "legend.csv", "\n".join(legend_lines) + "\n"
     )
 
+    cells = rm.labels.size
+    stats = {
+        "count.cells": cells,
+        "count.curves": 2 * cells,
+        "count.scan_points": scan.points.size,
+        "count.workers": pool_workers(threads, len(t0_values)),
+    }
     _write_run_record(
-        out_dir / "run_record.txt", "regime-map", cfg, digests, time.time() - started
+        out_dir / "run_record.txt", "regime-map", cfg, digests, time.time() - started, stats
     )
     return EXIT_OK
 

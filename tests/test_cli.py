@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from chirospec import analysis, cli, model
 from chirospec.biphoton import MAX_GRID_POINTS, FrequencyGrid, default_grid
-from chirospec.cli import CSV_BLOCK_ROWS, _curve_row_blocks, _write_curve, main
+from chirospec.cli import CSV_BLOCK_ROWS, _curve_rows, _write_curve, main
 from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS, parse_config
 from chirospec.errors import NonFiniteResult
 from chirospec.model import dressed_pair
@@ -178,6 +178,19 @@ class TestSpectrumCommand:
             assert checksums == on_disk
             assert "version = " in record
             assert "config.noise.gamma = 1.0" in record
+            stats = dict(re.findall(r"^((?:count|time)\.\S+) = (\S+)$", record, re.M))
+            if command == "spectrum":
+                rows = len((out / "curve_left_000.csv").read_text(encoding="utf-8").splitlines())
+                assert stats.keys() == {"count.curves", "count.scan_points", "count.workers",
+                                        "time.write_s"}
+                assert (stats["count.curves"], stats["count.scan_points"]) == ("4", str(rows - 1))
+                assert float(stats["time.write_s"]) >= 0.0
+            else:
+                assert stats.keys() == {"count.cells", "count.curves", "count.scan_points",
+                                        "count.workers"}
+                assert (stats["count.cells"], stats["count.curves"]) == ("9", "18")
+                assert int(stats["count.scan_points"]) > 0
+            assert stats["count.workers"] == "1"
 
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg = write_cfg(tmp_path, SPECTRUM_CFG)
@@ -231,11 +244,20 @@ def reference_curve_csv(delta_s, values) -> bytes:
 
 
 # Numbers whose %.9e form is easy to get wrong: signed zeros, subnormals,
-# the extremes, and values that round up into the next decade.
+# the extremes, values that round up into the next decade, exact ties at
+# the tenth digit, powers of ten and their neighbours, three-digit
+# exponents, and values that are not finite.
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-300, 301)]
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
     -1.7976931348623157e308, 9.9999999995e-5, -9.9999999995e-5, 9.99999999951,
     0.99999999995, 1e-5, 1.0, -1.0,
+    1234567890.5, 1234567891.5, 12345678905.0, -9999999999.5,
+    *POWERS_OF_TEN,
+    *np.nextafter(POWERS_OF_TEN, 0.0).tolist(),
+    *np.nextafter(POWERS_OF_TEN, np.inf).tolist(),
+    -1.5e-100, 9.99999999951e99, -2.5e-308, 1.2345678901e200, -7.77e-222,
+    float("inf"), float("-inf"), float("nan"),
 ]
 BLOCK_LENGTHS = [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
                  2 * CSV_BLOCK_ROWS + 1]
@@ -346,11 +368,11 @@ class TestStreamedSpectrum:
         fork_pool(monkeypatch)
         written = []
 
-        def failing_write(path, row_blocks, values):
+        def failing_write(path, rows, values):
             if len(written) == 4:
                 raise OSError("disk full")
             written.append(path.name)
-            return _write_curve(path, row_blocks, values)
+            return _write_curve(path, rows, values)
 
         monkeypatch.setattr(cli, "_write_curve", failing_write)
         cfg = write_cfg(tmp_path, STREAM_CFG)
@@ -385,10 +407,26 @@ class TestCurveCsvOracle:
     def test_block_writer_matches_reference(self, columns, tmp_path_factory):
         delta_s, values = columns
         path = tmp_path_factory.mktemp("csv") / "curve.csv"
-        digest = _write_curve(path, _curve_row_blocks(delta_s), values)
+        digest = _write_curve(path, _curve_rows(delta_s), values)
         expected = reference_curve_csv(delta_s, values)
         assert path.read_bytes() == expected
         assert digest == hashlib.sha256(expected).hexdigest()
+
+
+class TestCurveCsvNearTies:
+    def test_ten_digit_near_ties_round_as_python(self, tmp_path):
+        # d5 at the eleventh digit: the double lies within about 1e-6 of
+        # the rounding boundary, inside the band that goes to Python's %
+        rng = np.random.default_rng(20261019)
+        digits = rng.integers(10**9, 10**10, size=100_000).tolist()
+        exponents = rng.integers(-320, 301, size=100_000).tolist()
+        values = np.array([float(f"{d}5e{k}") for d, k in zip(digits, exponents)])
+        path = tmp_path / "curve.csv"
+        _write_curve(path, _curve_rows(values[::-1]), values)
+        expected = "delta_s_bar,P_c\n" + "".join(
+            "%.9e,%.9e\n" % pair for pair in zip(values[::-1].tolist(), values.tolist())
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 NEG_ZERO, POS_ZERO = "-0.000000000e+00", "0.000000000e+00"
@@ -410,7 +448,7 @@ def mixed_zero_blocks():
 
 
 class TestCurveCsvZeroBlocks:
-    """Blocks of -0.0 are written without formatting; the bytes must not tell."""
+    """Whole blocks of signed zeros, as where the probe amplitude underflows."""
 
     @pytest.mark.parametrize(
         "values,texts",
@@ -429,7 +467,7 @@ class TestCurveCsvZeroBlocks:
         expected = "delta_s_bar,P_c\n" + "".join(
             f"{d:.9e},{t}\n" for d, t in zip(delta_s.tolist(), texts)
         )
-        digest = _write_curve(tmp_path / "curve.csv", _curve_row_blocks(delta_s), values)
+        digest = _write_curve(tmp_path / "curve.csv", _curve_rows(delta_s), values)
         assert (tmp_path / "curve.csv").read_bytes() == expected.encode("utf-8")
         assert digest == hashlib.sha256(expected.encode("utf-8")).hexdigest()
 
@@ -719,7 +757,7 @@ class TestShippedConfigs:
     def test_run_record_config_lines(self, tmp_path, name, command, expected):
         cfg = parse_config((CONFIG_DIR / name).read_text(encoding="utf-8"))
         path = tmp_path / "run_record.txt"
-        cli._write_run_record(path, command, cfg, {}, 0.0)
+        cli._write_run_record(path, command, cfg, {}, 0.0, {})
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [line for line in lines if line.startswith("config.")] == expected.splitlines()
 
