@@ -12,6 +12,7 @@ working regions of the entanglement-assisted scheme.
 from __future__ import annotations
 
 import os
+import sys
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -118,14 +119,22 @@ def compare_pair(
     curve is classified once, and
     metric = min(1, ||P_L - P_R||_2 / max(||P_L||_2, ||P_R||_2));
     the pair is distinguishable when the signatures differ or the metric
-    reaches DISCRIMINABILITY_THRESHOLD.
+    reaches DISCRIMINABILITY_THRESHOLD.  Where a norm overflows (values
+    above ~1e154), the metric is taken of both curves divided by their
+    larger peak magnitude.
     """
     if np.shape(values_l) != np.shape(values_r):
         raise ValidationError("curves to compare must have the same shape")
     sig_l = classify_lineshape(values_l)
     sig_r = classify_lineshape(values_r)
-    biggest = max(np.linalg.norm(values_l), np.linalg.norm(values_r))
-    distance = np.linalg.norm(values_l - values_r)
+    with np.errstate(over="ignore"):
+        biggest = max(np.linalg.norm(values_l), np.linalg.norm(values_r))
+        if not np.isfinite(biggest):
+            peak = max(np.max(np.abs(values_l)), np.max(np.abs(values_r)))
+            values_l, values_r = values_l / peak, values_r / peak
+            biggest = max(np.linalg.norm(values_l), np.linalg.norm(values_r))
+        # overflows only where the distance exceeds biggest: metric 1
+        distance = np.linalg.norm(values_l - values_r)
     metric = float(min(1.0, distance / biggest)) if biggest > 0.0 else 0.0
     return sig_l, sig_r, metric, sig_l != sig_r or metric >= DISCRIMINABILITY_THRESHOLD
 
@@ -254,10 +263,27 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
 
 
 def _row_result(context, t0: float) -> list:
-    """The ``compare_pair`` result of every idler of one T0 row."""
+    """The ``compare_pair`` result of every idler of one T0 row.
+
+    Each JSA row is evaluated only where |psi| may reach the smallest
+    normal double, 2^-1022: a subnormal operand costs a microcode assist
+    in every kernel operation.  This cut leaves every result as the full
+    row's:
+
+    * points inside the cut keep bit-identical values, as the operations
+      and the Q_i bits are the same.  A dropped quotient is below
+      2^-1022 / gamma, so it cannot move a pairwise partial sum that is at
+      least ~1e-290;
+    * where Q_i itself is that tiny, every curve value underflows to +-0,
+      so both curves are flat: null signatures and a metric of 0;
+    * a dropped point's value is far below 5% of any non-flat peak, and
+      its square underflows to 0 in the norms, so signatures, metric bits
+      and verdicts stay the same.
+    """
     kernel, amp_template, omega_l_axis = context
     amp = sweep_amplitude(amp_template, t0)
-    return [compare_pair(*kernel.curves(amp, wl)) for wl in omega_l_axis]
+    floor = sys.float_info.min
+    return [compare_pair(*kernel.curves(amp, wl, floor)) for wl in omega_l_axis]
 
 
 def regime_map(

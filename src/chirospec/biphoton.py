@@ -205,14 +205,23 @@ def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
     return amp.scale * np.exp(-expo)
 
 
-def row_support(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l) -> slice:
-    """Slice of grid_s.points outside which psi(., omega_l) is exactly 0.0.
+def row_support(
+    amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, floor: float = 0.0
+) -> slice:
+    """Slice of grid_s.points outside which |psi(., omega_l)| is below ``floor`` (or 0.0).
 
     At a fixed idler both kinds are scale * exp(-E), E = curv * (d - mu)^2
     + c0 in the signal detuning d.  The slice holds the points with E <=
-    UNDERFLOW_EXPONENT and one more on each side; all if the closed form overflows.
+    min(UNDERFLOW_EXPONENT, ln(|scale| / floor)) and one more on each side;
+    all if the closed form overflows.  The default floor 0.0 keeps every
+    nonzero value; a zero scale with a positive floor gives an empty slice.
     """
     wl = float(omega_l)
+    limit = UNDERFLOW_EXPONENT
+    if floor > 0.0:
+        if amp.scale == 0.0:
+            return slice(0, 0)
+        limit = min(limit, math.log(abs(amp.scale)) - math.log(floor))
     try:
         if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
             curv, mu = 0.5 / amp.sigma**2, amp.omega_sc
@@ -223,9 +232,9 @@ def row_support(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l) -> slice
             curv = pump + r * r
             mu = (pump * a + r * (r * amp.omega_sc - k)) / curv
             c0 = pump * (mu - a) ** 2 + (r * (mu - amp.omega_sc) + k) ** 2
-        if c0 > UNDERFLOW_EXPONENT:
+        if c0 > limit:
             return slice(0, 0)
-        reach = math.sqrt((UNDERFLOW_EXPONENT - c0) / curv)
+        reach = math.sqrt((limit - c0) / curv)
     except ArithmeticError:  # overflow or division by zero
         return slice(None)
     if not math.isfinite(mu + reach):  # nan from inf - inf or inf / inf
@@ -234,13 +243,14 @@ def row_support(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l) -> slice
     return slice(max(int(first) - 1, 0), int(last) + 1)
 
 
-def jsa_row(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l: float):
+def jsa_row(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l: float, floor: float = 0.0):
     """``(support, row)``: psi(., omega_l) sampled on its ``row_support`` slice of grid_s.
 
+    ``floor`` is the smallest |psi| the caller needs (see ``row_support``).
     Raises GridTooCoarse unless grid_s resolves amp.
     """
     _require_resolving(amp, grid_s)
-    support = row_support(amp, grid_s, omega_l)
+    support = row_support(amp, grid_s, omega_l, floor)
     return support, jsa_value(amp, grid_s.points[support], omega_l)
 
 

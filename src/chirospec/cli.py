@@ -209,22 +209,40 @@ def _write_curve(path: Path, rows: np.ndarray, values: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _flat_config_items(node: dict, prefix: str = "config"):
-    """Dotted key-value pairs of a canonical config mapping, keys sorted.
+def _config_leaves(node: dict, prefix: str):
+    """``(dotted key, value)`` of every scalar of a nested mapping, keys sorted.
 
-    Each item of a list is one pair under the list's key, and every value
-    is one line of YAML that reads back as the value.
+    Each item of a list is one leaf under the list's key.
     """
     for key in sorted(node):
         path, value = f"{prefix}.{key}", node[key]
         if isinstance(value, dict):
-            yield from _flat_config_items(value, path)
-            continue
-        for item in value if isinstance(value, list) else [value]:
-            text = yaml.safe_dump(item, width=math.inf).removesuffix("...\n").strip()
+            yield from _config_leaves(value, path)
+        else:
+            for item in value if isinstance(value, list) else [value]:
+                yield path, item
+
+
+def _flat_config_items(node: dict, prefix: str = "config") -> list[tuple[str, str]]:
+    """Dotted key-value pairs of a canonical config mapping, keys sorted.
+
+    Every value is one line of YAML that reads back as the value.  All
+    values but strings come from one ``safe_dump`` of them as a block list,
+    a ``- value`` line each, which writes each as its own dump would.
+    """
+    leaves = list(_config_leaves(node, prefix))
+    others = [value for _, value in leaves if not isinstance(value, str)]
+    dumped = iter(yaml.safe_dump(others, width=math.inf).splitlines() if others else ())
+    items = []
+    for path, value in leaves:
+        if not isinstance(value, str):
+            text = next(dumped).removeprefix("- ")
+        else:
+            text = yaml.safe_dump(value, width=math.inf).removesuffix("...\n").strip()
             if "\n" in text:  # a string with line breaks: escape them
-                text = yaml.safe_dump(item, width=math.inf, default_style='"').strip()
-            yield path, text
+                text = yaml.safe_dump(value, width=math.inf, default_style='"').strip()
+        items.append((path, text))
+    return items
 
 
 def _write_run_record(

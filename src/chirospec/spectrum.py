@@ -123,13 +123,16 @@ class TransmissionKernel:
             quotient[...] = 0.0
         return q
 
-    def curves(self, amp: BiphotonAmplitude, omega_l_bar: float) -> tuple[np.ndarray, ...]:
+    def curves(
+        self, amp: BiphotonAmplitude, omega_l_bar: float, floor: float = 0.0
+    ) -> tuple[np.ndarray, ...]:
         """One read-only curve per triad at one idler, sampled on the grid from one JSA row.
 
-        Outside the row's support the values are -0.0, as a full row's zeros
+        The row is sampled where |psi| may reach ``floor`` (``jsa_row``);
+        outside that support the values are -0.0, as a full row's zeros
         give.  Raises NonFiniteResult if a value comes out NaN or infinite.
         """
-        support, psi_row = jsa_row(amp, self.grid, omega_l_bar)
+        support, psi_row = jsa_row(amp, self.grid, omega_l_bar, floor)
         curves = []
         for triad in range(len(self.triads)):
             values = np.zeros(self.grid.points.size)

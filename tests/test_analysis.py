@@ -244,6 +244,18 @@ class TestDiscriminability:
         assert metric == 0.0
         assert dist is False
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("height", [1e160, 1e300])
+    def test_overflowing_norms_keep_the_relative_distance(self, height):
+        # the norms overflow to inf; inf / inf read as metric 1.0 and distinguishable
+        left = np.exp(-(X**2)) * height
+        _, _, metric, dist = compare_pair(left, left * (1 + 1e-6))
+        assert metric == pytest.approx(1e-6, rel=1e-4)
+        assert dist is False
+        _, _, metric, dist = compare_pair(left, -left)
+        assert metric == 1.0
+        assert dist is True
+
     def test_classical_probe_pair(self):
         scan = wp.scan_grid(wp.UNCORRELATED_PROBE)
         left, right = curve_pair(

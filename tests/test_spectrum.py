@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirospec import spectrum
-from chirospec.analysis import SWEEP_T_L_RATIO, SWEEP_T_S_RATIO, curve_pair, sweep_amplitude
+from chirospec.analysis import (
+    SWEEP_T_L_RATIO,
+    SWEEP_T_S_RATIO,
+    compare_pair,
+    curve_pair,
+    sweep_amplitude,
+)
 from chirospec.biphoton import (
     BiphotonAmplitude,
     FrequencyGrid,
@@ -345,7 +352,7 @@ class TestRowSupport:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 spectrum, "jsa_row",
-                lambda amp, grid, wl: (slice(None), jsa_value(amp, grid.points, wl)),
+                lambda amp, grid, wl, floor: (slice(None), jsa_value(amp, grid.points, wl)),
             )
             full_row_curves = kernel.curves(amp, omega_l)
         for curve, full_row_curve in zip(curves, full_row_curves, strict=True):
@@ -364,6 +371,64 @@ class TestRowSupport:
         for curve, dressed in zip(curves, pair):
             (alone,) = TransmissionKernel([dressed], NOISE, grid).curves(amp, omega_l)
             assert curve.tobytes() == alone.tobytes()
+
+
+TINY = sys.float_info.min
+
+
+def uncorrelated_row(c0):
+    """An uncorrelated row whose exponent E is at least ``c0`` on the whole grid."""
+    amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
+    return amp, default_grid(amp, 1.0, resonant_dressed().lambdas), math.sqrt(2.0 * c0)
+
+
+def entangled_row(scale):
+    amp = BiphotonAmplitude.entangled(0.2, -0.1, scale=scale, **ENTANGLED_DELAYS)
+    return amp, default_grid(amp, 1.0, resonant_dressed().lambdas), 0.4
+
+
+class TestNormalFloorCut:
+    """Rows cut where |psi| falls below the smallest normal double, as the regime map samples them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_rows())
+    @example(FAR_IDLER)
+    @example(uncorrelated_row(700.0))
+    @example(entangled_row(0.0))
+    def test_floor_support_drops_only_values_below_the_floor(self, row):
+        amp, grid, omega_l = row
+        support, sampled = jsa_row(amp, grid, omega_l, TINY)
+        assert support == row_support(amp, grid, omega_l, TINY)
+        full_support = row_support(amp, grid, omega_l)
+        assert set(range(grid.points.size)[support]) <= set(range(grid.points.size)[full_support])
+        outside = np.ones(grid.points.size, dtype=bool)
+        outside[support] = False
+        full = jsa_value(amp, grid.points, omega_l)
+        assert sampled.tobytes() == full[support].tobytes()
+        assert np.all(np.abs(full[outside]) < TINY)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sampled_rows(), st.floats(0.05, 5.0))
+    @example(FAR_IDLER, 1.0)
+    @example(uncorrelated_row(749.9), 1.0)  # whole support below the floor
+    @example(uncorrelated_row(720.0), 0.05)  # ... with subnormal values in the full row
+    @example(entangled_row(1e-150), 0.3)
+    @example(entangled_row(1e150), 2.0)  # norms overflow in compare_pair
+    @example(entangled_row(7.5), 0.05)
+    @example(entangled_row(0.0), 1.0)
+    def test_cut_curves_compare_as_full_curves(self, row, gamma):
+        amp, grid, omega_l = row
+        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NoiseParams(gamma), grid)
+        full, cut = kernel.curves(amp, omega_l), kernel.curves(amp, omega_l, TINY)
+        support = row_support(amp, grid, omega_l, TINY)
+        outside = np.ones(grid.points.size, dtype=bool)
+        outside[support] = False
+        for cut_curve, full_curve in zip(cut, full, strict=True):
+            assert cut_curve[support].tobytes() == full_curve[support].tobytes()
+            assert np.all(cut_curve[outside] == 0.0) and np.all(np.signbit(cut_curve[outside]))
+        got, expected = compare_pair(*cut), compare_pair(*full)
+        assert got[:2] == expected[:2] and got[3] == expected[3]
+        assert got[2].hex() == expected[2].hex()  # the metric, bit for bit
 
 
 HUGE = np.finfo(float).max
