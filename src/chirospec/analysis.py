@@ -36,6 +36,9 @@ SWEEP_T_S_RATIO = 2.4
 SWEEP_T_L_RATIO = 2.5
 
 MIN_CURVE_POINTS = 16
+#: ``compare_pair`` rescales below this larger norm; above it, squares lost to
+#: underflow move a sum of up to 2**20 squares by under 2**-55 of its value.
+NORM_RESCALE_FLOOR = 2.0**-500
 #: Jobs per pool worker that ``run_jobs`` keeps submitted and not yet consumed.
 JOBS_IN_FLIGHT_PER_WORKER = 2
 
@@ -119,9 +122,11 @@ def compare_pair(
     curve is classified once, and
     metric = min(1, ||P_L - P_R||_2 / max(||P_L||_2, ||P_R||_2));
     the pair is distinguishable when the signatures differ or the metric
-    reaches DISCRIMINABILITY_THRESHOLD.  Where a norm overflows (values
-    above ~1e154), the metric is taken of both curves divided by their
-    larger peak magnitude.
+    reaches DISCRIMINABILITY_THRESHOLD.  Where the larger norm overflows
+    (values above ~1e154) or falls below NORM_RESCALE_FLOOR, both curves are
+    first scaled by the power of two that brings their larger peak into
+    [0.5, 1); that rounds only values that end subnormal, so the metric does
+    not depend on the curves' scale.
     """
     if np.shape(values_l) != np.shape(values_r):
         raise ValidationError("curves to compare must have the same shape")
@@ -129,9 +134,10 @@ def compare_pair(
     sig_r = classify_lineshape(values_r)
     with np.errstate(over="ignore"):
         biggest = max(np.linalg.norm(values_l), np.linalg.norm(values_r))
-        if not np.isfinite(biggest):
+        if not NORM_RESCALE_FLOOR <= biggest < np.inf:
             peak = max(np.max(np.abs(values_l)), np.max(np.abs(values_r)))
-            values_l, values_r = values_l / peak, values_r / peak
+            exponent = np.frexp(peak)[1]  # 0 for two zero curves
+            values_l, values_r = np.ldexp(values_l, -exponent), np.ldexp(values_r, -exponent)
             biggest = max(np.linalg.norm(values_l), np.linalg.norm(values_r))
         # overflows only where the distance exceeds biggest: metric 1
         distance = np.linalg.norm(values_l - values_r)

@@ -72,56 +72,40 @@ def _smith_factors(den_re: np.ndarray, gamma: float) -> tuple[np.ndarray, np.nda
     mul = np.empty(den_re.shape, dtype=complex)
     mul.real = np.where(wide, 1.0, rat)
     mul.imag = np.where(wide, -rat, -1.0)
-    return mul, 1.0 / (bottom + top * rat)
+    scl = 1.0 / (bottom + top * rat)
+    mul.flags.writeable = scl.flags.writeable = False
+    return mul, scl
+
+
+def _trapezoid(row: np.ndarray, step: float) -> complex:
+    """Composite trapezoid of a whole row on a uniform grid: the one rule for Q_i."""
+    return step * (row.sum() - 0.5 * (row[0] + row[-1]))
 
 
 class TransmissionKernel:
     """Transmission spectra of dressed triads, e.g. an enantiomer pair, on one signal grid.
 
-    Holds what does not depend on the JSA row: per triad, the weights
-    |eta_1i|^2 and, per mode, the Smith factors of the denominator
-    lambda_i - d'' + i*gamma (``_smith_factors``): a complex ``mul`` and a
+    Holds what does not depend on the JSA row, read-only: per triad and
+    mode, the weight |eta_1i|^2 and the Smith factors of the denominator
+    lambda_i - d'' + i*gamma (``_smith_factors``), a complex ``mul`` and a
     real ``scl``, 24 B per grid point per mode (1.3 MB for the canonical
     pair's 9301 points).  psi * mul * scl is the quotient numpy's division
     gives, up to the sign of a zero part.  A zero's sign changes no nonzero
     sum or product, and each curve starts at +0.0, so the curves keep the
     bytes of a plain division.  The grid is both the quadrature grid of the
-    mode integrals Q_i and, for curves, the signal detector's scan.  The
-    kernel owns ``work``, a zero-filled complex array of the grid's size; a
-    call writes only to it and leaves it zeroed, so calls on one kernel
-    must not overlap (a pool worker has its own copy).
+    mode integrals Q_i and, for curves, the signal detector's scan.  A
+    kernel holds no mutable state, so calls may overlap.
     """
 
     def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid):
         self.grid, points = grid_s, grid_s.points
-        self.triads = [
-            (d.eta1_sq, [_smith_factors(lam - points, noise.gamma) for lam in d.lambdas])
+        self.triads = tuple(
+            tuple(
+                (weight, *_smith_factors(lam - points, noise.gamma))
+                for weight, lam in zip(d.eta1_sq, d.lambdas)
+            )
             for d in dressed_triads
-        ]
-        self.work = np.zeros(points.size, dtype=complex)
-
-    def mode_integrals(self, psi_row, support, triad=0, curve_part=None) -> list:
-        """Q_i = trapezoid of psi(d'', wl) / (lambda_i - d'' + i*gamma) of one triad.
-
-        The row is given on its ``support`` slice of the grid, as
-        ``jsa_row`` samples it.  Each psi / den is formed once, in the work
-        array, as (psi * mul) * scl, so the trapezoid sums in the order of
-        a full row.  Given ``curve_part``, each adds
-        weight_i * Re(psi / den * Q_i) to it: the curve's psi* / den term,
-        as rows are real.
-        """
-        weights, factors = self.triads[triad]
-        quotient, q, step = self.work[support], [], self.grid.step
-        try:
-            for weight, (mul, scl) in zip(weights, factors):
-                np.multiply(psi_row, mul[support], out=quotient)
-                np.multiply(quotient, scl[support], out=quotient)
-                q.append(step * (self.work.sum() - 0.5 * (self.work[0] + self.work[-1])))
-                if curve_part is not None:
-                    curve_part += weight * (quotient * q[-1]).real
-        finally:
-            quotient[...] = 0.0
-        return q
+        )
 
     def curves(
         self, amp: BiphotonAmplitude, omega_l_bar: float, floor: float = 0.0
@@ -130,13 +114,21 @@ class TransmissionKernel:
 
         The row is sampled where |psi| may reach ``floor`` (``jsa_row``);
         outside that support the values are -0.0, as a full row's zeros
-        give.  Raises NonFiniteResult if a value comes out NaN or infinite.
+        give.  Each mode's psi / den is formed once, as (psi * mul) * scl,
+        in the support of a zeroed row that all modes of the call share, so
+        Q_i is the trapezoid of a full row; the curve adds
+        weight_i * Re(psi / den * Q_i), its psi* / den term, as rows are
+        real.  Raises NonFiniteResult if a value comes out NaN or infinite.
         """
         support, psi_row = jsa_row(amp, self.grid, omega_l_bar, floor)
-        curves = []
-        for triad in range(len(self.triads)):
-            values = np.zeros(self.grid.points.size)
-            self.mode_integrals(psi_row, support, triad, values[support])
+        row, curves = np.zeros(self.grid.points.size, dtype=complex), []
+        quotient = row[support]
+        for modes in self.triads:
+            values = np.zeros(row.size)
+            for weight, mul, scl in modes:
+                np.multiply(psi_row, mul[support], out=quotient)
+                np.multiply(quotient, scl[support], out=quotient)
+                values[support] += weight * (quotient * _trapezoid(row, self.grid.step)).real
             np.negative(values, out=values)
             if not np.all(np.isfinite(values)):
                 raise NonFiniteResult("spectrum curve contains non-finite values")
@@ -154,12 +146,13 @@ def transmission_point(
 ) -> float:
     """Transmission spectrum at one detector pair, by quadrature over grid_s."""
     support, psi_row = jsa_row(amp, grid_s, det.omega_l_bar)
-    q = TransmissionKernel([dressed], noise, grid_s).mode_integrals(psi_row, support)
+    row, points = np.zeros(grid_s.points.size, dtype=complex), grid_s.points[support]
     psi_det = jsa_value(amp, det.omega_s_bar, det.omega_l_bar)
     total = 0.0
-    for i in range(3):
-        factor = psi_det / (dressed.lambdas[i] - det.omega_s_bar + 1j * noise.gamma)
-        total += dressed.eta1_sq[i] * (factor * q[i]).real
+    for weight, lam in zip(dressed.eta1_sq, dressed.lambdas):
+        row[support] = psi_row / (lam - points + 1j * noise.gamma)
+        factor = psi_det / (lam - det.omega_s_bar + 1j * noise.gamma)
+        total += weight * (factor * _trapezoid(row, grid_s.step)).real
     result = -total
     if not math.isfinite(result):
         raise NonFiniteResult("transmission quadrature produced a non-finite value")

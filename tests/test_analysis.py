@@ -256,6 +256,20 @@ class TestDiscriminability:
         assert metric == 1.0
         assert dist is True
 
+    @pytest.mark.parametrize("height", [1e-170, 1e-300])
+    def test_underflowing_norms_keep_the_metric(self, height):
+        # unscaled, the squares underflow and both norms read 0.0 (metric 0.0)
+        shape = np.exp(-(X**2))
+        expected = compare_pair(shape * 1e-20, shape * 1e-20 * 1.5)[2:]
+        assert expected[1] is True
+        metric, dist = compare_pair(shape * height, shape * height * 1.5)[2:]
+        assert dist is expected[1]
+        assert metric == pytest.approx(expected[0], rel=1e-15)  # the scaled inputs round apart
+        # a power-of-two height scales exactly, and so does the rescale: the same bits
+        exponent = math.frexp(height)[1]
+        exact = np.ldexp(shape, exponent), np.ldexp(shape * 1.5, exponent)
+        assert compare_pair(*exact)[2:] == compare_pair(shape, shape * 1.5)[2:]
+
     def test_classical_probe_pair(self):
         scan = wp.scan_grid(wp.UNCORRELATED_PROBE)
         left, right = curve_pair(

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from chirospec.spectrum import (
     zero_bandwidth_point,
 )
 from plain_division import plain_division_curves
+import working_point as wp
 
 NOISE = NoiseParams(1.0)
 RESONANT_RIGHT = DriveConfig(0.1, 0.1, 0.1, 0.0, 0.0, Chirality.RIGHT)
@@ -279,6 +281,43 @@ class TestCurveArrays:
             assert not np.shares_memory(curve, row)
             assert not np.shares_memory(curve, other)
 
+    def test_kernel_holds_only_read_only_arrays(self):
+        def held_arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from held_arrays(item)
+            elif hasattr(obj, "__dict__"):
+                for item in vars(obj).values():
+                    yield from held_arrays(item)
+
+        scan = FrequencyGrid.build(0.0, 6.0, 0.05)
+        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
+        kernel.curves(BiphotonAmplitude.uncorrelated(sigma=1.0), 0.3)
+        arrays = list(held_arrays(kernel))
+        assert len(arrays) == 1 + 2 * 3 * 2  # the grid's points, each mode's mul and scl
+        assert not any(array.flags.writeable for array in arrays)
+
+    def test_threads_calling_one_kernel_get_the_serial_bytes(self):
+        amp = wp.ENTANGLED_PROBE
+        kernel = TransmissionKernel(dressed_pair(wp.DRIVE), wp.NOISE, wp.scan_grid(amp))
+        idlers = np.linspace(-1.254, 1.254, 40)
+
+        def curve_bytes(omega_ls):
+            return [b"".join(c.tobytes() for c in kernel.curves(amp, wl)) for wl in omega_ls]
+
+        serial = curve_bytes(idlers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(curve_bytes, idlers[::step]) for step in (1, -1, 1, -1)]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial, serial[::-1]] * 2
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(1e160, 1e300))
     def test_overflowing_jsa_row_is_non_finite(self, height):
@@ -344,8 +383,7 @@ class TestRowSupport:
     def test_kernel_curves_equal_full_row_curves(self, row):
         amp, grid, omega_l = row
         kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, grid)
-        kernel.curves(amp, omega_l + 0.5)
-        assert not np.any(kernel.work)  # left zeroed for the next call
+        kernel.curves(amp, omega_l + 0.5)  # an earlier call leaves nothing behind
         outside = np.ones(grid.points.size, dtype=bool)
         outside[row_support(amp, grid, omega_l)] = False
         curves = kernel.curves(amp, omega_l)
@@ -363,7 +401,7 @@ class TestRowSupport:
     @given(sampled_rows())
     @example(FAR_IDLER)
     def test_pair_kernel_equals_one_triad_kernels(self, row):
-        # the pair shares one work array: one triad's call must not leak into the other's
+        # all modes of a call share one row: one triad's quotients must not leak into the other's
         amp, grid, omega_l = row
         pair = dressed_pair(RESONANT_RIGHT)
         curves = TransmissionKernel(pair, NOISE, grid).curves(amp, omega_l)
