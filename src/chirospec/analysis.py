@@ -11,8 +11,8 @@ working regions of the entanglement-assisted scheme.
 
 from __future__ import annotations
 
+import math
 import os
-import sys
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -271,25 +271,19 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
 def _row_result(context, t0: float) -> list:
     """The ``compare_pair`` result of every idler of one T0 row.
 
-    Each JSA row is evaluated only where |psi| may reach the smallest
-    normal double, 2^-1022: a subnormal operand costs a microcode assist
-    in every kernel operation.  This cut leaves every result as the full
-    row's:
-
-    * points inside the cut keep bit-identical values, as the operations
-      and the Q_i bits are the same.  A dropped quotient is below
-      2^-1022 / gamma, so it cannot move a pairwise partial sum that is at
-      least ~1e-290;
-    * where Q_i itself is that tiny, every curve value underflows to +-0,
-      so both curves are flat: null signatures and a metric of 0;
-    * a dropped point's value is far below 5% of any non-flat peak, and
-      its square underflows to 0 in the norms, so signatures, metric bits
-      and verdicts stay the same.
+    Each JSA row is evaluated only down to e^-D of its largest grid value
+    M (``row_support``), at the depth ``regime_map`` derives from the grid:
+    D = 60 ln 2 + ln(2 n (1 + (R / gamma)^2)), n scan points and R the
+    largest |lambda_i - d| over the pair's energies and the scan's ends.
+    psi has one sign along a row and |den| >= gamma, so the dropped points
+    move each trapezoid Q_i by at most step * n * e^-D * M / gamma, while
+    |Q_i| >= |Im Q_i| >= step / 2 * M * gamma / (R^2 + gamma^2): each Q_i
+    moves by less than 2^-60 of itself, on any grid and at any gamma, and a
+    dropped curve value is below e^-D * M * sum_i |eta_1i|^2 |Q_i| / gamma.
     """
-    kernel, amp_template, omega_l_axis = context
+    kernel, amp_template, omega_l_axis, depth = context
     amp = sweep_amplitude(amp_template, t0)
-    floor = sys.float_info.min
-    return [compare_pair(*kernel.curves(amp, wl, floor)) for wl in omega_l_axis]
+    return [compare_pair(*kernel.curves(amp, wl, depth)) for wl in omega_l_axis]
 
 
 def regime_map(
@@ -314,8 +308,12 @@ def regime_map(
     if t0_axis.size == 0 or omega_l_axis.size == 0:
         raise ValidationError("sweep axes must be nonempty")
 
-    kernel = TransmissionKernel(dressed_pair(cfg), noise, scan_s)
-    context = (kernel, amp_template, omega_l_axis.tolist())
+    pair, ends, gamma = dressed_pair(cfg), scan_s.points[[0, -1]].tolist(), float(noise.gamma)
+    # R / gamma in Python floats: where it is huge, the depth is inf (full rows), with no warning
+    ratio = max(abs(lam - d) for t in pair for lam in t.lambdas.tolist() for d in ends) / gamma
+    depth = 60 * math.log(2) + math.log(2 * scan_s.points.size * (1 + ratio * ratio))
+    kernel = TransmissionKernel(pair, noise, scan_s)
+    context = (kernel, amp_template, omega_l_axis.tolist(), depth)
     labels = np.zeros((t0_axis.size, omega_l_axis.size), dtype=int)
     interned: dict[tuple[LineShapeSignature, LineShapeSignature], int] = {}
     with closing(run_jobs(_row_result, context, t0_axis.tolist(), threads)) as rows:

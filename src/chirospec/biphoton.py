@@ -206,22 +206,18 @@ def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
 
 
 def row_support(
-    amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, floor: float = 0.0
+    amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, depth: float = math.inf
 ) -> slice:
-    """Slice of grid_s.points outside which |psi(., omega_l)| is below ``floor`` (or 0.0).
+    """Slice of grid_s.points outside which |psi(., omega_l)| is below e^-depth of its grid peak.
 
     At a fixed idler both kinds are scale * exp(-E), E = curv * (d - mu)^2
-    + c0 in the signal detuning d.  The slice holds the points with E <=
-    min(UNDERFLOW_EXPONENT, ln(|scale| / floor)) and one more on each side;
-    all if the closed form overflows.  The default floor 0.0 keeps every
-    nonzero value; a zero scale with a positive floor gives an empty slice.
+    + c0 in the signal detuning d.  E_top, the smallest E on the grid, is E
+    at the grid point nearest mu.  The slice holds the points with E <=
+    min(UNDERFLOW_EXPONENT, E_top + depth) and one more on each side, so
+    the row's largest grid value is kept; all points if the closed form
+    overflows.  The default depth, inf, keeps every nonzero value.
     """
-    wl = float(omega_l)
-    limit = UNDERFLOW_EXPONENT
-    if floor > 0.0:
-        if amp.scale == 0.0:
-            return slice(0, 0)
-        limit = min(limit, math.log(abs(amp.scale)) - math.log(floor))
+    wl, points = float(omega_l), grid_s.points
     try:
         if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
             curv, mu = 0.5 / amp.sigma**2, amp.omega_sc
@@ -232,6 +228,10 @@ def row_support(
             curv = pump + r * r
             mu = (pump * a + r * (r * amp.omega_sc - k)) / curv
             c0 = pump * (mu - a) ** 2 + (r * (mu - amp.omega_sc) + k) ** 2
+        first = float(points[0])  # Python floats: an overflow is inf, never a warning
+        nearest = round((max(first, min(mu, float(points[-1]))) - first) / grid_s.step)
+        near = float(points[min(nearest, points.size - 1)])
+        limit = min(UNDERFLOW_EXPONENT, curv * ((near - mu) * (near - mu)) + c0 + depth)
         if c0 > limit:
             return slice(0, 0)
         reach = math.sqrt((limit - c0) / curv)
@@ -239,18 +239,18 @@ def row_support(
         return slice(None)
     if not math.isfinite(mu + reach):  # nan from inf - inf or inf / inf
         return slice(None)
-    first, last = np.searchsorted(grid_s.points, [mu - reach, mu + reach], side="right")
+    first, last = np.searchsorted(points, [mu - reach, mu + reach], side="right")
     return slice(max(int(first) - 1, 0), int(last) + 1)
 
 
-def jsa_row(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l: float, floor: float = 0.0):
+def jsa_row(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, depth: float = math.inf):
     """``(support, row)``: psi(., omega_l) sampled on its ``row_support`` slice of grid_s.
 
-    ``floor`` is the smallest |psi| the caller needs (see ``row_support``).
+    ``depth``: the caller needs the row down to e^-depth of its grid peak.
     Raises GridTooCoarse unless grid_s resolves amp.
     """
     _require_resolving(amp, grid_s)
-    support = row_support(amp, grid_s, omega_l, floor)
+    support = row_support(amp, grid_s, omega_l, depth)
     return support, jsa_value(amp, grid_s.points[support], omega_l)
 
 

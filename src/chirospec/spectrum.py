@@ -108,11 +108,11 @@ class TransmissionKernel:
         )
 
     def curves(
-        self, amp: BiphotonAmplitude, omega_l_bar: float, floor: float = 0.0
+        self, amp: BiphotonAmplitude, omega_l_bar: float, depth: float = math.inf
     ) -> tuple[np.ndarray, ...]:
         """One read-only curve per triad at one idler, sampled on the grid from one JSA row.
 
-        The row is sampled where |psi| may reach ``floor`` (``jsa_row``);
+        The row is sampled down to e^-depth of its grid peak (``jsa_row``);
         outside that support the values are -0.0, as a full row's zeros
         give.  Each mode's psi / den is formed once, as (psi * mul) * scl,
         in the support of a zeroed row that all modes of the call share, so
@@ -120,7 +120,7 @@ class TransmissionKernel:
         weight_i * Re(psi / den * Q_i), its psi* / den term, as rows are
         real.  Raises NonFiniteResult if a value comes out NaN or infinite.
         """
-        support, psi_row = jsa_row(amp, self.grid, omega_l_bar, floor)
+        support, psi_row = jsa_row(amp, self.grid, omega_l_bar, depth)
         row, curves = np.zeros(self.grid.points.size, dtype=complex), []
         quotient = row[support]
         for modes in self.triads:

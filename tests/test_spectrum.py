@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,17 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chirospec import spectrum
+from chirospec import analysis, spectrum
 from chirospec.analysis import (
     SWEEP_T_L_RATIO,
     SWEEP_T_S_RATIO,
     compare_pair,
     curve_pair,
+    regime_map,
     sweep_amplitude,
 )
 from chirospec.biphoton import (
+    UNDERFLOW_EXPONENT,
     BiphotonAmplitude,
     FrequencyGrid,
+    JsaKind,
     default_grid,
     jsa_row,
     jsa_value,
@@ -390,7 +394,7 @@ class TestRowSupport:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 spectrum, "jsa_row",
-                lambda amp, grid, wl, floor: (slice(None), jsa_value(amp, grid.points, wl)),
+                lambda amp, grid, wl, depth: (slice(None), jsa_value(amp, grid.points, wl)),
             )
             full_row_curves = kernel.curves(amp, omega_l)
         for curve, full_row_curve in zip(curves, full_row_curves, strict=True):
@@ -411,9 +415,6 @@ class TestRowSupport:
             assert curve.tobytes() == alone.tobytes()
 
 
-TINY = sys.float_info.min
-
-
 def uncorrelated_row(c0):
     """An uncorrelated row whose exponent E is at least ``c0`` on the whole grid."""
     amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
@@ -425,48 +426,148 @@ def entangled_row(scale):
     return amp, default_grid(amp, 1.0, resonant_dressed().lambdas), 0.4
 
 
-class TestNormalFloorCut:
-    """Rows cut where |psi| falls below the smallest normal double, as the regime map samples them."""
+def exponents(amp, points, omega_l):
+    """E of psi = scale * exp(-E) on ``points``, from the amplitude's definition."""
+    if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
+        return ((points - amp.omega_sc) ** 2 + (omega_l - amp.omega_lc) ** 2) / (2 * amp.sigma**2)
+    kappa = (points - amp.omega_sc) * amp.t_s / 2 + (omega_l - amp.omega_lc) * amp.t_l / 2
+    return (points + omega_l - amp.omega_p) ** 2 / (2 * amp.sigma_p**2) + kappa**2
+
+
+def map_kernel_and_depth(drive, noise, grid, amp, omega_l):
+    """The kernel and row depth ``regime_map`` hands its rows for one drive, noise and grid."""
+    handed = []
+
+    def recorded_run_jobs(func, context, jobs, threads):
+        handed.append(context)
+        yield from ()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "run_jobs", recorded_run_jobs)
+        regime_map(drive, amp, noise, [0.0], [omega_l], grid)
+    kernel, _, _, depth = handed[0]
+    return kernel, depth
+
+
+def expected_map_depth(drive, noise, grid):
+    """D = 60 ln 2 + ln(2 n (1 + (R / gamma)^2)) of the pair's energies and the grid's ends."""
+    reach = max(abs(lam - end) for dressed in dressed_pair(drive)
+                for lam in dressed.lambdas for end in (grid.points[0], grid.points[-1]))
+    return 60 * math.log(2) + math.log(2 * grid.points.size * (1 + (reach / noise.gamma) ** 2))
+
+
+def trapezoid_integrals(amp, grid, omega_l, support, lambdas, gamma):
+    """Q_i of the row sampled on ``support`` (zero elsewhere), by plain division."""
+    row = np.zeros(grid.points.size)
+    row[support] = jsa_value(amp, grid.points[support], omega_l)
+    quotients = row / (np.asarray(lambdas)[:, None] - grid.points + 1j * gamma)
+    return grid.step * (quotients.sum(axis=1) - 0.5 * (quotients[:, 0] + quotients[:, -1]))
+
+
+DRIVES = st.builds(
+    DriveConfig,
+    *(st.floats(0.0, 1.0) for _ in range(3)),
+    *(st.floats(-3.0, 3.0) for _ in range(2)),
+)
+DEPTHS = st.floats(0.0, 100.0) | st.just(math.inf)
+SMALLEST_SUBNORMAL = math.ulp(0.0)
+
+
+class TestDepthCut:
+    """Rows cut at a depth below their own grid peak, as the regime map samples them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_rows(), DEPTHS)
+    @example(FAR_IDLER, 0.0)
+    @example(uncorrelated_row(700.0), 55.0)
+    @example(uncorrelated_row(749.9), 55.0)
+    @example(entangled_row(0.0), 55.0)
+    @example(entangled_row(7.5), 0.0)
+    @example(uncorrelated_row(740.5), 2.0**-8)  # subnormal row, rounded to a few units
+    def test_dropped_points_lie_depth_below_the_kept_peak(self, row, depth):
+        amp, grid, omega_l = row
+        support, sampled = jsa_row(amp, grid, omega_l, depth)
+        assert support == row_support(amp, grid, omega_l, depth)
+        indices = range(grid.points.size)
+        assert set(indices[support]) <= set(indices[row_support(amp, grid, omega_l)])
+        full = jsa_value(amp, grid.points, omega_l)
+        assert sampled.tobytes() == full[support].tobytes()
+        outside = np.ones(grid.points.size, dtype=bool)
+        outside[support] = False
+        peak = np.max(np.abs(full))
+        if peak > 0.0:
+            assert np.max(np.abs(sampled)) == peak
+            # a few units of the least subnormal: subnormal values carry no relative precision
+            bound = math.exp(-depth) * peak * (1 + 1e-9) + 4 * SMALLEST_SUBNORMAL
+            assert np.all(np.abs(full[outside]) <= bound)
+        else:
+            assert not np.any(full)
 
     @settings(max_examples=300, deadline=None)
     @given(sampled_rows())
     @example(FAR_IDLER)
-    @example(uncorrelated_row(700.0))
-    @example(entangled_row(0.0))
-    def test_floor_support_drops_only_values_below_the_floor(self, row):
+    @example(uncorrelated_row(720.0))
+    def test_default_depth_keeps_the_points_within_the_underflow_exponent(self, row):
         amp, grid, omega_l = row
-        support, sampled = jsa_row(amp, grid, omega_l, TINY)
-        assert support == row_support(amp, grid, omega_l, TINY)
-        full_support = row_support(amp, grid, omega_l)
-        assert set(range(grid.points.size)[support]) <= set(range(grid.points.size)[full_support])
-        outside = np.ones(grid.points.size, dtype=bool)
-        outside[support] = False
-        full = jsa_value(amp, grid.points, omega_l)
-        assert sampled.tobytes() == full[support].tobytes()
-        assert np.all(np.abs(full[outside]) < TINY)
+        support = row_support(amp, grid, omega_l)
+        assert support == row_support(amp, grid, omega_l, math.inf)
+        assert support == row_support(amp, grid, omega_l, UNDERFLOW_EXPONENT)
+        exponent = exponents(amp, grid.points, omega_l)
+        inside = np.zeros(grid.points.size, dtype=bool)
+        inside[support] = True
+        # E <= 750 plus one point on each side, to the rounding of E at the edge
+        assert np.all(inside[exponent <= UNDERFLOW_EXPONENT * (1 - 1e-12)])
+        core = np.flatnonzero(inside)[1:-1]
+        assert np.all(exponent[core] <= UNDERFLOW_EXPONENT * (1 + 1e-12))
 
     @settings(max_examples=200, deadline=None)
-    @given(sampled_rows(), st.floats(0.05, 5.0))
-    @example(FAR_IDLER, 1.0)
-    @example(uncorrelated_row(749.9), 1.0)  # whole support below the floor
-    @example(uncorrelated_row(720.0), 0.05)  # ... with subnormal values in the full row
-    @example(entangled_row(1e-150), 0.3)
-    @example(entangled_row(1e150), 2.0)  # norms overflow in compare_pair
-    @example(entangled_row(7.5), 0.05)
-    @example(entangled_row(0.0), 1.0)
-    def test_cut_curves_compare_as_full_curves(self, row, gamma):
+    @given(sampled_rows(), st.floats(0.05, 5.0), DRIVES)
+    @example(FAR_IDLER, 1.0, RESONANT_RIGHT)
+    @example(uncorrelated_row(749.9), 1.0, RESONANT_RIGHT)  # whole row below 2^-1022
+    @example(uncorrelated_row(720.0), 0.05, RESONANT_RIGHT)  # ... with subnormal values
+    @example(entangled_row(1e-150), 0.3, RESONANT_RIGHT)
+    @example(entangled_row(1e150), 2.0, RESONANT_RIGHT)  # norms overflow in compare_pair
+    @example(entangled_row(7.5), 0.05, RESONANT_RIGHT)
+    @example(entangled_row(0.0), 1.0, RESONANT_RIGHT)
+    def test_cut_mode_integrals_and_labels_equal_full_rows(self, row, gamma, drive):
         amp, grid, omega_l = row
-        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NoiseParams(gamma), grid)
-        full, cut = kernel.curves(amp, omega_l), kernel.curves(amp, omega_l, TINY)
-        support = row_support(amp, grid, omega_l, TINY)
+        noise = NoiseParams(gamma)
+        kernel, depth = map_kernel_and_depth(drive, noise, grid, amp, omega_l)
+        assert depth == pytest.approx(expected_map_depth(drive, noise, grid), rel=1e-12)
+        support = row_support(amp, grid, omega_l, depth)
+        for dressed in dressed_pair(drive):
+            cut, full = (
+                trapezoid_integrals(amp, grid, omega_l, kept, dressed.lambdas, gamma)
+                for kept in (support, slice(None))
+            )
+            assert np.all(np.abs(cut - full) <= 1e-12 * np.abs(full))
+        full, cut = kernel.curves(amp, omega_l), kernel.curves(amp, omega_l, depth)
         outside = np.ones(grid.points.size, dtype=bool)
         outside[support] = False
-        for cut_curve, full_curve in zip(cut, full, strict=True):
-            assert cut_curve[support].tobytes() == full_curve[support].tobytes()
-            assert np.all(cut_curve[outside] == 0.0) and np.all(np.signbit(cut_curve[outside]))
+        for curve in cut:
+            assert np.all(curve[outside] == 0.0) and np.all(np.signbit(curve[outside]))
         got, expected = compare_pair(*cut), compare_pair(*full)
         assert got[:2] == expected[:2] and got[3] == expected[3]
-        assert got[2].hex() == expected[2].hex()  # the metric, bit for bit
+        assert abs(got[2] - expected[2]) <= 1e-12
+
+    def test_canonical_map_depth(self):
+        config = Path(__file__).resolve().parent.parent / "configs" / "regime_map.yaml"
+        cfg = parse_config(config.read_text(encoding="utf-8"))
+        amp = sweep_amplitude(cfg.probe, max(cfg.sweep.t0_values()))
+        scan = build_scan_grid(cfg, amp)
+        _, depth = map_kernel_and_depth(cfg.drive, cfg.noise, scan, amp, 0.0)
+        assert depth == pytest.approx(expected_map_depth(cfg.drive, cfg.noise, scan), rel=1e-12)
+        assert 55.0 < depth < 56.0
+
+    def test_tiny_gamma_maps_full_rows_without_a_warning(self):
+        noise, scan = NoiseParams(1e-200), FrequencyGrid.build(0.0, 6.0, 0.01)
+        amp = BiphotonAmplitude.entangled(sigma_p=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, depth = map_kernel_and_depth(RESONANT_RIGHT, noise, scan, amp, 0.3)
+            rm = regime_map(RESONANT_RIGHT, amp, noise, [0.5, 1.0], [-0.3, 0.0, 0.3], scan)
+        assert depth == math.inf
+        assert rm.labels.shape == (2, 3)
 
 
 HUGE = np.finfo(float).max
