@@ -126,26 +126,35 @@ class BiphotonAmplitude:
 class FrequencyGrid:
     """Uniform, endpoint-inclusive sampling grid on one frequency axis.
 
-    Grids compare and hash by center, half-width and step; ``points``
-    follows from them and takes no part.
+    ``intervals`` equal steps span [center - half_width, center + half_width].
+    ``step`` and the read-only ``points`` derive from these three fields, so
+    grids that compare and hash equal have equal points.  ``intervals`` is an
+    int of at least MIN_GRID_INTERVALS with at most MAX_GRID_POINTS points,
+    checked before any allocation; the points must come out uniform.
     """
 
     center: float
     half_width: float
-    step: float
-    points: np.ndarray = field(compare=False)
+    intervals: int
+    step: float = field(init=False, compare=False)
+    points: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).copy()
-        if not (self.step > 0):
-            raise ValidationError("step > 0")
-        if pts.ndim != 1 or pts.size < MIN_GRID_INTERVALS + 1:
-            raise ValidationError(f"grid needs at least {MIN_GRID_INTERVALS} intervals")
-        diffs = np.diff(pts)
-        if not np.allclose(diffs, self.step, rtol=1e-9, atol=1e-12):
-            raise ValidationError("points must be uniformly spaced by step")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        center, half_width, n = float(self.center), float(self.half_width), self.intervals
+        if not isinstance(n, int) or n < MIN_GRID_INTERVALS:  # a bool is below the minimum
+            raise ValidationError(f"grid needs an int of at least {MIN_GRID_INTERVALS} intervals")
+        if n + 1 > MAX_GRID_POINTS:
+            raise ValidationError(f"grid needs more than the {MAX_GRID_POINTS} points allowed")
+        step = 2.0 * half_width / n
+        ends = (center - half_width, center + half_width)
+        if not (0.0 < step < math.inf and math.isfinite(ends[0]) and math.isfinite(ends[1])):
+            raise ValidationError("grid needs finite center +- half_width and a step > 0")
+        points = center + np.linspace(-half_width, half_width, n + 1)
+        if not np.allclose(np.diff(points), step, rtol=1e-6, atol=0.0):
+            raise ValidationError(f"steps of {step:g} are not uniform near {center:g}")
+        points.flags.writeable = False
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def build(cls, center: float, half_width: float, max_step: float) -> "FrequencyGrid":
@@ -153,30 +162,16 @@ class FrequencyGrid:
         if not (max_step > 0 and half_width > 0):
             raise ValidationError("half_width > 0 and max_step > 0")
         intervals = 2.0 * half_width / max_step
-        _check_point_count(intervals, half_width, max_step)
-        return cls._spanning(center, half_width, max(MIN_GRID_INTERVALS, math.ceil(intervals)))
+        if not intervals + 1 <= MAX_GRID_POINTS:  # also inf and nan, which math.ceil rejects
+            raise ValidationError(
+                f"grid of half-width {half_width:g} and step {max_step:g} needs more "
+                f"than the {MAX_GRID_POINTS} points allowed"
+            )
+        return cls(center, half_width, max(MIN_GRID_INTERVALS, math.ceil(intervals)))
 
     def halved_step(self) -> "FrequencyGrid":
         """Same span, twice the intervals; the original points are kept exactly."""
-        intervals = 2 * (self.points.size - 1)
-        _check_point_count(intervals, self.half_width, self.step / 2.0)
-        return FrequencyGrid._spanning(self.center, self.half_width, intervals)
-
-    @classmethod
-    def _spanning(cls, center: float, half_width: float, intervals: int) -> "FrequencyGrid":
-        """``intervals`` equal steps over [center - half_width, center + half_width]."""
-        step = 2.0 * half_width / intervals
-        points = center + np.linspace(-half_width, half_width, intervals + 1)
-        return cls(center=center, half_width=half_width, step=step, points=points)
-
-
-def _check_point_count(intervals: float, half_width: float, step: float) -> None:
-    """Reject a grid of ``intervals`` steps before its points are allocated."""
-    if intervals + 1 > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"grid of half-width {half_width:g} and step {step:g} needs more "
-            f"than the {MAX_GRID_POINTS} points allowed"
-        )
+        return FrequencyGrid(self.center, self.half_width, 2 * self.intervals)
 
 
 def _require_resolving(amp: BiphotonAmplitude, grid: FrequencyGrid) -> None:

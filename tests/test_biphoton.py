@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirospec.biphoton import (
+    MAX_GRID_POINTS,
+    MIN_GRID_INTERVALS,
     BiphotonAmplitude,
     FrequencyGrid,
     _require_resolving,
@@ -139,6 +142,8 @@ class TestFrequencyGrid:
     @given(grid_requests(st.floats(1e-4, 1.0)))
     @example((0.0, 4.285648559183021, 0.002274590264191574))
     @example((0.0, 6.0, 0.05))
+    @example((100.0, 1e-3, 1e-7))  # the finest and farthest off-centre request drawn
+    @example((-100.0, 1e-3, 1e-7))
     def test_halved_step_preserves_points(self, request):
         g = FrequencyGrid.build(*request)
         h = g.halved_step()
@@ -151,6 +156,8 @@ class TestFrequencyGrid:
             FrequencyGrid.build(0.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             FrequencyGrid.build(0.0, 1.0, -0.5)
+        with pytest.raises(ValidationError, match=str(MAX_GRID_POINTS)):
+            FrequencyGrid.build(0.0, 1.0e308, 1.0e307)  # an interval count of inf
 
     def test_equality_and_hash_follow_the_parameters(self):
         g = FrequencyGrid.build(0.0, 1.0, 0.1)
@@ -159,6 +166,76 @@ class TestFrequencyGrid:
         assert g != FrequencyGrid.build(0.0, 1.0, 0.05)
         assert g != g.halved_step()
         assert len({g, FrequencyGrid.build(0.0, 1.0, 0.1), g.halved_step()}) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_requests(st.floats(1e-4, 1.0)))
+    def test_equal_fields_give_equal_hashes_and_points(self, request):
+        g = FrequencyGrid.build(*request)
+        twin = FrequencyGrid(g.center, g.half_width, g.intervals)
+        assert twin == g and hash(twin) == hash(g)
+        assert twin.points.tobytes() == g.points.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_requests(st.floats(1e-4, 1.0)))
+    @example((0.0, 6.2, 0.002))  # the shipped entangled scan
+    @example((0.0, 6.2, 0.05))
+    def test_build_samples_the_linspace_formula(self, request):
+        # the formula the scan grid has always used, so the output bytes
+        center, half_width, max_step = request
+        n = max(MIN_GRID_INTERVALS, math.ceil(2.0 * half_width / max_step))
+        g = FrequencyGrid.build(center, half_width, max_step)
+        assert g.intervals == n and g.step == 2.0 * half_width / n
+        expected = center + np.linspace(-half_width, half_width, n + 1)
+        assert g.points.tobytes() == expected.tobytes()
+
+    def test_step_and_points_are_derived_and_read_only(self):
+        g = FrequencyGrid(0.0, 1.0, 20)
+        init = [f.name for f in dataclasses.fields(FrequencyGrid) if f.init]
+        assert init == ["center", "half_width", "intervals"]
+        for derived in ("step", "points"):
+            with pytest.raises(TypeError):
+                FrequencyGrid(0.0, 1.0, 20, **{derived: getattr(g, derived)})
+        with pytest.raises(TypeError):  # the old (center, half_width, step, points) form
+            FrequencyGrid(g.center, g.half_width, g.step, g.points + 100.0)
+        with pytest.raises(ValueError):
+            g.points[0] = 1.0
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.points.tobytes() == g.points.tobytes()
+
+    @pytest.mark.parametrize(
+        "center, half_width, intervals",
+        [
+            (0.0, 1.0, 10.5),
+            (0.0, 1.0, True),
+            (0.0, 1.0, MIN_GRID_INTERVALS - 1),
+            (0.0, 1.0, MAX_GRID_POINTS),
+            (math.inf, 1.0, 20),
+            (math.nan, 1.0, 20),
+            (0.0, math.inf, 20),
+            (0.0, math.nan, 20),
+            (0.0, -1.0, 20),
+            (0.0, 1.0e308, 20),
+            (1.7e308, 1.0e307, 20),  # center + half_width overflows
+        ],
+    )
+    def test_bad_fields_are_rejected_before_allocation(
+        self, monkeypatch, center, half_width, intervals
+    ):
+        # pyproject turns RuntimeWarning into an error, so none may be raised either
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("points allocated for a rejected grid")
+
+        monkeypatch.setattr(np, "linspace", no_allocation)
+        with pytest.raises(ValidationError):
+            FrequencyGrid(center, half_width, intervals)
+
+    @pytest.mark.parametrize(
+        "grid_request", [(1000.0, 1e-13, 1e-14), (1.0, 1e-14, 1e-15), (0.5, 2e-15, 1e-16)]
+    )
+    def test_collapsed_points_are_rejected(self, grid_request):
+        # steps near the spacing of doubles at the center round to unequal gaps
+        with pytest.raises(ValidationError, match="not uniform"):
+            FrequencyGrid.build(*grid_request)
 
 
 def jsa_table(amp, grid_s, grid_l):

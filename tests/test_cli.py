@@ -869,9 +869,12 @@ class TestExitCodes:
              "  omega_l: {min: -1.0e+308, max: 1.0e+308, count: 2}",
              "sweep.omega_l"),
             ("spectrum", "scan: {half_width: 0.5, step: 0.1}\nidler: 0.0", "scan points"),
+            ("spectrum",
+             "scan: {center: 1000.0, half_width: 1.0e-13, step: 1.0e-14}\nidler: 0.0",
+             "scan.center"),
         ],
         ids=["scan_center", "probe_center", "sweep_t0_overflows", "sweep_span_overflows",
-             "scan_too_short"],
+             "scan_too_short", "scan_points_collapse"],
     )
     def test_unusable_grid_names_field_is_2(self, tmp_path, capsys, command, section, field):
         path = tmp_path / "cfg.yaml"

@@ -135,7 +135,7 @@ class TestTransmissionPoint:
         p = transmission_point(dressed, amp, NOISE, det, grid)
         oracle = riemann_oracle_uncorrelated(
             dressed, 1.0, 1.0, det, grid.center, grid.half_width,
-            4 * (grid.points.size - 1),
+            4 * grid.intervals,
         )
         assert p == pytest.approx(oracle, rel=1e-9)
 
@@ -152,7 +152,7 @@ class TestTransmissionPoint:
         for value, chirality in ((p_r, Chirality.RIGHT), (p_l, Chirality.LEFT)):
             oracle = riemann_oracle_uncorrelated(
                 resonant_dressed(chirality), 1.0, 1.0, det,
-                grid.center, grid.half_width, 4 * (grid.points.size - 1),
+                grid.center, grid.half_width, 4 * grid.intervals,
             )
             assert value == pytest.approx(oracle, rel=1e-9)
 
@@ -234,7 +234,7 @@ class TestTransmissionCurve:
             det = DetectorPair(float(grid.points[k]), 0.4)
             oracle = riemann_oracle_uncorrelated(
                 dressed, 1.0, 1.0, det, grid.center, grid.half_width,
-                4 * (grid.points.size - 1),
+                4 * grid.intervals,
             )
             assert curve[k] == pytest.approx(oracle, rel=1e-9)
 
