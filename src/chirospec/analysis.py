@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
@@ -39,8 +38,6 @@ MIN_CURVE_POINTS = 16
 #: ``compare_pair`` rescales below this larger norm; above it, squares lost to
 #: underflow move a sum of up to 2**20 squares by under 2**-55 of its value.
 NORM_RESCALE_FLOOR = 2.0**-500
-#: Jobs per pool worker that ``run_jobs`` keeps submitted and not yet consumed.
-JOBS_IN_FLIGHT_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -241,12 +238,9 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
     worker the jobs run in process one at a time, and ``multiprocessing``
     is not imported.  The pool uses the platform's default start method.
     The context (a prepared kernel, axes) reaches each worker once, through
-    the pool initializer; only jobs and results are pickled.  At most
-    JOBS_IN_FLIGHT_PER_WORKER jobs per worker are submitted and not yet
-    taken by the caller, the one being handled included, so a slow caller
-    holds a bounded number of results however many jobs there are.  A job
-    that raises ends the iteration with its exception; the pool is
-    terminated when the generator ends, fails or is closed.
+    the pool initializer; only jobs and results are pickled.  A job that
+    raises ends the iteration with its exception; the pool is terminated
+    when the generator ends, fails or is closed.
     """
     workers = pool_workers(threads, len(jobs))
     if workers <= 1:
@@ -255,17 +249,10 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
         return
     import multiprocessing
 
-    limit = JOBS_IN_FLIGHT_PER_WORKER * workers
-    pending: deque = deque()
     with multiprocessing.get_context().Pool(
         processes=workers, initializer=_init_worker, initargs=(func, context)
     ) as pool:
-        for job in jobs:
-            if len(pending) == limit:
-                yield pending.popleft().get()
-            pending.append(pool.apply_async(_run_in_worker, (job,)))
-        while pending:
-            yield pending.popleft().get()
+        yield from pool.imap(_run_in_worker, jobs)
 
 
 def _row_result(context, t0: float) -> list:

@@ -156,6 +156,9 @@ class FrequencyGrid:
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "points", points)
 
+    def __reduce__(self):  # a pickle or copy holds the fields and rebuilds read-only points
+        return FrequencyGrid, (self.center, self.half_width, self.intervals)
+
     @classmethod
     def build(cls, center: float, half_width: float, max_step: float) -> "FrequencyGrid":
         """Uniform grid over [center-hw, center+hw] with step <= max_step."""
@@ -174,9 +177,14 @@ class FrequencyGrid:
         return FrequencyGrid(self.center, self.half_width, 2 * self.intervals)
 
 
+def _resolved_width(amp: BiphotonAmplitude) -> float:
+    """Width a signal grid must resolve: the narrowest amplitude feature, capped at 1."""
+    return min(1.0, *amp.feature_widths())
+
+
 def _require_resolving(amp: BiphotonAmplitude, grid: FrequencyGrid) -> None:
-    """Raise GridTooCoarse unless the step resolves the narrowest width, capped at 1."""
-    limit = min(1.0, *amp.feature_widths()) / RESOLVE_FACTOR
+    """Raise GridTooCoarse unless the step resolves ``_resolved_width`` RESOLVE_FACTOR times."""
+    limit = _resolved_width(amp) / RESOLVE_FACTOR
     if grid.step > limit * (1.0 + 1e-12):
         raise GridTooCoarse(
             f"grid step {grid.step:g} exceeds {limit:g} needed to resolve the amplitude"
@@ -264,7 +272,8 @@ def default_grid_parameters(
     The center is the amplitude's signal center.  Half-width covers
     DEFAULT_SPAN_WIDTHS times the larger of the envelope width and gamma,
     extended so every dressed eigenvalue is covered with a 6-gamma margin.
-    The step resolves the narrowest feature (and gamma) DEFAULT_STEP_FACTOR times.
+    The step resolves gamma and ``_resolved_width`` DEFAULT_STEP_FACTOR times,
+    so the grid always passes ``_require_resolving``.
     """
     if not (gamma > 0):
         raise ValidationError("gamma > 0")
@@ -272,5 +281,5 @@ def default_grid_parameters(
     half_width = DEFAULT_SPAN_WIDTHS * max(widths[0], gamma)
     for lam in lambdas:
         half_width = max(half_width, abs(float(lam)) + DEFAULT_SPAN_WIDTHS * gamma)
-    step = min(gamma, *widths) / DEFAULT_STEP_FACTOR
+    step = min(gamma, _resolved_width(amp)) / DEFAULT_STEP_FACTOR
     return amp.omega_sc, half_width, step

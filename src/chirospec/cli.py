@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from contextlib import closing
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,7 +36,6 @@ from .analysis import (
     discrimination_window,
     pool_workers,
     regime_map,
-    run_jobs,
     sweep_amplitude,
 )
 from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid_parameters
@@ -264,60 +262,54 @@ def _write_run_record(
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _idler_result(context, omega_l_bar: float):
-    """Left and right values and the ``compare_pair`` result of one idler."""
-    kernel, amp = context
-    left, right = kernel.curves(amp, omega_l_bar)
-    return left, right, compare_pair(left, right)
-
-
-def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Write per-idler left/right curves, a manifest, and a run record.
 
-    Each idler's curves are written as soon as its result arrives, so the
-    command holds a bounded number of curves for any idler count.  The
-    output directory is made when the first result arrives; a failure
-    after that leaves the curves written so far, but no manifest and no
-    run record.
+    The idlers run in process, one at a time, and each idler's curves are
+    written as soon as they are computed, so the command holds one idler's
+    curves for any idler count.  The output directory is made after the
+    first idler's curves; a failure after that leaves the curves written
+    so far, but no manifest and no run record.
     """
     if cfg.idler is None:
         raise ValidationError("spectrum command needs an idler section")
     started = time.time()
     scan = build_scan_grid(cfg, cfg.probe)
-    context = (TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan), cfg.probe)
+    kernel = TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan)
     # TransmissionKernel.curves samples every curve on scan.points.
     rows = _curve_rows(scan.points)
     digests: dict[str, str] = {}
     manifest = [f"idler_count = {len(cfg.idler)}"]
     write_s = 0.0
-    with closing(run_jobs(_idler_result, context, list(cfg.idler), threads)) as results:
-        for index, (left, right, (sig_l, sig_r, metric, dist)) in enumerate(results):
-            if index == 0:
-                out_dir.mkdir(parents=True, exist_ok=True)
-            tag = f"{index:03d}"
-            write_started = time.perf_counter()
-            for name, values in (("left", left), ("right", right)):
-                file_name = f"curve_{name}_{tag}.csv"
-                digests[file_name] = _write_curve(out_dir / file_name, rows, values)
-            write_s += time.perf_counter() - write_started
-            manifest.extend(
-                [
-                    f"idler.{tag}.omega_l_bar = {_fmt(cfg.idler[index])}",
-                    f"idler.{tag}.file_left = curve_left_{tag}.csv",
-                    f"idler.{tag}.file_right = curve_right_{tag}.csv",
-                    f"idler.{tag}.signature_left = {sig_l.compact()}",
-                    f"idler.{tag}.signature_right = {sig_r.compact()}",
-                    f"idler.{tag}.metric = {_fmt(metric)}",
-                    f"idler.{tag}.distinguishable = {'true' if dist else 'false'}",
-                ]
-            )
+    for index, omega_l_bar in enumerate(cfg.idler):
+        left, right = kernel.curves(cfg.probe, omega_l_bar)
+        sig_l, sig_r, metric, dist = compare_pair(left, right)
+        if index == 0:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        tag = f"{index:03d}"
+        write_started = time.perf_counter()
+        for name, values in (("left", left), ("right", right)):
+            file_name = f"curve_{name}_{tag}.csv"
+            digests[file_name] = _write_curve(out_dir / file_name, rows, values)
+        write_s += time.perf_counter() - write_started
+        manifest.extend(
+            [
+                f"idler.{tag}.omega_l_bar = {_fmt(omega_l_bar)}",
+                f"idler.{tag}.file_left = curve_left_{tag}.csv",
+                f"idler.{tag}.file_right = curve_right_{tag}.csv",
+                f"idler.{tag}.signature_left = {sig_l.compact()}",
+                f"idler.{tag}.signature_right = {sig_r.compact()}",
+                f"idler.{tag}.metric = {_fmt(metric)}",
+                f"idler.{tag}.distinguishable = {'true' if dist else 'false'}",
+            ]
+        )
     digests["manifest.txt"] = _write_text(
         out_dir / "manifest.txt", "\n".join(manifest) + "\n"
     )
     stats = {
         "count.curves": 2 * len(cfg.idler),
         "count.scan_points": scan.points.size,
-        "count.workers": pool_workers(threads, len(cfg.idler)),
+        "count.workers": 1,
         "time.write_s": f"{write_s:.3f}",
     }
     _write_run_record(
@@ -425,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=os.cpu_count() or 1,
-                help="worker processes (never affects output bytes)",
+                help="worker processes of the regime map; spectrum runs in process "
+                "(never affects output bytes)",
             )
     return parser
 
@@ -437,10 +430,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "dressed":
             return cmd_dressed(cfg)
         out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
-        threads = max(1, args.threads)
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, out_dir, threads)
-        return cmd_regime_map(cfg, out_dir, threads)
+            return cmd_spectrum(cfg, out_dir)
+        return cmd_regime_map(cfg, out_dir, max(1, args.threads))
     except ConfigError as exc:
         print(f"chirospec: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,10 +5,6 @@ class ChirospecError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonHermitianInput(ChirospecError):
-    """A matrix expected to be Hermitian is not (beyond tolerance)."""
-
-
 class NonFiniteResult(ChirospecError):
     """A numerical result came out NaN or infinite."""
 
@@ -36,3 +32,7 @@ class GridTooCoarse(ValidationError):
 
 class CurveTooShort(ValidationError):
     """Spectrum curve has too few points to classify."""
+
+
+class NonHermitianInput(ValidationError):
+    """A matrix expected to be Hermitian is not (beyond tolerance)."""

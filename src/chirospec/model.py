@@ -126,6 +126,9 @@ class DressedTriad:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "eta1", eta)
 
+    def __reduce__(self):  # rerun the constructor: a pickle or copy stays read-only
+        return DressedTriad, (self.lambdas, self.eta1, self.chirality)
+
     @property
     def eta1_sq(self) -> np.ndarray:
         return np.abs(self.eta1) ** 2

@@ -94,10 +94,13 @@ class TransmissionKernel:
     sum or product, and each curve starts at +0.0, so the curves keep the
     bytes of a plain division.  The grid is both the quadrature grid of the
     mode integrals Q_i and, for curves, the signal detector's scan.  A
-    kernel holds no mutable state, so calls may overlap.
+    kernel holds no mutable state, so calls may overlap; a pickle or copy of
+    it reruns the constructor, so its arrays stay read-only.
     """
 
     def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid):
+        dressed_triads = tuple(dressed_triads)
+        self._args = (dressed_triads, noise, grid_s)
         self.grid, points = grid_s, grid_s.points
         self.triads = tuple(
             tuple(
@@ -106,6 +109,9 @@ class TransmissionKernel:
             )
             for d in dressed_triads
         )
+
+    def __reduce__(self):
+        return TransmissionKernel, self._args
 
     def curves(
         self, amp: BiphotonAmplitude, omega_l_bar: float, depth: float = math.inf

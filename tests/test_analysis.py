@@ -4,7 +4,6 @@ import math
 import multiprocessing
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -387,35 +386,6 @@ class TestRunJobs:
                                     10, [1, 2, 3], threads=1)
         assert next(results) == 11 and done == [1]
         assert list(results) == [12, 13] and done == [1, 2, 3]
-
-    def test_pool_keeps_a_bounded_number_of_jobs_in_flight(self, monkeypatch):
-        # in flight: submitted to the pool and not yet taken by the caller
-        submitted, taken, in_flight = [], [], []
-
-        class CountingPool:
-            def __init__(self, processes, initializer, initargs):
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def apply_async(self, func, args):
-                submitted.append(args)
-                in_flight.append(len(submitted) - len(taken))
-                return SimpleNamespace(get=lambda: func(*args))
-
-        monkeypatch.setattr(analysis, "_WORKER", {})
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda: SimpleNamespace(Pool=CountingPool)
-        )
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        for result in analysis.run_jobs(lambda ctx, job: ctx + job, 100, list(range(50)), 3):
-            taken.append(result)
-        assert taken == [100 + job for job in range(50)]
-        assert max(in_flight) == analysis.JOBS_IN_FLIGHT_PER_WORKER * 3
 
 
 @pytest.fixture(scope="module")

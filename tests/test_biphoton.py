@@ -1,5 +1,6 @@
 """Tests of the joint-spectral-amplitude builders and sampling grids."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -199,8 +200,11 @@ class TestFrequencyGrid:
             FrequencyGrid(g.center, g.half_width, g.step, g.points + 100.0)
         with pytest.raises(ValueError):
             g.points[0] = 1.0
-        copy = pickle.loads(pickle.dumps(g))
-        assert copy == g and copy.points.tobytes() == g.points.tobytes()
+        data = pickle.dumps(g)
+        assert len(data) < 200  # the three fields, not the 21 points
+        for twin in (pickle.loads(data), copy.deepcopy(g)):
+            assert twin == g and twin.points.tobytes() == g.points.tobytes()
+            assert not twin.points.flags.writeable
 
     @pytest.mark.parametrize(
         "center, half_width, intervals",
@@ -313,6 +317,18 @@ class TestDefaultGrid:
             BiphotonAmplitude.entangled(sigma_p=0.1, t_s=36.0, t_l=37.5),
         ):
             _require_resolving(amp, default_grid(amp, 1.0))  # must not raise
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 100.0])
+    def test_any_gamma_gives_a_grid_that_passes_the_check(self, gamma):
+        # a default grid resolves gamma and the width the check asks for, capped at 1
+        for amp in (
+            BiphotonAmplitude.uncorrelated(sigma=50.0),
+            BiphotonAmplitude.entangled(sigma_p=30.0, t_s=0.02, t_l=0.02),
+            BiphotonAmplitude.entangled(**ENTANGLED_DELAYS),
+        ):
+            grid = default_grid(amp, gamma)
+            _require_resolving(amp, grid)  # must not raise
+            assert grid.step <= min(gamma, 1.0, *amp.feature_widths()) / 20.0
 
 
 class TestZeroBandwidthEnvelope:

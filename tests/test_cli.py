@@ -3,12 +3,10 @@
 import hashlib
 import multiprocessing
 import os
-import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,8 +86,8 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def apply_async(self, func, args):
-            return SimpleNamespace(get=lambda: func(*args))
+        def imap(self, func, jobs):
+            return map(func, jobs)
 
     class InProcessContext:
         Pool = InProcessPool
@@ -203,27 +201,28 @@ class TestSpectrumCommand:
         path.write_text("probe:\n  kind: uncorrelated\n", encoding="utf-8")
         assert main(["spectrum", "-c", str(path)]) == 2
 
-    def test_pool_has_at_most_one_worker_per_idler(self, tmp_path, monkeypatch):
-        pools = in_process_pool(monkeypatch)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        runs = []
-        for tag, threads in (("a", "1"), ("b", "64")):
-            cfg = write_cfg(tmp_path, SPECTRUM_CFG, name=f"cfg_{tag}.yaml", out=f"out_{tag}")
-            assert main(["spectrum", "-c", str(cfg), "--threads", threads]) == 0
-            runs.append(read_outputs(tmp_path / f"out_{tag}"))
-        assert pools == [2]
-        assert runs[0] == runs[1]
-
-    def test_idler_result_holds_values_not_curves(self):
-        # a worker pickles this back: the values, not the curves and their grid
-        cfg = parse_config((CONFIG_DIR / "entangled_probe.yaml").read_text(encoding="utf-8"))
-        scan = cli.build_scan_grid(cfg, cfg.probe)
-        context = (TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan), cfg.probe)
-        result = cli._idler_result(context, cfg.idler[0])
-        arrays = [item for item in result if isinstance(item, np.ndarray)]
-        assert len(arrays) == 2
-        data = pickle.dumps(result)
-        assert len(data) < sum(a.nbytes for a in arrays) + 4096
+    def test_starts_no_pool_at_any_thread_count(self, tmp_path):
+        # 64 threads on 64 cores: the idlers still run in process
+        cfg = write_cfg(tmp_path, SPECTRUM_CFG, out="out_64")
+        script = (
+            "import os, sys\n"
+            "os.cpu_count = lambda: 64\n"
+            "import chirospec.cli\n"
+            f"code = chirospec.cli.main(['spectrum', '-c', {str(cfg)!r}, '--threads', '64'])\n"
+            "assert code == 0, code\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        record = (tmp_path / "out_64" / "run_record.txt").read_text(encoding="utf-8")
+        assert "count.workers = 1\n" in record
+        serial = write_cfg(tmp_path, SPECTRUM_CFG, name="serial.yaml", out="out_1")
+        assert main(["spectrum", "-c", str(serial), "--threads", "1"]) == 0
+        assert read_outputs(tmp_path / "out_64") == read_outputs(tmp_path / "out_1")
 
     def test_run_record_echoes_long_directory_whole(self, tmp_path):
         # long enough that a YAML emitter of width 80 wraps it
@@ -315,7 +314,7 @@ def fork_pool(monkeypatch):
 
 class TestStreamedSpectrum:
     def test_more_idlers_than_jobs_in_flight_keep_the_bytes(self, tmp_path):
-        # 7 idlers exceed the 2 x 2 jobs a two-worker pool keeps in flight
+        # the idlers run in process at any --threads; 7 idlers outnumber the cores
         runs = []
         for tag, threads in (("a", "1"), ("b", "2"), ("c", "64")):
             cfg = write_cfg(tmp_path, STREAM_CFG, name=f"cfg_{tag}.yaml", out=f"out_{tag}")
@@ -349,14 +348,14 @@ class TestStreamedSpectrum:
     def test_failure_on_third_idler_leaves_no_manifest(self, tmp_path, monkeypatch,
                                                        capsys, threads):
         fork_pool(monkeypatch)
-        original = cli._idler_result
+        original = TransmissionKernel.curves
 
-        def failing(context, omega_l_bar):
+        def failing(kernel, amp, omega_l_bar, *args):
             if omega_l_bar == -0.25:
                 raise NonFiniteResult("curve is not finite")
-            return original(context, omega_l_bar)
+            return original(kernel, amp, omega_l_bar, *args)
 
-        monkeypatch.setattr(cli, "_idler_result", failing)
+        monkeypatch.setattr(TransmissionKernel, "curves", failing)
         cfg = write_cfg(tmp_path, STREAM_CFG)
         assert main(["spectrum", "-c", str(cfg), "--threads", threads]) == 4
         assert capsys.readouterr().err == "chirospec: numerical failure: curve is not finite\n"
@@ -506,6 +505,23 @@ class TestRegimeMapCommand:
         cfg = write_cfg(tmp_path, MAP_CFG)
         assert main(["regime-map", "-c", str(cfg), "--threads", "2"]) == 0
         assert jobs == [[9.0, 10.5, 12.0]]
+
+    def test_failing_row_in_a_pool_is_4_and_leaves_no_worker(self, tmp_path, monkeypatch,
+                                                            capsys):
+        fork_pool(monkeypatch)  # the workers inherit the patched kernel
+        original = TransmissionKernel.curves
+
+        def failing(kernel, amp, *args):
+            if amp.t_s == analysis.SWEEP_T_S_RATIO * 10.5:  # the second of 3 rows
+                raise NonFiniteResult("curve is not finite")
+            return original(kernel, amp, *args)
+
+        monkeypatch.setattr(TransmissionKernel, "curves", failing)
+        cfg = write_cfg(tmp_path, MAP_CFG)
+        assert main(["regime-map", "-c", str(cfg), "--threads", "2"]) == 4
+        assert capsys.readouterr().err == "chirospec: numerical failure: curve is not finite\n"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
 
     def test_serial_run_never_imports_multiprocessing(self, tmp_path):
         cfg = write_cfg(tmp_path, MAP_CFG)
@@ -782,6 +798,27 @@ class TestScanGrid:
             expected.center, expected.half_width, expected.step
         )
 
+    @pytest.mark.parametrize("command, section", [
+        ("spectrum", "idler: 0.0\n"),
+        ("regime-map", "sweep: {t0: {min: 1.0, max: 2.0, count: 2},"
+                       " omega_l: {min: 0.0, max: 1.0, count: 2}}\n"),
+    ])
+    def test_derived_grid_passes_the_resolution_check(self, tmp_path, capsys, command,
+                                                      section):
+        # the check caps the width to resolve at 1, so at gamma 100 the grid must too
+        text = (
+            "noise: {gamma: 100.0}\nprobe: {kind: uncorrelated, sigma: 50.0}\n" + section
+            + f"output:\n  directory: {tmp_path / 'out'}\n"
+        )
+        (tmp_path / "cfg.yaml").write_text(text, encoding="utf-8")
+        assert main([command, "-c", str(tmp_path / "cfg.yaml"), "--threads", "1"]) == 0
+        assert capsys.readouterr().err == ""
+        cfg = parse_config(text)
+        scan = cli.build_scan_grid(cfg, cfg.probe)
+        assert scan.step <= 1.0 / 20.0 and scan.half_width > 600.0
+        record = (tmp_path / "out" / "run_record.txt").read_text(encoding="utf-8")
+        assert f"count.scan_points = {scan.points.size}\n" in record
+
     def test_explicit_scan_skips_derived_grid(self, tmp_path, capsys):
         # the derived grid of this probe is too large, but the command never uses it
         path = tmp_path / "cfg.yaml"
@@ -952,8 +989,7 @@ class TestExitCodes:
         def exhausted(*args):
             raise error
 
-        monkeypatch.setattr(cli, "run_jobs", exhausted)
-        monkeypatch.setattr(analysis, "run_jobs", exhausted)
+        monkeypatch.setattr(TransmissionKernel, "curves", exhausted)
         out = tmp_path / "out"
         args = [command, "-c", str(CONFIG_DIR / config), "--out", str(out), "--threads", "1"]
         assert main(args) == 4

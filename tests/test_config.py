@@ -419,8 +419,10 @@ class TestRejectedFields:
 
         with pytest.raises(ValidationError):
             cfg = parse_config(text)
-            run = cli.cmd_spectrum if command == "spectrum" else cli.cmd_regime_map
-            run(cfg, out / "results", 1)
+            if command == "spectrum":
+                cli.cmd_spectrum(cfg, out / "results")
+            else:
+                cli.cmd_regime_map(cfg, out / "results", 1)
 
         path = out / "cfg.yaml"
         path.write_text(text, encoding="utf-8")

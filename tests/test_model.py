@@ -87,6 +87,12 @@ class TestHermitianTriad:
         with pytest.raises(ValidationError, match="3x3"):
             HermitianTriad(np.eye(2, dtype=complex))
 
+    def test_non_hermitian_input_is_a_validation_error(self):
+        # every rejected parameter is a ValidationError, and so a ValueError
+        assert issubclass(NonHermitianInput, ValidationError)
+        with pytest.raises(ValueError, match="deviates from Hermitian"):
+            HermitianTriad(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
+
 
 class TestDressedTriad:
     @pytest.mark.parametrize(

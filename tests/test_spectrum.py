@@ -1,7 +1,9 @@
 """Tests of the coincidence observables: background, quadrature, analytic limit."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -264,6 +266,24 @@ class TestTransmissionCurve:
         assert values.size == grid.points.size
 
 
+def held_arrays(obj) -> list:
+    """Every distinct array a kernel holds, through its attributes, dataclasses and tuples."""
+    found = {}
+
+    def walk(item):
+        if isinstance(item, np.ndarray):
+            found[id(item)] = item
+        elif isinstance(item, (tuple, list)):
+            for sub in item:
+                walk(sub)
+        elif isinstance(item, TransmissionKernel) or dataclasses.is_dataclass(item):
+            for sub in vars(item).values():
+                walk(sub)
+
+    walk(obj)
+    return list(found.values())
+
+
 class TestCurveArrays:
     def test_kernel_curves_are_read_only_and_own_their_values(self, monkeypatch):
         original, rows = spectrum.jsa_row, []
@@ -286,22 +306,32 @@ class TestCurveArrays:
             assert not np.shares_memory(curve, other)
 
     def test_kernel_holds_only_read_only_arrays(self):
-        def held_arrays(obj):
-            if isinstance(obj, np.ndarray):
-                yield obj
-            elif isinstance(obj, (tuple, list)):
-                for item in obj:
-                    yield from held_arrays(item)
-            elif hasattr(obj, "__dict__"):
-                for item in vars(obj).values():
-                    yield from held_arrays(item)
-
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
         kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
         kernel.curves(BiphotonAmplitude.uncorrelated(sigma=1.0), 0.3)
-        arrays = list(held_arrays(kernel))
-        assert len(arrays) == 1 + 2 * 3 * 2  # the grid's points, each mode's mul and scl
+        arrays = held_arrays(kernel)
+        # the grid's points, each triad's lambdas and eta1, each mode's mul and scl
+        assert len(arrays) == 1 + 2 * 2 + 2 * 3 * 2
         assert not any(array.flags.writeable for array in arrays)
+
+    @pytest.mark.parametrize(
+        "clone", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copied_kernel_is_read_only_and_gives_the_same_curves(self, clone):
+        # what a spawn-started pool worker gets: the pickle reruns each constructor
+        scan = FrequencyGrid.build(0.0, 6.0, 0.05)
+        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
+        twin = clone(kernel)
+        assert twin.grid == scan and twin.grid is not scan
+        arrays = held_arrays(twin)
+        assert len(arrays) == len(held_arrays(kernel))
+        assert not any(array.flags.writeable for array in arrays)
+        amp = BiphotonAmplitude.entangled(0.2, -0.1, **ENTANGLED_DELAYS)
+        fine = FrequencyGrid.build(0.0, 6.0, 0.002)
+        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, fine)
+        for curve, copied in zip(kernel.curves(amp, 0.3), clone(kernel).curves(amp, 0.3)):
+            assert curve.tobytes() == copied.tobytes()
 
     def test_threads_calling_one_kernel_get_the_serial_bytes(self):
         amp = wp.ENTANGLED_PROBE
