@@ -22,7 +22,7 @@ import numpy as np
 from .biphoton import BiphotonAmplitude, FrequencyGrid
 from .errors import CurveTooShort, ValidationError
 from .model import DriveConfig, NoiseParams, dressed_pair
-from .spectrum import TransmissionKernel
+from .spectrum import TransmissionKernel, full_curves
 
 #: An extremum counts as significant above this fraction of the curve maximum.
 EXTREMUM_REL_THRESHOLD = 0.05
@@ -115,8 +115,9 @@ def compare_pair(
     """Signatures, distance metric in [0, 1] and verdict of one curve pair.
 
     Both curves must be sampled on one grid, as those of one ``curve_pair``
-    call are; arrays carry no grid, so only their shapes are compared.  Each
-    curve is classified once, and
+    call are, or on one slice of it, as the support-length curves of one
+    ``TransmissionKernel.curves`` call are; arrays carry no grid, so only
+    their shapes are compared.  Each curve is classified once, and
     metric = min(1, ||P_L - P_R||_2 / max(||P_L||_2, ||P_R||_2));
     the pair is distinguishable when the signatures differ or the metric
     reaches DISCRIMINABILITY_THRESHOLD.  Where the larger norm overflows
@@ -181,16 +182,12 @@ class RegimeMap:
     legend: dict[int, tuple[LineShapeSignature, LineShapeSignature]]
 
     def __post_init__(self):
-        t0 = np.asarray(self.t0_axis, dtype=float).copy()
-        wl = np.asarray(self.omega_l_axis, dtype=float).copy()
-        lab = np.asarray(self.labels, dtype=int).copy()
-        if lab.shape != (t0.size, wl.size):
+        for name, dtype in (("t0_axis", float), ("omega_l_axis", float), ("labels", int)):
+            array = np.array(getattr(self, name), dtype=dtype)  # a read-only copy
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if self.labels.shape != (self.t0_axis.size, self.omega_l_axis.size):
             raise ValidationError("labels table must match the axes")
-        for arr in (t0, wl, lab):
-            arr.flags.writeable = False
-        object.__setattr__(self, "t0_axis", t0)
-        object.__setattr__(self, "omega_l_axis", wl)
-        object.__setattr__(self, "labels", lab)
 
 
 def curve_pair(
@@ -201,7 +198,8 @@ def curve_pair(
     scan_s: FrequencyGrid,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left- and right-handed curves of one drive: read-only values on scan_s.points."""
-    return TransmissionKernel(dressed_pair(cfg), noise, scan_s).curves(amp, omega_l_bar)
+    kernel = TransmissionKernel(dressed_pair(cfg), noise, scan_s)
+    return full_curves(scan_s, *kernel.curves(amp, omega_l_bar))
 
 
 def sweep_amplitude(amp_template: BiphotonAmplitude, t0: float) -> BiphotonAmplitude:
@@ -267,10 +265,17 @@ def _row_result(context, t0: float) -> list:
     |Q_i| >= |Im Q_i| >= step / 2 * M * gamma / (R^2 + gamma^2): each Q_i
     moves by less than 2^-60 of itself, on any grid and at any gamma, and a
     dropped curve value is below e^-D * M * sum_i |eta_1i|^2 |Q_i| / gamma.
+    The curves are compared on the row's support, except one shorter than
+    MIN_CURVE_POINTS: that is compared on full rows (``full_curves``).
     """
     kernel, amp_template, omega_l_axis, depth = context
-    amp = sweep_amplitude(amp_template, t0)
-    return [compare_pair(*kernel.curves(amp, wl, depth)) for wl in omega_l_axis]
+    amp, results = sweep_amplitude(amp_template, t0), []
+    for wl in omega_l_axis:
+        support, *pair = kernel.curves(amp, wl, depth)
+        if pair[0].size < MIN_CURVE_POINTS:
+            pair = full_curves(kernel.grid, support, *pair)
+        results.append(compare_pair(*pair))
+    return results
 
 
 def regime_map(

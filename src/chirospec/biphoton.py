@@ -273,7 +273,7 @@ def default_grid_parameters(
     DEFAULT_SPAN_WIDTHS times the larger of the envelope width and gamma,
     extended so every dressed eigenvalue is covered with a 6-gamma margin.
     The step resolves gamma and ``_resolved_width`` DEFAULT_STEP_FACTOR times,
-    so the grid always passes ``_require_resolving``.
+    so the grid passes ``_require_resolving`` and ``TransmissionKernel``'s gamma check.
     """
     if not (gamma > 0):
         raise ValidationError("gamma > 0")

@@ -32,17 +32,13 @@ import yaml
 
 from . import __version__
 from .analysis import (
-    compare_pair,
-    discrimination_window,
-    pool_workers,
-    regime_map,
-    sweep_amplitude,
+    compare_pair, discrimination_window, pool_workers, regime_map, sweep_amplitude,
 )
 from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid_parameters
 from .config import ExperimentConfig, config_mapping, parse_config
 from .errors import ConfigError, NonFiniteResult, ValidationError
 from .model import Chirality, dressed_pair
-from .spectrum import TransmissionKernel
+from .spectrum import TransmissionKernel, full_curves
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -276,13 +272,12 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     started = time.time()
     scan = build_scan_grid(cfg, cfg.probe)
     kernel = TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan)
-    # TransmissionKernel.curves samples every curve on scan.points.
     rows = _curve_rows(scan.points)
     digests: dict[str, str] = {}
     manifest = [f"idler_count = {len(cfg.idler)}"]
     write_s = 0.0
     for index, omega_l_bar in enumerate(cfg.idler):
-        left, right = kernel.curves(cfg.probe, omega_l_bar)
+        left, right = full_curves(scan, *kernel.curves(cfg.probe, omega_l_bar))
         sig_l, sig_r, metric, dist = compare_pair(left, right)
         if index == 0:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -117,14 +117,12 @@ class DressedTriad:
     chirality: Chirality
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float).copy()
-        eta = np.asarray(self.eta1, dtype=complex).copy()
-        if lam.shape != (3,) or eta.shape != (3,):
+        for name, dtype in (("lambdas", float), ("eta1", complex)):
+            array = np.array(getattr(self, name), dtype=dtype)  # a read-only copy
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if self.lambdas.shape != (3,) or self.eta1.shape != (3,):
             raise ValidationError("dressed triad needs 3 eigenvalues and 3 overlaps")
-        lam.flags.writeable = False
-        eta.flags.writeable = False
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "eta1", eta)
 
     def __reduce__(self):  # rerun the constructor: a pickle or copy stays read-only
         return DressedTriad, (self.lambdas, self.eta1, self.chirality)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import BiphotonAmplitude, FrequencyGrid, jsa_row, jsa_value
-from .errors import NonFiniteResult, ValidationError
+from .biphoton import RESOLVE_FACTOR, BiphotonAmplitude, FrequencyGrid, jsa_row, jsa_value
+from .errors import GridTooCoarse, NonFiniteResult, ValidationError
 from .model import DressedTriad, NoiseParams
 
 
@@ -93,12 +93,16 @@ class TransmissionKernel:
     gives, up to the sign of a zero part.  A zero's sign changes no nonzero
     sum or product, and each curve starts at +0.0, so the curves keep the
     bytes of a plain division.  The grid is both the quadrature grid of the
-    mode integrals Q_i and, for curves, the signal detector's scan.  A
-    kernel holds no mutable state, so calls may overlap; a pickle or copy of
-    it reruns the constructor, so its arrays stay read-only.
+    mode integrals Q_i and, for curves, the signal detector's scan; its step
+    must resolve gamma RESOLVE_FACTOR times.  A kernel holds no mutable
+    state, so calls may overlap; a pickle or copy of it reruns the
+    constructor, so its arrays stay read-only.
     """
 
     def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid):
+        step, limit = grid_s.step, noise.gamma / RESOLVE_FACTOR
+        if step > limit * (1.0 + 1e-12):
+            raise GridTooCoarse(f"grid step {step:g} exceeds {limit:g} needed to resolve gamma")
         dressed_triads = tuple(dressed_triads)
         self._args = (dressed_triads, noise, grid_s)
         self.grid, points = grid_s, grid_s.points
@@ -113,34 +117,42 @@ class TransmissionKernel:
     def __reduce__(self):
         return TransmissionKernel, self._args
 
-    def curves(
-        self, amp: BiphotonAmplitude, omega_l_bar: float, depth: float = math.inf
-    ) -> tuple[np.ndarray, ...]:
-        """One read-only curve per triad at one idler, sampled on the grid from one JSA row.
+    def curves(self, amp: BiphotonAmplitude, omega_l_bar: float, depth: float = math.inf) -> tuple:
+        """``(support, *curves)``: one read-only curve per triad at one idler, from one JSA row.
 
-        The row is sampled down to e^-depth of its grid peak (``jsa_row``);
-        outside that support the values are -0.0, as a full row's zeros
-        give.  Each mode's psi / den is formed once, as (psi * mul) * scl,
-        in the support of a zeroed row that all modes of the call share, so
+        The row is sampled down to e^-depth of its grid peak (``jsa_row``),
+        on the slice ``support`` of the grid, and each curve holds its
+        values there only; outside it a curve is -0.0 (``full_curves``).
+        Each mode's psi / den is formed once, as (psi * mul) * scl, in the
+        support of a zeroed full row that all modes of the call share, so
         Q_i is the trapezoid of a full row; the curve adds
         weight_i * Re(psi / den * Q_i), its psi* / den term, as rows are
         real.  Raises NonFiniteResult if a value comes out NaN or infinite.
         """
         support, psi_row = jsa_row(amp, self.grid, omega_l_bar, depth)
-        row, curves = np.zeros(self.grid.points.size, dtype=complex), []
+        row, curves = np.zeros(self.grid.points.size, dtype=complex), [support]
         quotient = row[support]
         for modes in self.triads:
-            values = np.zeros(row.size)
+            values = np.zeros(quotient.size)
             for weight, mul, scl in modes:
                 np.multiply(psi_row, mul[support], out=quotient)
                 np.multiply(quotient, scl[support], out=quotient)
-                values[support] += weight * (quotient * _trapezoid(row, self.grid.step)).real
+                np.multiply(quotient, _trapezoid(row, self.grid.step), out=quotient)
+                values += weight * quotient.real
             np.negative(values, out=values)
             if not np.all(np.isfinite(values)):
                 raise NonFiniteResult("spectrum curve contains non-finite values")
             values.flags.writeable = False
             curves.append(values)
         return tuple(curves)
+
+
+def full_curves(grid: FrequencyGrid, support: slice, *curves: np.ndarray) -> tuple:
+    """Read-only ``TransmissionKernel.curves`` on all of grid.points, -0.0 outside ``support``."""
+    full = np.full((len(curves), grid.points.size), -0.0)
+    full[:, support] = curves
+    full.flags.writeable = False
+    return tuple(full)
 
 
 def transmission_point(

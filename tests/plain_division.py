@@ -2,17 +2,21 @@
 
 It divides each JSA row by lambda_i - d'' + i*gamma with ``np.divide``, as
 the kernel did before it stored Smith's factors, and sums in the kernel's
-order, so its curves must equal the kernel's byte for byte.
+order over full rows, as the kernel did before it returned its curves on the
+row's support only, so its curves must equal the kernel's, scattered into
+-0.0 rows, byte for byte.
 """
+
+import math
 
 import numpy as np
 
 from chirospec.biphoton import jsa_row
 
 
-def plain_division_curves(dressed_triads, noise, grid, amp, omega_l_bar):
-    """One curve per triad, sampled on ``grid.points``."""
-    support, psi_row = jsa_row(amp, grid, omega_l_bar)
+def plain_division_curves(dressed_triads, noise, grid, amp, omega_l_bar, depth=math.inf):
+    """One curve per triad, sampled on ``grid.points`` from the row cut at ``depth``."""
+    support, psi_row = jsa_row(amp, grid, omega_l_bar, depth)
     curves = []
     for dressed in dressed_triads:
         values = np.zeros(grid.points.size)

@@ -853,6 +853,27 @@ class TestExitCodes:
         )
         assert main(["spectrum", "-c", str(path), "--threads", "1"]) == 2
 
+    @pytest.mark.parametrize("command, section", [
+        ("spectrum", "idler: 0.0\n"),
+        ("regime-map", "sweep: {t0: {min: 1.0, max: 2.0, count: 2},"
+                       " omega_l: {min: 0.0, max: 1.0, count: 2}}\n"),
+    ])
+    def test_scan_step_that_does_not_resolve_gamma_is_2(self, tmp_path, capsys, command,
+                                                         section):
+        # the step resolves the probe, but leaves one scan point per 90 line widths
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "noise: {gamma: 0.001}\nprobe: {kind: uncorrelated, sigma: 1.0}\n"
+            "scan: {half_width: 4.0, step: 0.09}\n" + section
+            + f"output:\n  directory: {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert main([command, "-c", str(path), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("chirospec: config error:")
+        assert "resolve gamma" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_scan_grid_is_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
         text = QUANTUM_CFG.format(out=tmp_path / "out")

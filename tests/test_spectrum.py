@@ -24,6 +24,7 @@ from chirospec.analysis import (
     sweep_amplitude,
 )
 from chirospec.biphoton import (
+    RESOLVE_FACTOR,
     UNDERFLOW_EXPONENT,
     BiphotonAmplitude,
     FrequencyGrid,
@@ -48,6 +49,7 @@ from chirospec.model import (
 from chirospec.spectrum import (
     DetectorPair,
     TransmissionKernel,
+    full_curves,
     transmission_point,
     zero_bandwidth_point,
 )
@@ -57,6 +59,15 @@ import working_point as wp
 NOISE = NoiseParams(1.0)
 RESONANT_RIGHT = DriveConfig(0.1, 0.1, 0.1, 0.0, 0.0, Chirality.RIGHT)
 ENTANGLED_DELAYS = dict(sigma_p=1.0, t_s=24.0, t_l=25.0)
+
+
+def full_rows(kernel, amp, omega_l_bar, depth=math.inf):
+    """Every support-length curve of ``kernel.curves``, scattered into a -0.0 full row."""
+    support, *curves = kernel.curves(amp, omega_l_bar, depth)
+    rows = [np.full(kernel.grid.points.size, -0.0) for _ in curves]
+    for row, values in zip(rows, curves, strict=True):
+        row[support] = values
+    return rows
 
 
 def right_curve(cfg, amp, omega_l_bar, grid):
@@ -230,7 +241,7 @@ class TestTransmissionCurve:
         dressed = manual_dressed([-0.7, 0.2, 1.1], np.sqrt([0.6, 0.3, 0.1]))
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         grid = default_grid(amp, 1.0, dressed.lambdas)
-        curve = TransmissionKernel([dressed], NOISE, grid).curves(amp, 0.4)[0]
+        (curve,) = full_rows(TransmissionKernel([dressed], NOISE, grid), amp, 0.4)
         for target in (-1.0, -0.3, 0.4, 1.2):
             k = int(np.argmin(np.abs(grid.points - target)))
             det = DetectorPair(float(grid.points[k]), 0.4)
@@ -297,10 +308,11 @@ class TestCurveArrays:
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
         kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
-        left, right = kernel.curves(amp, 0.3)
+        support, left, right = kernel.curves(amp, 0.3)
         (row,) = rows
+        assert support == row_support(amp, scan, 0.3)
         for curve, other in ((left, right), (right, left)):
-            assert curve.dtype == float and curve.shape == scan.points.shape
+            assert curve.dtype == float and curve.shape == row.shape
             assert not curve.flags.writeable
             assert not np.shares_memory(curve, row)
             assert not np.shares_memory(curve, other)
@@ -330,7 +342,7 @@ class TestCurveArrays:
         amp = BiphotonAmplitude.entangled(0.2, -0.1, **ENTANGLED_DELAYS)
         fine = FrequencyGrid.build(0.0, 6.0, 0.002)
         kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, fine)
-        for curve, copied in zip(kernel.curves(amp, 0.3), clone(kernel).curves(amp, 0.3)):
+        for curve, copied in zip(full_rows(kernel, amp, 0.3), full_rows(clone(kernel), amp, 0.3)):
             assert curve.tobytes() == copied.tobytes()
 
     def test_threads_calling_one_kernel_get_the_serial_bytes(self):
@@ -339,7 +351,7 @@ class TestCurveArrays:
         idlers = np.linspace(-1.254, 1.254, 40)
 
         def curve_bytes(omega_ls):
-            return [b"".join(c.tobytes() for c in kernel.curves(amp, wl)) for wl in omega_ls]
+            return [b"".join(c.tobytes() for c in full_rows(kernel, amp, wl)) for wl in omega_ls]
 
         serial = curve_bytes(idlers)
         interval = sys.getswitchinterval()
@@ -420,13 +432,13 @@ class TestRowSupport:
         kernel.curves(amp, omega_l + 0.5)  # an earlier call leaves nothing behind
         outside = np.ones(grid.points.size, dtype=bool)
         outside[row_support(amp, grid, omega_l)] = False
-        curves = kernel.curves(amp, omega_l)
+        curves = full_rows(kernel, amp, omega_l)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 spectrum, "jsa_row",
                 lambda amp, grid, wl, depth: (slice(None), jsa_value(amp, grid.points, wl)),
             )
-            full_row_curves = kernel.curves(amp, omega_l)
+            full_row_curves = full_rows(kernel, amp, omega_l)
         for curve, full_row_curve in zip(curves, full_row_curves, strict=True):
             assert curve.tobytes() == full_row_curve.tobytes()
             assert np.all(curve[outside] == 0.0) and np.all(np.signbit(curve[outside]))
@@ -438,10 +450,10 @@ class TestRowSupport:
         # all modes of a call share one row: one triad's quotients must not leak into the other's
         amp, grid, omega_l = row
         pair = dressed_pair(RESONANT_RIGHT)
-        curves = TransmissionKernel(pair, NOISE, grid).curves(amp, omega_l)
+        curves = full_rows(TransmissionKernel(pair, NOISE, grid), amp, omega_l)
         assert len(curves) == 2
         for curve, dressed in zip(curves, pair):
-            (alone,) = TransmissionKernel([dressed], NOISE, grid).curves(amp, omega_l)
+            (alone,) = full_rows(TransmissionKernel([dressed], NOISE, grid), amp, omega_l)
             assert curve.tobytes() == alone.tobytes()
 
 
@@ -561,6 +573,8 @@ class TestDepthCut:
     @example(entangled_row(0.0), 1.0, RESONANT_RIGHT)
     def test_cut_mode_integrals_and_labels_equal_full_rows(self, row, gamma, drive):
         amp, grid, omega_l = row
+        if grid.step > gamma / RESOLVE_FACTOR:  # the kernel needs a grid that resolves gamma
+            grid = FrequencyGrid.build(grid.center, grid.half_width, gamma / RESOLVE_FACTOR)
         noise = NoiseParams(gamma)
         kernel, depth = map_kernel_and_depth(drive, noise, grid, amp, omega_l)
         assert depth == pytest.approx(expected_map_depth(drive, noise, grid), rel=1e-12)
@@ -571,7 +585,7 @@ class TestDepthCut:
                 for kept in (support, slice(None))
             )
             assert np.all(np.abs(cut - full) <= 1e-12 * np.abs(full))
-        full, cut = kernel.curves(amp, omega_l), kernel.curves(amp, omega_l, depth)
+        full, cut = full_rows(kernel, amp, omega_l), full_rows(kernel, amp, omega_l, depth)
         outside = np.ones(grid.points.size, dtype=bool)
         outside[support] = False
         for curve in cut:
@@ -590,7 +604,7 @@ class TestDepthCut:
         assert 55.0 < depth < 56.0
 
     def test_tiny_gamma_maps_full_rows_without_a_warning(self):
-        noise, scan = NoiseParams(1e-200), FrequencyGrid.build(0.0, 6.0, 0.01)
+        noise, scan = NoiseParams(1e-200), FrequencyGrid(0.0, 1e-200, 20)  # step gamma / 10
         amp = BiphotonAmplitude.entangled(sigma_p=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -598,6 +612,53 @@ class TestDepthCut:
             rm = regime_map(RESONANT_RIGHT, amp, noise, [0.5, 1.0], [-0.3, 0.0, 0.3], scan)
         assert depth == math.inf
         assert rm.labels.shape == (2, 3)
+
+
+def edge_row(side):
+    """An entangled row whose support reaches past the grid's end on ``side`` (-1 or +1)."""
+    amp = BiphotonAmplitude.entangled(sigma_p=1.0)
+    grid = default_grid(amp, 1.0, resonant_dressed().lambdas)
+    return amp, grid, -side * grid.half_width  # the row peaks at omega_p - omega_l
+
+
+class TestSupportCurves:
+    """Support-length curves, as the regime map compares them, against full rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sampled_rows(), DRIVES)
+    @example(uncorrelated_row(749.99), RESONANT_RIGHT)  # 7 points, where psi underflows
+    @example(FAR_IDLER, RESONANT_RIGHT)  # empty support: null signatures
+    @example(edge_row(-1), RESONANT_RIGHT)
+    @example(edge_row(1), RESONANT_RIGHT)
+    def test_support_curves_equal_full_rows_and_compare_alike(self, row, drive):
+        amp, grid, omega_l = row
+        kernel, depth = map_kernel_and_depth(drive, NOISE, grid, amp, omega_l)
+        support, *curves = kernel.curves(amp, omega_l, depth)
+        assert support == row_support(amp, grid, omega_l, depth)
+        plain = plain_division_curves(dressed_pair(drive), NOISE, grid, amp, omega_l, depth)
+        outside = np.ones(grid.points.size, dtype=bool)
+        outside[support] = False
+        scattered = full_curves(grid, support, *curves)
+        for values, full, reference in zip(curves, scattered, plain, strict=True):
+            assert values.size == grid.points[support].size
+            assert values.tobytes() == reference[support].tobytes()
+            assert full.tobytes() == reference.tobytes() and not full.flags.writeable
+            assert np.all(full[outside] == 0.0) and np.all(np.signbit(full[outside]))
+        with pytest.MonkeyPatch.context() as patch:  # the row's amplitude is the drawn one
+            patch.setattr(analysis, "sweep_amplitude", lambda template, t0: template)
+            (got,) = analysis._row_result((kernel, amp, [omega_l], depth), 0.0)
+        expected = compare_pair(*scattered)
+        assert got[:2] == expected[:2] and got[3] == expected[3]
+        assert abs(got[2] - expected[2]) <= 1e-12
+
+    def test_examples_cover_short_empty_and_edge_supports(self):
+        rows = (uncorrelated_row(749.99), FAR_IDLER, edge_row(-1), edge_row(1))
+        kept = []
+        for amp, grid, omega_l in rows:
+            _, depth = map_kernel_and_depth(RESONANT_RIGHT, NOISE, grid, amp, omega_l)
+            kept.append(range(grid.points.size)[row_support(amp, grid, omega_l, depth)])
+        assert 0 < len(kept[0]) < analysis.MIN_CURVE_POINTS and len(kept[1]) == 0
+        assert kept[2][0] == 0 and kept[3][-1] == rows[3][1].points.size - 1
 
 
 HUGE = np.finfo(float).max
@@ -656,7 +717,7 @@ class TestSmithFactors:
         for t0 in t0_values:
             amp = sweep_amplitude(cfg.probe, t0)
             for omega_l in cfg.sweep.omega_l_values():
-                curves = kernel.curves(amp, omega_l)
+                curves = full_rows(kernel, amp, omega_l)
                 plain = plain_division_curves(pair, cfg.noise, scan, amp, omega_l)
                 for curve, reference in zip(curves, plain, strict=True):
                     assert curve.tobytes() == reference.tobytes()
