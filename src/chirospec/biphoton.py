@@ -182,13 +182,20 @@ def _resolved_width(amp: BiphotonAmplitude) -> float:
     return min(1.0, *amp.feature_widths())
 
 
-def _require_resolving(amp: BiphotonAmplitude, grid: FrequencyGrid) -> None:
-    """Raise GridTooCoarse unless the step resolves ``_resolved_width`` RESOLVE_FACTOR times."""
-    limit = _resolved_width(amp) / RESOLVE_FACTOR
+def require_step_resolves(grid: FrequencyGrid, width: float, name: str) -> None:
+    """Raise GridTooCoarse unless the grid's step resolves ``width`` RESOLVE_FACTOR times.
+
+    The one resolution check; ``name`` names the width in the message, and
+    the 1e-12 slack lets a step that rounds just above its limit pass.
+    """
+    limit = width / RESOLVE_FACTOR
     if grid.step > limit * (1.0 + 1e-12):
-        raise GridTooCoarse(
-            f"grid step {grid.step:g} exceeds {limit:g} needed to resolve the amplitude"
-        )
+        raise GridTooCoarse(f"grid step {grid.step:g} exceeds {limit:g} needed to resolve {name}")
+
+
+def _require_resolving(amp: BiphotonAmplitude, grid: FrequencyGrid) -> None:
+    """Raise GridTooCoarse unless the step resolves ``_resolved_width``."""
+    require_step_resolves(grid, _resolved_width(amp), "the amplitude")
 
 
 def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
@@ -273,7 +280,7 @@ def default_grid_parameters(
     DEFAULT_SPAN_WIDTHS times the larger of the envelope width and gamma,
     extended so every dressed eigenvalue is covered with a 6-gamma margin.
     The step resolves gamma and ``_resolved_width`` DEFAULT_STEP_FACTOR times,
-    so the grid passes ``_require_resolving`` and ``TransmissionKernel``'s gamma check.
+    so the grid passes ``require_step_resolves`` for both.
     """
     if not (gamma > 0):
         raise ValidationError("gamma > 0")

@@ -15,7 +15,9 @@ composite trapezoidal quadrature over the signal grid; the mode density
 and every physical prefactor are absorbed into C = 1, keeping the
 leading minus sign because the sign pattern carries the chiral signal.
 Both probe kinds give a real JSA row (``biphoton.jsa_row``), so
-psi* = psi and each psi / (lambda_i - d'' + i*gamma) is formed once.
+psi* = psi and each psi / (lambda_i - d'' + i*gamma) is formed once, by
+one division by a denominator that ``TransmissionKernel`` stores per grid
+point and mode (0.9 MB for the canonical enantiomer pair).
 
 For a zero-bandwidth energy-correlated pair the transmission collapses
 to a closed form in the pinned detuning dpl = omega_p - wl
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import RESOLVE_FACTOR, BiphotonAmplitude, FrequencyGrid, jsa_row, jsa_value
-from .errors import GridTooCoarse, NonFiniteResult, ValidationError
+from .biphoton import BiphotonAmplitude, FrequencyGrid, jsa_row, jsa_value, require_step_resolves
+from .errors import NonFiniteResult, ValidationError
 from .model import DressedTriad, NoiseParams
 
 
@@ -51,32 +53,6 @@ class DetectorPair:
             raise ValidationError("detector frequencies must be finite")
 
 
-def _smith_factors(den_re: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(mul, scl)`` with (psi * mul) * scl == psi / (den_re + i*gamma) as numpy divides.
-
-    numpy divides by a complex number with Smith's algorithm (Smith 1962,
-    CACM 5:435): rat = top / bottom and scl = 1 / (bottom + top * rat), with
-    (top, bottom) = (gamma, den_re) where |den_re| >= gamma and
-    (den_re, gamma) elsewhere.  A real psi's quotient is then
-    (psi, -psi * rat) * scl or (psi * rat, -psi) * scl.  Both factors
-    depend only on the denominator, so they are stored: ``mul`` is
-    (1, -rat) or (rat, -1) and ``scl`` is real.  Each part of the product
-    is rounded from the same single products as numpy's quotient, so the
-    two agree bit for bit except in the sign of a zero part: where
-    psi == 0 or a product underflows to zero (a subnormal psi), Smith's
-    0 - psi * rat gives +0.0 and the multiply may give -0.0.
-    """
-    wide = np.abs(den_re) >= gamma
-    top, bottom = np.where(wide, gamma, den_re), np.where(wide, den_re, gamma)
-    rat = top / bottom
-    mul = np.empty(den_re.shape, dtype=complex)
-    mul.real = np.where(wide, 1.0, rat)
-    mul.imag = np.where(wide, -rat, -1.0)
-    scl = 1.0 / (bottom + top * rat)
-    mul.flags.writeable = scl.flags.writeable = False
-    return mul, scl
-
-
 def _trapezoid(row: np.ndarray, step: float) -> complex:
     """Composite trapezoid of a whole row on a uniform grid: the one rule for Q_i."""
     return step * (row.sum() - 0.5 * (row[0] + row[-1]))
@@ -86,33 +62,24 @@ class TransmissionKernel:
     """Transmission spectra of dressed triads, e.g. an enantiomer pair, on one signal grid.
 
     Holds what does not depend on the JSA row, read-only: per triad and
-    mode, the weight |eta_1i|^2 and the Smith factors of the denominator
-    lambda_i - d'' + i*gamma (``_smith_factors``), a complex ``mul`` and a
-    real ``scl``, 24 B per grid point per mode (1.3 MB for the canonical
-    pair's 9301 points).  psi * mul * scl is the quotient numpy's division
-    gives, up to the sign of a zero part.  A zero's sign changes no nonzero
-    sum or product, and each curve starts at +0.0, so the curves keep the
-    bytes of a plain division.  The grid is both the quadrature grid of the
-    mode integrals Q_i and, for curves, the signal detector's scan; its step
-    must resolve gamma RESOLVE_FACTOR times.  A kernel holds no mutable
-    state, so calls may overlap; a pickle or copy of it reruns the
-    constructor, so its arrays stay read-only.
+    mode, the weight |eta_1i|^2 and the complex denominator
+    lambda_i - d'' + i*gamma on the grid, 16 B per grid point per mode
+    (0.9 MB for the canonical pair's 9301 points).  The grid is both the
+    quadrature grid of the mode integrals Q_i and, for curves, the signal
+    detector's scan; its step must resolve gamma RESOLVE_FACTOR times.  A
+    kernel holds no mutable state, so calls may overlap; a pickle or copy
+    of it reruns the constructor, so its arrays stay read-only.
     """
 
     def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid):
-        step, limit = grid_s.step, noise.gamma / RESOLVE_FACTOR
-        if step > limit * (1.0 + 1e-12):
-            raise GridTooCoarse(f"grid step {step:g} exceeds {limit:g} needed to resolve gamma")
+        require_step_resolves(grid_s, noise.gamma, "gamma")
         dressed_triads = tuple(dressed_triads)
         self._args = (dressed_triads, noise, grid_s)
-        self.grid, points = grid_s, grid_s.points
-        self.triads = tuple(
-            tuple(
-                (weight, *_smith_factors(lam - points, noise.gamma))
-                for weight, lam in zip(d.eta1_sq, d.lambdas)
-            )
-            for d in dressed_triads
-        )
+        self.grid, self.triads = grid_s, ()
+        for d in dressed_triads:  # one row per mode: (lambda_i - d'') + i*gamma
+            den = (d.lambdas[:, None] - grid_s.points) + 1j * noise.gamma
+            den.flags.writeable = False
+            self.triads += (tuple(zip(d.eta1_sq, den)),)
 
     def __reduce__(self):
         return TransmissionKernel, self._args
@@ -123,7 +90,7 @@ class TransmissionKernel:
         The row is sampled down to e^-depth of its grid peak (``jsa_row``),
         on the slice ``support`` of the grid, and each curve holds its
         values there only; outside it a curve is -0.0 (``full_curves``).
-        Each mode's psi / den is formed once, as (psi * mul) * scl, in the
+        Each mode's psi / den is formed once, by ``np.divide``, in the
         support of a zeroed full row that all modes of the call share, so
         Q_i is the trapezoid of a full row; the curve adds
         weight_i * Re(psi / den * Q_i), its psi* / den term, as rows are
@@ -134,9 +101,8 @@ class TransmissionKernel:
         quotient = row[support]
         for modes in self.triads:
             values = np.zeros(quotient.size)
-            for weight, mul, scl in modes:
-                np.multiply(psi_row, mul[support], out=quotient)
-                np.multiply(quotient, scl[support], out=quotient)
+            for weight, den in modes:
+                np.divide(psi_row, den[support], out=quotient)
                 np.multiply(quotient, _trapezoid(row, self.grid.step), out=quotient)
                 values += weight * quotient.real
             np.negative(values, out=values)
@@ -162,7 +128,11 @@ def transmission_point(
     det: DetectorPair,
     grid_s: FrequencyGrid,
 ) -> float:
-    """Transmission spectrum at one detector pair, by quadrature over grid_s."""
+    """Transmission spectrum at one detector pair, by quadrature over grid_s.
+
+    Raises GridTooCoarse unless grid_s resolves gamma and amp, as for a kernel.
+    """
+    require_step_resolves(grid_s, noise.gamma, "gamma")
     support, psi_row = jsa_row(amp, grid_s, det.omega_l_bar)
     row, points = np.zeros(grid_s.points.size, dtype=complex), grid_s.points[support]
     psi_det = jsa_value(amp, det.omega_s_bar, det.omega_l_bar)

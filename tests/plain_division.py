@@ -1,10 +1,9 @@
 """Transmission curves by plain complex division: a test oracle.
 
 It divides each JSA row by lambda_i - d'' + i*gamma with ``np.divide``, as
-the kernel did before it stored Smith's factors, and sums in the kernel's
-order over full rows, as the kernel did before it returned its curves on the
-row's support only, so its curves must equal the kernel's, scattered into
--0.0 rows, byte for byte.
+the kernel does, but over full rows and in its own loop, and sums in the
+kernel's order, so its curves must equal the kernel's, scattered into -0.0
+rows, byte for byte.  It stays the reference for the kernel's bytes.
 """
 
 import math

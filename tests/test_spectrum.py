@@ -11,13 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from numpy.polynomial import polynomial
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chirospec import analysis, spectrum
 from chirospec.analysis import (
+    EXTREMUM_REL_THRESHOLD,
     SWEEP_T_L_RATIO,
     SWEEP_T_S_RATIO,
+    classify_lineshape,
     compare_pair,
     curve_pair,
     regime_map,
@@ -174,6 +177,11 @@ class TestTransmissionPoint:
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
         with pytest.raises(GridTooCoarse):
             transmission_point(resonant_dressed(), amp, NOISE, DetectorPair(0, 0), grid)
+        # the step resolves the amplitude but not gamma, as a kernel would reject it
+        amp, coarse = BiphotonAmplitude.uncorrelated(sigma=1.0), FrequencyGrid.build(0.0, 4.0, 0.09)
+        dressed, det = dressed_pair(DriveConfig())[1], DetectorPair(0.0, 0.0)
+        with pytest.raises(GridTooCoarse, match="needed to resolve gamma"):
+            transmission_point(dressed, amp, NoiseParams(0.001), det, coarse)
 
     def test_bilinear_scaling(self):
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
@@ -322,8 +330,8 @@ class TestCurveArrays:
         kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
         kernel.curves(BiphotonAmplitude.uncorrelated(sigma=1.0), 0.3)
         arrays = held_arrays(kernel)
-        # the grid's points, each triad's lambdas and eta1, each mode's mul and scl
-        assert len(arrays) == 1 + 2 * 2 + 2 * 3 * 2
+        # the grid's points, each triad's lambdas and eta1, each mode's denominator
+        assert len(arrays) == 1 + 2 * 2 + 2 * 3
         assert not any(array.flags.writeable for array in arrays)
 
     @pytest.mark.parametrize(
@@ -661,50 +669,103 @@ class TestSupportCurves:
         assert kept[2][0] == 0 and kept[3][-1] == rows[3][1].points.size - 1
 
 
-HUGE = np.finfo(float).max
-#: Nonzero JSA values: normal, subnormal and near-overflow magnitudes.
-PSI_VALUES = st.floats(-HUGE, HUGE, allow_nan=False, allow_infinity=False).filter(bool)
+def numerator(dressed, integrals, gamma):
+    """Coefficients in d of N(d), where a curve is -psi(d) N(d) / D(d) with D > 0.
+
+    N = sum_i (Re c_i (lambda_i - d) + Im c_i gamma) prod_{j != i} ((lambda_j - d)^2 + gamma^2),
+    c_i = |eta_1i|^2 Q_i: a real polynomial of degree 5.
+    """
+    factors = [[lam * lam + gamma * gamma, -2.0 * lam, 1.0] for lam in dressed.lambdas]
+    total = np.zeros(1)
+    for i, (lam, c) in enumerate(zip(dressed.lambdas, dressed.eta1_sq * integrals)):
+        term = np.array([c.real * lam + c.imag * gamma, -c.real])
+        for factor in factors[:i] + factors[i + 1:]:
+            term = polynomial.polymul(term, factor)
+        total = polynomial.polyadd(total, term)
+    return total
+
+
+def sign_changes(values):
+    """Sign changes between consecutive nonzero values."""
+    signs = np.signbit(values[values != 0])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def lobe_sign_changes(values):
+    """Sign changes between consecutive one-sign runs whose peak reaches the extremum cut."""
+    v = values[values != 0]
+    starts = np.flatnonzero(np.concatenate(([True], np.signbit(v[1:]) != np.signbit(v[:-1]))))
+    kept = np.maximum.reduceat(np.abs(v), starts) >= EXTREMUM_REL_THRESHOLD * np.max(np.abs(v))
+    return sign_changes(np.where(np.signbit(v[starts[kept]]), -1.0, 1.0))
+
+
+#: Drives with zero couplings and detunings drawn often: degenerate and decoupled triads.
+SIGN_DRIVES = st.builds(
+    DriveConfig,
+    *(st.just(0.0) | st.floats(0.0, 1.0) for _ in range(3)),
+    *(st.just(0.0) | st.floats(-3.0, 3.0) for _ in range(2)),
+)
 
 
 @st.composite
-def divisions(draw):
-    """gamma, Re(lambda - d'' + i*gamma) from both of Smith's branches, and nonzero psi."""
-    gamma = draw(st.floats(1e-3, 1e3))
-    narrow = st.floats(-1.0, 1.0).map(lambda x: x * gamma)  # |Re| < gamma: rat = Re / gamma
-    wide = st.floats(1.0, 1e12).map(lambda x: x * gamma)  # |Re| >= gamma: rat = gamma / Re
-    edges = st.sampled_from((0.0, -0.0, gamma, -gamma))
-    real_parts = edges | narrow | wide | wide.map(lambda x: -x)
-    den_re = np.array(draw(st.lists(real_parts, min_size=1, max_size=8)))
-    psi = draw(st.lists(PSI_VALUES, min_size=den_re.size, max_size=den_re.size))
-    return gamma, den_re, np.array(psi)
+def probed_drives(draw):
+    """A drive, gamma, an amplitude of either kind, an idler near its row and a default grid."""
+    drive, gamma = draw(SIGN_DRIVES), draw(st.floats(0.05, 5.0))
+    omega_sc, omega_lc = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    if draw(st.booleans()):
+        amp = BiphotonAmplitude.uncorrelated(omega_sc, omega_lc, draw(st.floats(0.1, 3.0)))
+    else:
+        amp = BiphotonAmplitude.entangled(
+            omega_sc, omega_lc, sigma_p=draw(st.floats(0.1, 3.0)),
+            t_s=draw(st.floats(0.0, SWEEP_T_S_RATIO * 15.0)),
+            t_l=draw(st.floats(0.0, SWEEP_T_L_RATIO * 15.0)),
+        )
+    omega_l = omega_lc + draw(st.floats(-2.0, 2.0)) * min(amp.feature_widths())  # row peak > e^-4
+    lambdas = np.concatenate([dressed.lambdas for dressed in dressed_pair(drive)])
+    return drive, NoiseParams(gamma), amp, omega_l, default_grid(amp, gamma, lambdas)
 
 
-class TestSmithFactors:
-    """The kernel's stored factors against ``np.divide``.
+class TestSignChanges:
+    """Each curve's signs against the real roots of its numerator, from its own trapezoid."""
 
-    This pins numpy's complex division, Smith's algorithm: a numpy that
-    divides another way fails here before any curve changes.
-    """
+    @settings(max_examples=150, deadline=None)
+    @given(probed_drives())
+    @example((DriveConfig(0.0, 0.0, 0.0, 0.0, 0.0), NOISE, wp.ENTANGLED_PROBE, 0.3,
+              wp.scan_grid(wp.ENTANGLED_PROBE)))
+    @example((RESONANT_RIGHT, NOISE, BiphotonAmplitude.uncorrelated(sigma=1.0), 0.0,
+              default_grid(BiphotonAmplitude.uncorrelated(sigma=1.0), 1.0, (-0.2, 0.2))))
+    def test_sign_changes_are_the_numerators_real_roots(self, case):
+        drive, noise, amp, omega_l, grid = case
+        psi = jsa_value(amp, grid.points, omega_l)
+        window = np.flatnonzero(psi >= 1e-20 * np.max(psi))  # psi is one Gaussian bump
+        ends, step = grid.points[window[[0, -1]]], grid.step
+        kernel = TransmissionKernel(dressed_pair(drive), noise, grid)
+        curves = full_curves(grid, *kernel.curves(amp, omega_l))
+        for dressed, curve in zip(dressed_pair(drive), curves, strict=True):
+            integrals = trapezoid_integrals(
+                amp, grid, omega_l, slice(None), dressed.lambdas, noise.gamma
+            )
+            n = numerator(dressed, integrals, noise.gamma)
+            roots = polynomial.polyroots(n)
+            real = roots[np.abs(roots.imag) <= step]  # a near-real pair lies within 2 steps
+            gaps = np.abs(real[:, None] - real[None, :]) + 2 * step * np.eye(real.size)
+            assume(np.all(gaps >= 2 * step))
+            assume(np.all(np.abs(real.real[:, None] - ends) >= 2 * step))
+            count = np.count_nonzero((ends[0] < real.real) & (real.real < ends[1]))
+            in_window = sign_changes(curve[window[0]:window[-1] + 1])
+            assert in_window == count
+            assert in_window <= 5
+            top = int(np.argmax(np.abs(curve)))
+            dominant = -np.sign(polynomial.polyval(grid.points[top], n))
+            # doubling every sample puts a zero slope run before each turn
+            for values in (curve, np.repeat(curve, 2)):
+                signature = classify_lineshape(values)
+                assert signature.zero_crossings == lobe_sign_changes(curve) <= count
+                assert signature.dominant_sign == dominant
 
-    @settings(max_examples=300, deadline=None)
-    @given(divisions())
-    @example((1.0, np.array([0.0, -0.0, 1.0, -1.0, 3.0, -0.5]),
-              np.array([5e-324, -HUGE, 1e-310, -2.5, HUGE, -5e-324])))
-    @example((1e3, np.array([0.0, -2e3, 0.25]), np.array([-5e-324, 1e-320, HUGE])))
-    def test_factors_reproduce_np_divide(self, division):
-        gamma, den_re, psi = division
-        den = np.empty(den_re.size, dtype=complex)
-        den.real, den.imag = den_re, gamma  # keeps a -0.0 real part
-        mul, scl = spectrum._smith_factors(den_re, gamma)
-        assert mul.dtype == complex and scl.dtype == float
-        with np.errstate(over="ignore"):
-            expected = np.divide(psi, den)
-            quotient = np.multiply(psi, mul)
-            np.multiply(quotient, scl, out=quotient)
-        assert np.array_equal(quotient, expected)
-        # bit for bit in both parts, but for the sign of a zero part (a
-        # subnormal psi's underflowed product): + 0.0 maps both zeros to +0.0
-        assert (quotient.view(float) + 0.0).tobytes() == (expected.view(float) + 0.0).tobytes()
+
+class TestPlainDivision:
+    """The kernel against ``tests/plain_division.py``, which divides in its own loop."""
 
     def test_regime_map_curves_equal_plain_division(self):
         config = Path(__file__).resolve().parent.parent / "configs" / "regime_map.yaml"
