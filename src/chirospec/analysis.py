@@ -11,7 +11,6 @@ working regions of the entanglement-assisted scheme.
 
 from __future__ import annotations
 
-import math
 import os
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -88,6 +87,8 @@ def classify_lineshape(values: np.ndarray) -> LineShapeSignature:
         raise ValidationError("a curve must have finite values")
     if peak < FLAT_CURVE_FLOOR:
         return LineShapeSignature.null()
+    if global_idx + 1 < v.size and v[global_idx + 1] == v[global_idx]:  # to a plateau's end
+        global_idx += int(np.argmin(np.append(v[global_idx + 1:] == v[global_idx], False)))
 
     # Slope signs as int8 codes from two comparisons: for finite values they
     # equal sign(diff(v)), as distinct doubles never differ by 0 and an
@@ -256,22 +257,13 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
 def _row_result(context, t0: float) -> list:
     """The ``compare_pair`` result of every idler of one T0 row.
 
-    Each JSA row is evaluated only down to e^-D of its largest grid value
-    M (``row_support``), at the depth ``regime_map`` derives from the grid:
-    D = 60 ln 2 + ln(2 n (1 + (R / gamma)^2)), n scan points and R the
-    largest |lambda_i - d| over the pair's energies and the scan's ends.
-    psi has one sign along a row and |den| >= gamma, so the dropped points
-    move each trapezoid Q_i by at most step * n * e^-D * M / gamma, while
-    |Q_i| >= |Im Q_i| >= step / 2 * M * gamma / (R^2 + gamma^2): each Q_i
-    moves by less than 2^-60 of itself, on any grid and at any gamma, and a
-    dropped curve value is below e^-D * M * sum_i |eta_1i|^2 |Q_i| / gamma.
     The curves are compared on the row's support, except one shorter than
     MIN_CURVE_POINTS: that is compared on full rows (``full_curves``).
     """
-    kernel, amp_template, omega_l_axis, depth = context
+    kernel, amp_template, omega_l_axis = context
     amp, results = sweep_amplitude(amp_template, t0), []
     for wl in omega_l_axis:
-        support, *pair = kernel.curves(amp, wl, depth)
+        support, *pair = kernel.curves(amp, wl)
         if pair[0].size < MIN_CURVE_POINTS:
             pair = full_curves(kernel.grid, support, *pair)
         results.append(compare_pair(*pair))
@@ -300,12 +292,8 @@ def regime_map(
     if t0_axis.size == 0 or omega_l_axis.size == 0:
         raise ValidationError("sweep axes must be nonempty")
 
-    pair, ends, gamma = dressed_pair(cfg), scan_s.points[[0, -1]].tolist(), float(noise.gamma)
-    # R / gamma in Python floats: where it is huge, the depth is inf (full rows), with no warning
-    ratio = max(abs(lam - d) for t in pair for lam in t.lambdas.tolist() for d in ends) / gamma
-    depth = 60 * math.log(2) + math.log(2 * scan_s.points.size * (1 + ratio * ratio))
-    kernel = TransmissionKernel(pair, noise, scan_s)
-    context = (kernel, amp_template, omega_l_axis.tolist(), depth)
+    kernel = TransmissionKernel(dressed_pair(cfg), noise, scan_s, cut=True)
+    context = (kernel, amp_template, omega_l_axis.tolist())
     labels = np.zeros((t0_axis.size, omega_l_axis.size), dtype=int)
     interned: dict[tuple[LineShapeSignature, LineShapeSignature], int] = {}
     with closing(run_jobs(_row_result, context, t0_axis.tolist(), threads)) as rows:

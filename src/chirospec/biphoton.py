@@ -193,11 +193,6 @@ def require_step_resolves(grid: FrequencyGrid, width: float, name: str) -> None:
         raise GridTooCoarse(f"grid step {grid.step:g} exceeds {limit:g} needed to resolve {name}")
 
 
-def _require_resolving(amp: BiphotonAmplitude, grid: FrequencyGrid) -> None:
-    """Raise GridTooCoarse unless the step resolves ``_resolved_width``."""
-    require_step_resolves(grid, _resolved_width(amp), "the amplitude")
-
-
 def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
     """Real joint spectral amplitude at (omega_s, omega_l); accepts arrays."""
     ws = np.asarray(omega_s, dtype=float)
@@ -259,7 +254,7 @@ def jsa_row(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, depth: float
     ``depth``: the caller needs the row down to e^-depth of its grid peak.
     Raises GridTooCoarse unless grid_s resolves amp.
     """
-    _require_resolving(amp, grid_s)
+    require_step_resolves(grid_s, _resolved_width(amp), "the amplitude")
     support = row_support(amp, grid_s, omega_l, depth)
     return support, jsa_value(amp, grid_s.points[support], omega_l)
 

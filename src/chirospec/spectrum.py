@@ -69,22 +69,38 @@ class TransmissionKernel:
     detector's scan; its step must resolve gamma RESOLVE_FACTOR times.  A
     kernel holds no mutable state, so calls may overlap; a pickle or copy
     of it reruns the constructor, so its arrays stay read-only.
+
+    ``curves`` samples each JSA row down to e^-``depth`` of its largest grid
+    value M (``row_support``).  depth is inf, every nonzero value, unless
+    ``cut``; then it is D = 60 ln 2 + ln(2 n (1 + (R / gamma)^2)), with n
+    grid points and R the largest |lambda_i - d| over the triads' energies
+    and the grid's ends.  psi has one sign along a row and |den| >= gamma,
+    so the dropped points move each trapezoid Q_i by at most
+    step * n * e^-D * M / gamma, while |Q_i| >= |Im Q_i| >= step / 2 * M *
+    gamma / (R^2 + gamma^2): each Q_i moves by less than 2^-60 of itself, on
+    any grid and at any gamma, and a dropped curve value is below
+    e^-D * M * sum_i |eta_1i|^2 |Q_i| / gamma.
     """
 
-    def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid):
+    def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid, cut=False):
         require_step_resolves(grid_s, noise.gamma, "gamma")
         dressed_triads = tuple(dressed_triads)
-        self._args = (dressed_triads, noise, grid_s)
-        self.grid, self.triads = grid_s, ()
+        self._args = (dressed_triads, noise, grid_s, cut)
+        self.grid, self.triads, self.depth = grid_s, (), math.inf
         for d in dressed_triads:  # one row per mode: (lambda_i - d'') + i*gamma
             den = (d.lambdas[:, None] - grid_s.points) + 1j * noise.gamma
             den.flags.writeable = False
             self.triads += (tuple(zip(d.eta1_sq, den)),)
+        if cut:  # in Python floats: a huge R / gamma gives D = inf (full rows), with no warning
+            ends = grid_s.points[[0, -1]].tolist()
+            lambdas = np.concatenate([t.lambdas for t in dressed_triads]).tolist()
+            ratio = max(abs(lam - d) for lam in lambdas for d in ends) / float(noise.gamma)
+            self.depth = 60 * math.log(2) + math.log(2 * grid_s.points.size * (1 + ratio * ratio))
 
     def __reduce__(self):
         return TransmissionKernel, self._args
 
-    def curves(self, amp: BiphotonAmplitude, omega_l_bar: float, depth: float = math.inf) -> tuple:
+    def curves(self, amp: BiphotonAmplitude, omega_l_bar: float) -> tuple:
         """``(support, *curves)``: one read-only curve per triad at one idler, from one JSA row.
 
         The row is sampled down to e^-depth of its grid peak (``jsa_row``),
@@ -96,7 +112,7 @@ class TransmissionKernel:
         weight_i * Re(psi / den * Q_i), its psi* / den term, as rows are
         real.  Raises NonFiniteResult if a value comes out NaN or infinite.
         """
-        support, psi_row = jsa_row(amp, self.grid, omega_l_bar, depth)
+        support, psi_row = jsa_row(amp, self.grid, omega_l_bar, self.depth)
         row, curves = np.zeros(self.grid.points.size, dtype=complex), [support]
         quotient = row[support]
         for modes in self.triads:

@@ -45,6 +45,8 @@ class TestClassifyLineshape:
         assert sig.extrema_signs == (1,)
         assert sig.zero_crossings == 0
         assert sig.dominant_sign == 1
+        two_point_top = np.array([0, 1, 2, 3, 4, 5, 6, 7, 7, 6, 5, 4, 3, 2, 1, 0.0])
+        assert classify_lineshape(two_point_top) == sig
 
     def test_dispersive_shape(self):
         values = gaussian_peak(X, -0.6, 0.4, 1.0) + gaussian_peak(X, 0.6, 0.4, -0.9)
@@ -117,6 +119,8 @@ def reference_signature(values, rel_threshold=EXTREMUM_REL_THRESHOLD):
             extrema.append(i - 1)
         last_slope = slope
     global_idx = max(range(len(v)), key=lambda i: (abs(v[i]), -i))
+    while global_idx + 1 < len(v) and v[global_idx + 1] == v[global_idx]:
+        global_idx += 1  # a plateau's extremum sits at its last index
     if global_idx not in extrema:
         extrema.append(global_idx)
         extrema.sort()
@@ -175,6 +179,7 @@ class TestClassifierOracle:
     @given(curve_values())
     @example(np.zeros(MIN_CURVE_POINTS))
     @example(np.array([0.0, 1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 0.0] * 2))
+    @example(np.array([0, 1, 2, 3, 4, 5, 6, 7, 7, 6, 5, 4, 3, 2, 1, 0.0]))  # a two-point top
     @example(np.array([2.0] * 5 + [1.0] * 6 + [2.0] * 5))
     @example(np.array([0.0, 20.0, 0.0, 1.0] + [0.0] * 12))  # a lobe at exactly 5%
     # zero slopes inside runs of one sign: no turn there
@@ -190,6 +195,12 @@ class TestClassifierOracle:
     @example(np.array([2e-323, 1.5e-323, 1e-323, 1.5e-323] * 4 + [1e-13]))
     def test_matches_reference_loop(self, values):
         assert classify_lineshape(values) == reference_signature(values)
+
+    @settings(max_examples=400, deadline=None)
+    @given(curve_values())
+    def test_doubled_samples_keep_the_signature(self, values):
+        # each value taken twice makes every point a plateau, whose extremum counts once
+        assert classify_lineshape(np.repeat(values, 2)) == classify_lineshape(values)
 
     @settings(max_examples=200, deadline=None)
     @given(curve_values(levels=st.one_of(*LEVELS[:2])), st.integers(-30, 30))

@@ -64,9 +64,9 @@ RESONANT_RIGHT = DriveConfig(0.1, 0.1, 0.1, 0.0, 0.0, Chirality.RIGHT)
 ENTANGLED_DELAYS = dict(sigma_p=1.0, t_s=24.0, t_l=25.0)
 
 
-def full_rows(kernel, amp, omega_l_bar, depth=math.inf):
+def full_rows(kernel, amp, omega_l_bar):
     """Every support-length curve of ``kernel.curves``, scattered into a -0.0 full row."""
-    support, *curves = kernel.curves(amp, omega_l_bar, depth)
+    support, *curves = kernel.curves(amp, omega_l_bar)
     rows = [np.full(kernel.grid.points.size, -0.0) for _ in curves]
     for row, values in zip(rows, curves, strict=True):
         row[support] = values
@@ -341,17 +341,21 @@ class TestCurveArrays:
     def test_copied_kernel_is_read_only_and_gives_the_same_curves(self, clone):
         # what a spawn-started pool worker gets: the pickle reruns each constructor
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
-        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
-        twin = clone(kernel)
-        assert twin.grid == scan and twin.grid is not scan
-        arrays = held_arrays(twin)
-        assert len(arrays) == len(held_arrays(kernel))
-        assert not any(array.flags.writeable for array in arrays)
         amp = BiphotonAmplitude.entangled(0.2, -0.1, **ENTANGLED_DELAYS)
         fine = FrequencyGrid.build(0.0, 6.0, 0.002)
-        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, fine)
-        for curve, copied in zip(full_rows(kernel, amp, 0.3), full_rows(clone(kernel), amp, 0.3)):
-            assert curve.tobytes() == copied.tobytes()
+        for cut in (False, True):
+            kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan, cut=cut)
+            twin = clone(kernel)
+            assert twin.grid == scan and twin.grid is not scan
+            assert twin.depth == kernel.depth and (kernel.depth < math.inf) == cut
+            arrays = held_arrays(twin)
+            assert len(arrays) == len(held_arrays(kernel))
+            assert not any(array.flags.writeable for array in arrays)
+            kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, fine, cut=cut)
+            twin = clone(kernel)
+            assert twin.depth == kernel.depth
+            for curve, copied in zip(full_rows(kernel, amp, 0.3), full_rows(twin, amp, 0.3)):
+                assert curve.tobytes() == copied.tobytes()
 
     def test_threads_calling_one_kernel_get_the_serial_bytes(self):
         amp = wp.ENTANGLED_PROBE
@@ -484,19 +488,9 @@ def exponents(amp, points, omega_l):
     return (points + omega_l - amp.omega_p) ** 2 / (2 * amp.sigma_p**2) + kappa**2
 
 
-def map_kernel_and_depth(drive, noise, grid, amp, omega_l):
-    """The kernel and row depth ``regime_map`` hands its rows for one drive, noise and grid."""
-    handed = []
-
-    def recorded_run_jobs(func, context, jobs, threads):
-        handed.append(context)
-        yield from ()
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "run_jobs", recorded_run_jobs)
-        regime_map(drive, amp, noise, [0.0], [omega_l], grid)
-    kernel, _, _, depth = handed[0]
-    return kernel, depth
+def cut_kernel(drive, noise, grid):
+    """The enantiomer pair's kernel with its rows cut, as ``regime_map`` builds it."""
+    return TransmissionKernel(dressed_pair(drive), noise, grid, cut=True)
 
 
 def expected_map_depth(drive, noise, grid):
@@ -584,7 +578,8 @@ class TestDepthCut:
         if grid.step > gamma / RESOLVE_FACTOR:  # the kernel needs a grid that resolves gamma
             grid = FrequencyGrid.build(grid.center, grid.half_width, gamma / RESOLVE_FACTOR)
         noise = NoiseParams(gamma)
-        kernel, depth = map_kernel_and_depth(drive, noise, grid, amp, omega_l)
+        kernel = cut_kernel(drive, noise, grid)
+        depth = kernel.depth
         assert depth == pytest.approx(expected_map_depth(drive, noise, grid), rel=1e-12)
         support = row_support(amp, grid, omega_l, depth)
         for dressed in dressed_pair(drive):
@@ -593,7 +588,8 @@ class TestDepthCut:
                 for kept in (support, slice(None))
             )
             assert np.all(np.abs(cut - full) <= 1e-12 * np.abs(full))
-        full, cut = full_rows(kernel, amp, omega_l), full_rows(kernel, amp, omega_l, depth)
+        uncut = TransmissionKernel(dressed_pair(drive), noise, grid)
+        full, cut = full_rows(uncut, amp, omega_l), full_rows(kernel, amp, omega_l)
         outside = np.ones(grid.points.size, dtype=bool)
         outside[support] = False
         for curve in cut:
@@ -602,21 +598,32 @@ class TestDepthCut:
         assert got[:2] == expected[:2] and got[3] == expected[3]
         assert abs(got[2] - expected[2]) <= 1e-12
 
-    def test_canonical_map_depth(self):
+    def test_canonical_map_depth(self, monkeypatch):
+        # the one test of the kernel regime_map hands its rows: a map whose kernel
+        # forgot cut=True keeps its labels and only runs slower
         config = Path(__file__).resolve().parent.parent / "configs" / "regime_map.yaml"
         cfg = parse_config(config.read_text(encoding="utf-8"))
         amp = sweep_amplitude(cfg.probe, max(cfg.sweep.t0_values()))
         scan = build_scan_grid(cfg, amp)
-        _, depth = map_kernel_and_depth(cfg.drive, cfg.noise, scan, amp, 0.0)
-        assert depth == pytest.approx(expected_map_depth(cfg.drive, cfg.noise, scan), rel=1e-12)
-        assert 55.0 < depth < 56.0
+        handed = []
+
+        def recorded_run_jobs(func, context, jobs, threads):
+            handed.append(context[0])
+            yield from ()
+
+        monkeypatch.setattr(analysis, "run_jobs", recorded_run_jobs)
+        regime_map(cfg.drive, amp, cfg.noise, [0.0], [0.0], scan)
+        (kernel,) = handed
+        expected = expected_map_depth(cfg.drive, cfg.noise, scan)
+        assert kernel.grid == scan and kernel.depth == pytest.approx(expected, rel=1e-12)
+        assert 55.0 < kernel.depth < 56.0
 
     def test_tiny_gamma_maps_full_rows_without_a_warning(self):
         noise, scan = NoiseParams(1e-200), FrequencyGrid(0.0, 1e-200, 20)  # step gamma / 10
         amp = BiphotonAmplitude.entangled(sigma_p=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, depth = map_kernel_and_depth(RESONANT_RIGHT, noise, scan, amp, 0.3)
+            depth = cut_kernel(RESONANT_RIGHT, noise, scan).depth
             rm = regime_map(RESONANT_RIGHT, amp, noise, [0.5, 1.0], [-0.3, 0.0, 0.3], scan)
         assert depth == math.inf
         assert rm.labels.shape == (2, 3)
@@ -640,8 +647,9 @@ class TestSupportCurves:
     @example(edge_row(1), RESONANT_RIGHT)
     def test_support_curves_equal_full_rows_and_compare_alike(self, row, drive):
         amp, grid, omega_l = row
-        kernel, depth = map_kernel_and_depth(drive, NOISE, grid, amp, omega_l)
-        support, *curves = kernel.curves(amp, omega_l, depth)
+        kernel = cut_kernel(drive, NOISE, grid)
+        depth = kernel.depth
+        support, *curves = kernel.curves(amp, omega_l)
         assert support == row_support(amp, grid, omega_l, depth)
         plain = plain_division_curves(dressed_pair(drive), NOISE, grid, amp, omega_l, depth)
         outside = np.ones(grid.points.size, dtype=bool)
@@ -654,7 +662,7 @@ class TestSupportCurves:
             assert np.all(full[outside] == 0.0) and np.all(np.signbit(full[outside]))
         with pytest.MonkeyPatch.context() as patch:  # the row's amplitude is the drawn one
             patch.setattr(analysis, "sweep_amplitude", lambda template, t0: template)
-            (got,) = analysis._row_result((kernel, amp, [omega_l], depth), 0.0)
+            (got,) = analysis._row_result((kernel, amp, [omega_l]), 0.0)
         expected = compare_pair(*scattered)
         assert got[:2] == expected[:2] and got[3] == expected[3]
         assert abs(got[2] - expected[2]) <= 1e-12
@@ -663,7 +671,7 @@ class TestSupportCurves:
         rows = (uncorrelated_row(749.99), FAR_IDLER, edge_row(-1), edge_row(1))
         kept = []
         for amp, grid, omega_l in rows:
-            _, depth = map_kernel_and_depth(RESONANT_RIGHT, NOISE, grid, amp, omega_l)
+            depth = cut_kernel(RESONANT_RIGHT, NOISE, grid).depth
             kept.append(range(grid.points.size)[row_support(amp, grid, omega_l, depth)])
         assert 0 < len(kept[0]) < analysis.MIN_CURVE_POINTS and len(kept[1]) == 0
         assert kept[2][0] == 0 and kept[3][-1] == rows[3][1].points.size - 1
