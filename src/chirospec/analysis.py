@@ -11,6 +11,8 @@ working regions of the entanglement-assisted scheme.
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -81,31 +83,33 @@ def classify_lineshape(values: np.ndarray) -> LineShapeSignature:
             f"line shapes need >= {MIN_CURVE_POINTS} scan points, got {v.size}"
         )
     magnitude = np.abs(v)
-    global_idx = int(np.argmax(magnitude))
+    global_idx = int(magnitude.argmax())
     peak = float(magnitude[global_idx])
-    if not np.isfinite(peak):  # argmax stops at the first NaN, if any
+    if not math.isfinite(peak):  # argmax stops at the first NaN, if any
         raise ValidationError("a curve must have finite values")
     if peak < FLAT_CURVE_FLOOR:
         return LineShapeSignature.null()
     if global_idx + 1 < v.size and v[global_idx + 1] == v[global_idx]:  # to a plateau's end
         global_idx += int(np.argmin(np.append(v[global_idx + 1:] == v[global_idx], False)))
 
-    # Slope signs as int8 codes from two comparisons: for finite values they
-    # equal sign(diff(v)), as distinct doubles never differ by 0 and an
-    # overflowing difference keeps its sign.  Runs of equal code: a turn
-    # starts a nonzero run whose code differs from the previous nonzero
-    # run's, so zero runs (plateaus, and the -0.0 tails outside a JSA row's
-    # support) never make or break one.
-    slopes = (v[1:] > v[:-1]).view(np.int8) - (v[1:] < v[:-1]).view(np.int8)
-    starts = np.flatnonzero(np.concatenate(([True], slopes[1:] != slopes[:-1])))
-    runs = starts[slopes[starts] != 0]
-    turns = runs[1:][slopes[runs[1:]] != slopes[runs[:-1]]]
-    extrema = turns if global_idx in turns else np.sort(np.append(turns, global_idx))
-    significant = extrema[magnitude[extrema] >= EXTREMUM_REL_THRESHOLD * peak]
-    signs = np.where(v[significant] > 0, 1, -1)
+    # Slopes from two comparisons: for finite values a slope is 0 only where
+    # two values are equal, as distinct doubles never differ by 0 and an
+    # overflowing difference keeps its sign.  Zero slopes (plateaus, and the
+    # -0.0 tails outside a JSA row's support) never make or break a turn: a
+    # turn is a nonzero slope whose direction differs from the previous
+    # nonzero slope's, and its extremum sits where that slope starts.
+    later, earlier = v[1:], v[:-1]
+    rising = later > earlier
+    slopes = (rising | (later < earlier)).nonzero()[0]
+    rising = rising[slopes]
+    extrema = slopes[1:][rising[1:] != rising[:-1]].tolist()
+    if global_idx not in extrema:
+        bisect.insort(extrema, global_idx)
+    cut = EXTREMUM_REL_THRESHOLD * peak
+    signs = [1 if x > 0 else -1 for x in v[extrema].tolist() if abs(x) >= cut]
     return LineShapeSignature(
-        extrema_signs=tuple(signs.tolist()),
-        zero_crossings=int(np.count_nonzero(signs[1:] != signs[:-1])),
+        extrema_signs=tuple(signs),
+        zero_crossings=sum(a != b for a, b in zip(signs, signs[1:])),
         dominant_sign=1 if v[global_idx] > 0 else -1,
     )
 

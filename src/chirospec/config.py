@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Collection, Optional
 
@@ -98,10 +99,29 @@ def _reject_unknown(node: dict, allowed: Collection[str], where: str) -> None:
             raise ValidationError(f"unknown key '{key}' in section '{where}'")
 
 
+#: A number in exponent form: YAML reads it as a float only with a dot and a signed exponent.
+_EXPONENT_FORM = re.compile(r"([-+]?)([0-9]*)\.?([0-9]*)[eE]([-+]?)([0-9]+)")
+
+
 def _as_number(value, name: str) -> float:
-    """A YAML scalar as a finite float; ranges are checked by the value types."""
+    """A YAML scalar as a finite float; ranges are checked by the value types.
+
+    Text that float() reads as a finite number, such as 1e6 or 1.0e6, which
+    YAML reads as text, is still rejected, with the form YAML reads as a float.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number")
+        try:
+            number = float(value) if isinstance(value, str) else math.nan
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ValidationError(f"{name} must be a number")
+        text = value.strip() if _EXPONENT_FORM.fullmatch(value.strip()) else repr(number)
+        parts = _EXPONENT_FORM.fullmatch(text)
+        if parts:  # 1e6 -> 1.0e+6
+            sign, whole, fraction, exponent_sign, exponent = parts.groups()
+            text = f"{sign}{whole or 0}.{fraction or 0}e{exponent_sign or '+'}{exponent}"
+        raise ValidationError(f"{name} must be a number (YAML reads {value!r} as text; write {text})")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -166,7 +186,7 @@ def _numbers(node: dict, name: str) -> dict[str, float]:
 
 
 def _parse_idler(node) -> tuple[float, ...]:
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
+    if isinstance(node, (int, float, str)):  # a scalar idler
         return (_as_number(node, "idler"),)
     node = _require_mapping(node, "idler")
     _reject_unknown(node, {"value", "values", "min", "max", "step"}, "idler")

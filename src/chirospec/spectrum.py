@@ -11,7 +11,9 @@ detector pair by the transmission term
 where ds is the signal detector detuning, wl the idler detector
 frequency, lambda_i / eta_1i the dressed energies and overlaps, and
 gamma the uniform dissipation rate.  The continuum mode sum is a
-composite trapezoidal quadrature over the signal grid; the mode density
+composite trapezoidal quadrature over the signal grid: over the whole
+zero-padded grid, or, in a kernel that cuts its rows (the regime map's),
+over the row's support alone; the mode density
 and every physical prefactor are absorbed into C = 1, keeping the
 leading minus sign because the sign pattern carries the chiral signal.
 Both probe kinds give a real JSA row (``biphoton.jsa_row``), so
@@ -54,8 +56,11 @@ class DetectorPair:
 
 
 def _trapezoid(row: np.ndarray, step: float) -> complex:
-    """Composite trapezoid of a whole row on a uniform grid: the one rule for Q_i."""
-    return step * (row.sum() - 0.5 * (row[0] + row[-1]))
+    """Composite trapezoid of a row on a uniform grid, 0 for an empty row: the one rule for Q_i.
+
+    The row is a whole zero-padded grid row, or a cut kernel's support.
+    """
+    return step * (row.sum() - 0.5 * (row[0] + row[-1])) if row.size else 0j
 
 
 class TransmissionKernel:
@@ -74,19 +79,24 @@ class TransmissionKernel:
     value M (``row_support``).  depth is inf, every nonzero value, unless
     ``cut``; then it is D = 60 ln 2 + ln(2 n (1 + (R / gamma)^2)), with n
     grid points and R the largest |lambda_i - d| over the triads' energies
-    and the grid's ends.  psi has one sign along a row and |den| >= gamma,
-    so the dropped points move each trapezoid Q_i by at most
-    step * n * e^-D * M / gamma, while |Q_i| >= |Im Q_i| >= step / 2 * M *
-    gamma / (R^2 + gamma^2): each Q_i moves by less than 2^-60 of itself, on
-    any grid and at any gamma, and a dropped curve value is below
-    e^-D * M * sum_i |eta_1i|^2 |Q_i| / gamma.
+    and the grid's ends, and each Q_i is the trapezoid of the row's support
+    S alone; an uncut kernel takes it over the whole zero-padded grid, whose
+    pairwise sum, and so its bits, differ.  Every point outside S, and each
+    end of S that is not an end of the grid, lies below e^-D M, so a
+    nonempty S drops at most (n - |S|) + 2 x 1/2 <= n point-weights of the
+    full row's trapezoid.  psi has one sign along a row and |den| >= gamma,
+    so that moves each Q_i by at most step * n * e^-D * M / gamma, while
+    |Q_i| >= |Im Q_i| >= step / 2 * M * gamma / (R^2 + gamma^2): each Q_i
+    moves by less than 2^-60 of itself, on any grid and at any gamma, and a
+    dropped curve value is below e^-D * M * sum_i |eta_1i|^2 |Q_i| / gamma.
+    An empty S holds no value above 0, and its Q_i is 0.
     """
 
     def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid, cut=False):
         require_step_resolves(grid_s, noise.gamma, "gamma")
         dressed_triads = tuple(dressed_triads)
         self._args = (dressed_triads, noise, grid_s, cut)
-        self.grid, self.triads, self.depth = grid_s, (), math.inf
+        self.grid, self.triads, self.depth, self.cut = grid_s, (), math.inf, cut
         for d in dressed_triads:  # one row per mode: (lambda_i - d'') + i*gamma
             den = (d.lambdas[:, None] - grid_s.points) + 1j * noise.gamma
             den.flags.writeable = False
@@ -106,15 +116,21 @@ class TransmissionKernel:
         The row is sampled down to e^-depth of its grid peak (``jsa_row``),
         on the slice ``support`` of the grid, and each curve holds its
         values there only; outside it a curve is -0.0 (``full_curves``).
-        Each mode's psi / den is formed once, by ``np.divide``, in the
-        support of a zeroed full row that all modes of the call share, so
-        Q_i is the trapezoid of a full row; the curve adds
-        weight_i * Re(psi / den * Q_i), its psi* / den term, as rows are
-        real.  Raises NonFiniteResult if a value comes out NaN or infinite.
+        Each mode's psi / den is formed once, by ``np.divide``, into one
+        quotient that all modes of the call share: a support-length array
+        if the kernel is cut, so Q_i is the trapezoid of the support, else
+        the support of a zeroed full row, so Q_i is that of the full row.
+        The curve adds weight_i * Re(psi / den * Q_i), its psi* / den term,
+        as rows are real.  Raises NonFiniteResult if a value comes out NaN
+        or infinite.
         """
         support, psi_row = jsa_row(amp, self.grid, omega_l_bar, self.depth)
-        row, curves = np.zeros(self.grid.points.size, dtype=complex), [support]
-        quotient = row[support]
+        if self.cut:
+            row = quotient = np.empty(psi_row.size, dtype=complex)
+        else:
+            row = np.zeros(self.grid.points.size, dtype=complex)
+            quotient = row[support]
+        curves = [support]
         for modes in self.triads:
             values = np.zeros(quotient.size)
             for weight, den in modes:

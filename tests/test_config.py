@@ -179,6 +179,44 @@ def test_missing_range_key_is_rejected(tmp_path, capsys, command, text, key):
     assert not (tmp_path / "out").exists()
 
 
+SIGNLESS_EXPONENTS = [
+    ("regime-map", "sweep:\n  t0: {min: 0.0, max: %s, count: 3}\n"
+     "  omega_l: {min: -1.0, max: 1.0, count: 3}", "sweep.t0.max", "1.0e6", "1.0e+6"),
+    ("spectrum", "probe: {kind: entangled, sigma_p: %s}\nidler: 0.0", "probe.sigma_p",
+     "1.0e200", "1.0e+200"),
+    ("spectrum", "idler: %s", "idler", "1e-6", "1.0e-6"),
+    ("spectrum", "idler: {values: [0.0, %s]}", "idler.values[1]", "-.5E3", "-0.5e+3"),
+    ("spectrum", "idler: {value: %s}", "idler.value", "'12'", "12.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,template,key,written,fixed", SIGNLESS_EXPONENTS,
+    ids=[case[2] for case in SIGNLESS_EXPONENTS],
+)
+def test_number_read_as_text_names_the_float_form(tmp_path, capsys, command, template, key,
+                                                  written, fixed):
+    # YAML 1.1 reads 1e6 and 1.0e6 as text; the typing stays strict, the message says why
+    message = f"{key} must be a number (YAML reads {yaml.safe_load(written)!r} as text; write {fixed})"
+    with pytest.raises(ValidationError) as info:
+        parse_config(template % written + "\n")
+    assert str(info.value) == message
+    parse_config(template % fixed + "\n")  # the suggested form is a float
+
+    path = tmp_path / "cfg.yaml"
+    text = template % written + f"\noutput: {{directory: {tmp_path / 'out'}}}\n"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([command, "-c", str(path), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == f"chirospec: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["idler: abc", "idler: '1e400'", "idler: nan", "idler: true"])
+def test_text_that_is_no_finite_number_is_only_not_a_number(text):
+    with pytest.raises(ValidationError, match=r"^idler must be a number$"):
+        parse_config(text + "\n")
+
+
 class TestSweep:
     def test_axes(self):
         text = (
