@@ -193,8 +193,25 @@ class TestClassifierOracle:
     @example(np.array([1.0] + [5e-324, 1e-323, 5e-324, -0.0, -5e-324, 0.0, 1e-323] * 2
                       + [-5e-324]))
     @example(np.array([2e-323, 1.5e-323, 1e-323, 1.5e-323] * 4 + [1e-13]))
+    # a zero-slope run between two rises, or two falls, is no turn
+    @example(np.array([0, 1, 2, 2, 2, 3, 4, 5, 6, 5, 4, 3, 3, 3, 2, 1.0]))
+    # a zero-slope run between a rise and a fall is one turn, at the run's last index
+    @example(np.array([0, 1, 2, 3, 3, 3, 2, 1, 0, 1, 2, 4, 6, 8, 10, 12.0]))
+    @example(-np.array([0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 7, 6, 5, 4, 3, 2.0]))
+    # the global extremum on a plateau that ends or starts the curve
+    @example(np.array([0, -1, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 8.0]))
+    @example(np.array([-8.0] * 4 + [-7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 1, -0.0]))
+    # NaN and inf curves are rejected
+    @example(np.array([0, 1, 2, 3, 4, 5, 6, 7, np.nan, 6, 5, 4, 3, 2, 1, 0.0]))
+    @example(np.array([np.nan] * 16))
+    @example(np.array([0.0] * 15 + [np.inf]))
+    @example(np.array([1.0, -np.inf] + [0.0] * 14))
     def test_matches_reference_loop(self, values):
-        assert classify_lineshape(values) == reference_signature(values)
+        if not np.all(np.isfinite(values)):
+            with pytest.raises(ValidationError, match="finite"):
+                classify_lineshape(values)
+        else:
+            assert classify_lineshape(values) == reference_signature(values)
 
     @settings(max_examples=400, deadline=None)
     @given(curve_values())

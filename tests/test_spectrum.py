@@ -501,10 +501,14 @@ def expected_map_depth(drive, noise, grid):
 
 
 def trapezoid_integrals(amp, grid, omega_l, support, lambdas, gamma):
-    """Q_i of the row sampled on ``support`` (zero elsewhere), by plain division."""
-    row = np.zeros(grid.points.size)
-    row[support] = jsa_value(amp, grid.points[support], omega_l)
-    quotients = row / (np.asarray(lambdas)[:, None] - grid.points + 1j * gamma)
+    """Q_i of the row sampled on ``support``, by plain division and the trapezoid of that window.
+
+    A cut kernel's rule for a cut support; the full row's for ``slice(None)``.
+    """
+    points = grid.points[support]
+    if points.size == 0:
+        return np.zeros(len(lambdas), dtype=complex)
+    quotients = jsa_value(amp, points, omega_l) / (np.asarray(lambdas)[:, None] - points + 1j * gamma)
     return grid.step * (quotients.sum(axis=1) - 0.5 * (quotients[:, 0] + quotients[:, -1]))
 
 
@@ -637,7 +641,7 @@ def edge_row(side):
 
 
 class TestSupportCurves:
-    """Support-length curves, as the regime map compares them, against full rows."""
+    """Support-length curves, as the regime map compares them, against the support-window oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(sampled_rows(), DRIVES)
