@@ -47,6 +47,8 @@ EXIT_NUMERICAL = 4
 
 #: Rows per write of a curve CSV.
 CSV_BLOCK_ROWS = 512
+#: Most curve CSV rows one spectrum may write: about 1.7 GB at 34 B per row.
+MAX_SPECTRUM_ROWS = 50_000_000
 #: Bytes of the widest %.9e number, "-1.234567890e-308".
 _FIELD = 17
 _CURVE_HEADER = b"delta_s_bar,P_c\n"
@@ -263,14 +265,21 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     The idlers run in process, one at a time, and each idler's curves are
     written as soon as they are computed, so the command holds one idler's
-    curves for any idler count.  The output directory is made after the
-    first idler's curves; a failure after that leaves the curves written
-    so far, but no manifest and no run record.
+    curves for any idler count.  A spectrum of more than MAX_SPECTRUM_ROWS
+    CSV rows is rejected before any file is written.  The output directory
+    is made after the first idler's curves; a failure after that leaves the
+    curves written so far, but no manifest and no run record.
     """
     if cfg.idler is None:
         raise ValidationError("spectrum command needs an idler section")
     started = time.time()
     scan = build_scan_grid(cfg, cfg.probe)
+    csv_rows = 2 * len(cfg.idler) * scan.points.size
+    if csv_rows > MAX_SPECTRUM_ROWS:
+        raise ValidationError(
+            f"{len(cfg.idler)} idlers x {scan.points.size} scan points would write "
+            f"{csv_rows} CSV rows, above {MAX_SPECTRUM_ROWS}"
+        )
     kernel = TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan)
     rows = _curve_rows(scan.points)
     digests: dict[str, str] = {}

@@ -314,8 +314,3 @@ def config_mapping(cfg: ExperimentConfig) -> dict:
             for axis in _SWEEP_AXES
         }
     return doc
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical YAML form; parse_config(serialize_config(c)) == c."""
-    return yaml.safe_dump(config_mapping(cfg), sort_keys=True, default_flow_style=False)

@@ -80,7 +80,8 @@ class DriveConfig:
 class HermitianTriad:
     """3x3 complex matrix in the basis (|1>, |2>, |3>), Hermitian within HERMITICITY_TOL.
 
-    Construction raises NonHermitianInput when the matrix is not.
+    Construction raises ValidationError for a non-finite entry, and
+    NonHermitianInput when the matrix is not Hermitian.
     """
 
     matrix: np.ndarray
@@ -89,13 +90,14 @@ class HermitianTriad:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValidationError("triad matrix must be 3x3")
+        if not np.all(np.isfinite(m)):  # before the defect: inf - inf would warn
+            raise ValidationError("triad matrix entries must be finite")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if self.hermiticity_defect() > HERMITICITY_TOL:
-            raise NonHermitianInput(
-                f"matrix deviates from Hermitian by {self.hermiticity_defect():.3e}"
-            )
+        defect = self.hermiticity_defect()
+        if defect > HERMITICITY_TOL:
+            raise NonHermitianInput(f"matrix deviates from Hermitian by {defect:.3e}")
 
     def hermiticity_defect(self) -> float:
         """Max-entry deviation from H = H^dagger."""
@@ -160,13 +162,12 @@ def build_rotating_hamiltonian(cfg: DriveConfig) -> HermitianTriad:
 
 
 def _gauge_fix(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its largest component is real positive."""
-    k = int(np.argmax(np.abs(vec)))
-    pivot = vec[k]
-    if pivot == 0:
-        return vec
-    phase = pivot / abs(pivot)
-    return vec / phase
+    """Rotate a unit vector's global phase so its largest component is real positive.
+
+    That component is at least 1/sqrt(3) in modulus, so it is never 0.
+    """
+    pivot = vec[int(np.argmax(np.abs(vec)))]
+    return vec / (pivot / abs(pivot))
 
 
 def dressed_states(h: HermitianTriad, chirality: Chirality) -> DressedTriad:

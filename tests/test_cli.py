@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chirospec import analysis, cli, model
 from chirospec.biphoton import MAX_GRID_POINTS, FrequencyGrid, default_grid
-from chirospec.cli import CSV_BLOCK_ROWS, _curve_rows, _write_curve, main
+from chirospec.cli import CSV_BLOCK_ROWS, MAX_SPECTRUM_ROWS, _curve_rows, _write_curve, main
 from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS, parse_config
 from chirospec.errors import NonFiniteResult
 from chirospec.model import dressed_pair
@@ -313,8 +313,8 @@ def fork_pool(monkeypatch):
 
 
 class TestStreamedSpectrum:
-    def test_more_idlers_than_jobs_in_flight_keep_the_bytes(self, tmp_path):
-        # the idlers run in process at any --threads; 7 idlers outnumber the cores
+    def test_more_threads_than_idlers_keep_the_bytes(self, tmp_path):
+        # the idlers run in process at any --threads: 64 threads, 7 idlers, same bytes
         runs = []
         for tag, threads in (("a", "1"), ("b", "2"), ("c", "64")):
             cfg = write_cfg(tmp_path, STREAM_CFG, name=f"cfg_{tag}.yaml", out=f"out_{tag}")
@@ -345,9 +345,9 @@ class TestStreamedSpectrum:
         assert peaks[200] <= 1.1 * peaks[20], peaks
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_failure_on_third_idler_leaves_no_manifest(self, tmp_path, monkeypatch,
-                                                       capsys, threads):
-        fork_pool(monkeypatch)
+    def test_failure_on_third_idler_is_4_and_keeps_only_earlier_curves(
+        self, tmp_path, monkeypatch, capsys, threads
+    ):
         original = TransmissionKernel.curves
 
         def failing(kernel, amp, omega_l_bar, *args):
@@ -363,8 +363,8 @@ class TestStreamedSpectrum:
         names = {p.name for p in (tmp_path / "out").iterdir()}
         assert names == {f"curve_{side}_{k:03d}.csv" for side in ("left", "right") for k in (0, 1)}
 
-    def test_writer_failure_terminates_the_pool(self, tmp_path, monkeypatch, capsys):
-        fork_pool(monkeypatch)
+    def test_writer_failure_is_3_and_keeps_only_written_curves(self, tmp_path, monkeypatch,
+                                                              capsys):
         written = []
 
         def failing_write(path, rows, values):
@@ -896,8 +896,16 @@ class TestExitCodes:
              "sweep:\n  t0: {min: 0.0, max: 15.0, count: 1000000000}\n"
              "  omega_l: {min: -1.0, max: 1.0, count: 1000000000}",
              MAX_SWEEP_CELLS),
+            # 2 x 33 idlers x 800 001 points: 52 800 066 rows, about 1.8 GB of CSV
+            ("spectrum",
+             "probe: {kind: uncorrelated, sigma: 1.0}\n"
+             "scan: {half_width: 40.0, step: 1.0e-4}\n"
+             "idler: {min: -1.0, max: 1.0, step: 0.0625}",
+             "33 idlers x 800001 scan points would write 52800066 CSV rows, "
+             f"above {MAX_SPECTRUM_ROWS}\n"),
         ],
-        ids=["idler_range", "idler_span_overflows", "idler_list", "sweep_cells"],
+        ids=["idler_range", "idler_span_overflows", "idler_list", "sweep_cells",
+             "spectrum_rows"],
     )
     def test_oversized_idler_or_sweep_is_2(self, tmp_path, capsys, command, section, limit):
         path = tmp_path / "cfg.yaml"

@@ -18,11 +18,16 @@ from chirospec.config import (
     MAX_SWEEP_CELLS,
     ExperimentConfig,
     SweepSpec,
+    config_mapping,
     parse_config,
-    serialize_config,
 )
 from chirospec.errors import ParseError, ValidationError
 from chirospec.model import Chirality, DriveConfig, NoiseParams
+
+
+def serialize_config(cfg: ExperimentConfig) -> str:
+    """``config_mapping`` of ``cfg`` as canonical YAML, which ``parse_config`` reads back."""
+    return yaml.safe_dump(config_mapping(cfg), sort_keys=True, default_flow_style=False)
 
 
 class TestDefaults:

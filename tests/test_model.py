@@ -92,6 +92,13 @@ class TestHermitianTriad:
         assert issubclass(NonHermitianInput, ValidationError)
         with pytest.raises(ValueError, match="deviates from Hermitian"):
             HermitianTriad(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
+        # a NaN defect compares false with the tolerance, and inf - inf warns:
+        # non-finite entries are rejected before the defect is formed
+        for index, value in (((0, 1), np.nan), ((1, 1), np.inf), ((2, 0), complex(0, -np.inf))):
+            m = np.eye(3, dtype=complex)
+            m[index] = value
+            with pytest.raises(ValueError, match=r"^triad matrix entries must be finite$"):
+                HermitianTriad(m)
 
 
 class TestDressedTriad:

@@ -1,4 +1,8 @@
-"""The package's public names and the README's Library example."""
+"""The package root's names and the README's Library example.
+
+The root exports only the names the example imports from ``chirospec``,
+and ``__version__``; every other name is imported from its module.
+"""
 
 import re
 from pathlib import Path
@@ -20,6 +24,9 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from chirospec import *", namespace)
     assert set(chirospec.__all__) <= set(namespace)
+    imports = re.search(r"from chirospec import \((.*?)\)", library_example(), re.DOTALL)
+    names = {name.strip() for name in imports.group(1).split(",") if name.strip()}
+    assert set(chirospec.__all__) == names | {"__version__"}
 
 
 def test_readme_library_example_runs():

@@ -11,8 +11,15 @@ configs as YAML, takes the dressed energies and overlaps from
 ``mpmath.eighe`` and each Q_i from ``mpmath.quad``, all at 30 digits.
 chirospec gives only the numbers under test.  The regime map's cut kernel
 integrates each row over the scan window, which at the canonical map's
-T0 = 0 row leaves out up to 1.15e-7 of a curve's peak; the spectrum CSVs
-are within their printed resolution of the integral.
+T0 = 0 row leaves out up to 1.15e-7 of a curve's peak; the spectrum CSVs,
+of the shipped configs and of perfbench seeds, are within their printed
+resolution of the integral.  ``transmission_point`` is the same formula
+at one detector pair, and ``zero_bandwidth_point`` is the closed form
+
+    P(dpl) = -|eta_1|^2 Re[phi(dpl)^2 / (lambda - dpl + i*gamma)^2],
+
+with lambda the dressed energy of largest |eta_1|^2 and
+phi(d) = exp(-d^2 / (2 sigma^2)).
 """
 
 from pathlib import Path
@@ -22,10 +29,13 @@ import pytest
 import yaml
 
 from chirospec.analysis import sweep_amplitude
+from chirospec.biphoton import BiphotonAmplitude, default_grid
 from chirospec.cli import build_scan_grid, main
 from chirospec.config import parse_config
-from chirospec.model import dressed_pair
-from chirospec.spectrum import TransmissionKernel, full_curves
+from chirospec.model import DriveConfig, NoiseParams, dressed_pair
+from chirospec.spectrum import (
+    DetectorPair, TransmissionKernel, full_curves, transmission_point, zero_bandwidth_point,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -154,15 +164,111 @@ def test_cut_kernel_curves_match_the_reference(drive, t0_index, omega_l_index):
 SPECTRA = [("entangled_probe.yaml", (1, 6)), ("classical_probe.yaml", (0, 12))]
 
 
-@pytest.mark.parametrize("name, idlers", SPECTRA, ids=[name for name, _ in SPECTRA])
-def test_spectrum_csv_values_match_the_reference(tmp_path, name, idlers):
-    doc = config_document(name)
+def assert_csvs_near_reference(tmp_path, path, doc, idlers):
+    """Run ``spectrum`` on the config at ``path`` and check the given idlers' CSVs."""
     out = tmp_path / "out"
-    assert main(["spectrum", "-c", str(CONFIGS / name), "--threads", "1", "--out", str(out)]) == 0
-    omega_ls = parse_config((CONFIGS / name).read_text(encoding="utf-8")).idler
+    assert main(["spectrum", "-c", str(path), "--threads", "1", "--out", str(out)]) == 0
+    omega_ls = parse_config(path.read_text(encoding="utf-8")).idler
     for k in idlers:
         tables = [np.loadtxt(out / f"curve_{side}_{k:03d}.csv", delimiter=",", skiprows=1)
                   for side in ("left", "right")]
         points = tables[0][:, 0]
         assert np.array_equal(tables[1][:, 0], points)
         assert_near_reference(doc, omega_ls[k], points, [t[:, 1] for t in tables], 1e-9)
+
+
+@pytest.mark.parametrize("name, idlers", SPECTRA, ids=[name for name, _ in SPECTRA])
+def test_spectrum_csv_values_match_the_reference(tmp_path, name, idlers):
+    assert_csvs_near_reference(tmp_path, CONFIGS / name, config_document(name), idlers)
+
+
+#: perfbench seed: (omega21, omega31, omega32) and the common idler offset that
+#: ``perfbench/gen.make_configs`` draws.  Seed 57's map has no distinguishable cell.
+PERFBENCH_SEEDS = {5: ((0.143, 0.161, 0.169), 0.044), 57: ((0.056, 0.138, 0.053), 0.001)}
+#: The scan step perfbench pins for each spectrum config, centered at 0 with half-width 6.2.
+PERFBENCH_STEPS = {"entangled_probe.yaml": 0.002, "classical_probe.yaml": 0.05}
+
+
+def perfbench_document(name: str, seed: int) -> dict:
+    """The config that perfbench runs for the shipped ``name`` at ``seed``."""
+    couplings, offset = PERFBENCH_SEEDS[seed]
+    doc = config_document(name)
+    doc["drive"].update(zip(("omega21", "omega31", "omega32"), couplings))
+    doc["scan"] = {"center": 0.0, "half_width": 6.2, "step": PERFBENCH_STEPS[name]}
+    idler = doc["idler"]
+    if "values" in idler:
+        idler["values"] = [round(v + offset, 3) for v in idler["values"]]
+    else:
+        idler["min"], idler["max"] = (round(idler[key] + offset, 3) for key in ("min", "max"))
+    return doc
+
+
+#: (seed, config, idler index) of perfbench spectra whose CSVs are checked;
+#: every idler of both seeds read 1.0e-11 to 4.7e-10 of peak.
+SEED_SPECTRA = [(5, "entangled_probe.yaml", 6), (57, "entangled_probe.yaml", 0),
+                (5, "classical_probe.yaml", 9), (57, "classical_probe.yaml", 12)]
+
+
+@pytest.mark.parametrize(
+    "seed, name, idler", SEED_SPECTRA, ids=[f"seed_{s}-{n}" for s, n, _ in SEED_SPECTRA]
+)
+def test_perfbench_seed_csv_values_match_the_reference(tmp_path, seed, name, idler):
+    doc = perfbench_document(name, seed)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert_csvs_near_reference(tmp_path, path, doc, (idler,))
+
+
+CANONICAL_DRIVE = {"omega21": 0.1, "omega31": 0.1, "omega32": 0.1}
+#: Both detunings at 10 gamma: no two dressed energies are equal, and one line
+#: carries almost all the weight.
+LARGE_DETUNING_DRIVE = config_document("dressed_large_detuning.yaml")["drive"]
+
+#: (name, drive, probe, detector pairs (omega_s_bar, omega_l_bar)): criterion 7's
+#: working points with an off-grid pair each, and criterion 6's probe and drive
+#: at three of its pinned detunings, on its default grids.
+DETECTOR_POINTS = [
+    ("criterion_7_uncorrelated", CANONICAL_DRIVE, {"kind": "uncorrelated", "sigma": 1.0},
+     [(0.0, 0.0), (0.0123, -0.5)]),
+    ("criterion_7_entangled", CANONICAL_DRIVE,
+     {"kind": "entangled", "sigma_p": 1.0, "t_s": 24.0, "t_l": 25.0},
+     [(-1.03, 0.99), (0.9871, -0.99)]),
+    ("criterion_6", LARGE_DETUNING_DRIVE,
+     {"kind": "entangled", "sigma_p": 0.05, "t_s": 20.0, "t_l": 20.0},
+     [(-1.5, 1.5), (0.3125, -0.3125), (1.125, -1.125)]),
+]
+
+
+@pytest.mark.parametrize(
+    "drive, probe, pairs", [case[1:] for case in DETECTOR_POINTS],
+    ids=[case[0] for case in DETECTOR_POINTS],
+)
+def test_transmission_point_matches_the_reference(drive, probe, pairs):
+    # within 1e-10 of the value: the uncorrelated probe reads 2.2e-11, the others 1e-14 or less
+    doc = {"drive": drive, "noise": {"gamma": 1.0}, "probe": probe}
+    kind, params = probe["kind"], {k: v for k, v in probe.items() if k != "kind"}
+    amp = getattr(BiphotonAmplitude, kind)(**params)
+    noise = NoiseParams(1.0)
+    for omega_s, omega_l in pairs:
+        det = DetectorPair(omega_s, omega_l)
+        reference = reference_curves(doc, omega_l, [omega_s])
+        for dressed, expected in zip(dressed_pair(DriveConfig(**drive)), reference, strict=True):
+            grid = default_grid(amp, noise.gamma, dressed.lambdas)
+            value = transmission_point(dressed, amp, noise, det, grid)
+            assert abs(value - expected[0]) <= 1e-10 * abs(expected[0])
+
+
+def test_zero_bandwidth_point_matches_the_reference():
+    # within 1e-13 of the value; it read at most 4.3e-15
+    noise = NoiseParams(1.0)
+    pair = dressed_pair(DriveConfig(**LARGE_DETUNING_DRIVE))
+    with mpmath.workdps(DIGITS):
+        for dressed, modes in zip(pair, dressed_modes(LARGE_DETUNING_DRIVE), strict=True):
+            lam, weight = max(modes, key=lambda mode: mode[1])
+            for sigma in (1.0, 0.7):
+                for dpl in (-2.5, -0.4, 0.0, 0.6, 1.7, 3.0):
+                    phi = mpmath.exp(-mpmath.mpf(dpl) ** 2 / (2 * mpmath.mpf(sigma) ** 2))
+                    ratio = phi / (lam - dpl + 1j * noise.gamma)
+                    expected = float(-weight * (ratio * ratio).real)
+                    value = zero_bandwidth_point(dressed, noise, dpl, sigma)
+                    assert abs(value - expected) <= 1e-13 * abs(expected)
