@@ -345,7 +345,7 @@ class TestStreamedSpectrum:
         assert peaks[200] <= 1.1 * peaks[20], peaks
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_failure_on_third_idler_is_4_and_keeps_only_earlier_curves(
+    def test_failure_on_third_idler_leaves_no_manifest(
         self, tmp_path, monkeypatch, capsys, threads
     ):
         original = TransmissionKernel.curves
