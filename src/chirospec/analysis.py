@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .biphoton import BiphotonAmplitude, FrequencyGrid
-from .errors import CurveTooShort, ValidationError
+from .errors import ValidationError
 from .model import DriveConfig, NoiseParams, dressed_pair
 from .spectrum import TransmissionKernel, full_curves
 
@@ -49,11 +49,6 @@ class LineShapeSignature:
     zero_crossings: int
     dominant_sign: int
 
-    @classmethod
-    def null(cls) -> "LineShapeSignature":
-        """Reserved signature of a flat (numerically zero) curve."""
-        return cls(extrema_signs=(), zero_crossings=0, dominant_sign=0)
-
     def compact(self) -> str:
         """Short text form, e.g. '+-|1|-'; '0' for the null signature."""
         if not self.extrema_signs:
@@ -79,7 +74,7 @@ def classify_lineshape(values: np.ndarray) -> LineShapeSignature:
     if v.ndim != 1:
         raise ValidationError(f"a curve must be a 1-D array, got shape {v.shape}")
     if v.size < MIN_CURVE_POINTS:
-        raise CurveTooShort(
+        raise ValidationError(
             f"line shapes need >= {MIN_CURVE_POINTS} scan points, got {v.size}"
         )
     magnitude = np.abs(v)
@@ -88,7 +83,7 @@ def classify_lineshape(values: np.ndarray) -> LineShapeSignature:
     if not math.isfinite(peak):  # argmax stops at the first NaN, if any
         raise ValidationError("a curve must have finite values")
     if peak < FLAT_CURVE_FLOOR:
-        return LineShapeSignature.null()
+        return LineShapeSignature(extrema_signs=(), zero_crossings=0, dominant_sign=0)
     if global_idx + 1 < v.size and v[global_idx + 1] == v[global_idx]:  # to a plateau's end
         global_idx += int(np.argmin(np.append(v[global_idx + 1:] == v[global_idx], False)))
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, ValidationError
+from .errors import ValidationError
 
 #: A sampling step must resolve the narrowest amplitude feature by this factor.
 RESOLVE_FACTOR = 10.0
@@ -183,14 +183,14 @@ def _resolved_width(amp: BiphotonAmplitude) -> float:
 
 
 def require_step_resolves(grid: FrequencyGrid, width: float, name: str) -> None:
-    """Raise GridTooCoarse unless the grid's step resolves ``width`` RESOLVE_FACTOR times.
+    """Raise ValidationError unless the grid's step resolves ``width`` RESOLVE_FACTOR times.
 
     The one resolution check; ``name`` names the width in the message, and
     the 1e-12 slack lets a step that rounds just above its limit pass.
     """
     limit = width / RESOLVE_FACTOR
     if grid.step > limit * (1.0 + 1e-12):
-        raise GridTooCoarse(f"grid step {grid.step:g} exceeds {limit:g} needed to resolve {name}")
+        raise ValidationError(f"grid step {grid.step:g} exceeds {limit:g} needed to resolve {name}")
 
 
 def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
@@ -252,7 +252,7 @@ def jsa_row(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, depth: float
     """``(support, row)``: psi(., omega_l) sampled on its ``row_support`` slice of grid_s.
 
     ``depth``: the caller needs the row down to e^-depth of its grid peak.
-    Raises GridTooCoarse unless grid_s resolves amp.
+    Raises ValidationError unless grid_s resolves amp.
     """
     require_step_resolves(grid_s, _resolved_width(amp), "the amplitude")
     support = row_support(amp, grid_s, omega_l, depth)

@@ -36,7 +36,7 @@ from .analysis import (
 )
 from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid_parameters
 from .config import ExperimentConfig, config_mapping, parse_config
-from .errors import ConfigError, NonFiniteResult, ValidationError
+from .errors import NonFiniteResult, ValidationError
 from .model import Chirality, dressed_pair
 from .spectrum import TransmissionKernel, full_curves
 
@@ -373,7 +373,7 @@ def cmd_regime_map(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
 
 def cmd_dressed(cfg: ExperimentConfig, stream=None) -> int:
-    """Print dressed energies, overlaps, and the discrimination window."""
+    """Print dressed energies, overlaps, and the window of the two dominant lines, if any."""
     stream = stream if stream is not None else sys.stdout
     left, right = dressed_pair(cfg.drive)
     for dressed in (left, right):
@@ -385,10 +385,14 @@ def cmd_dressed(cfg: ExperimentConfig, stream=None) -> int:
                 f"  |eta1|^2 = {_fmt(dressed.eta1_sq[i])}",
                 file=stream,
             )
-    top_l = left.lambdas[int(np.argmax(left.eta1_sq))]
-    top_r = right.lambdas[int(np.argmax(right.eta1_sq))]
-    intervals = discrimination_window(top_l, top_r, cfg.noise.gamma)
+    tops = [dressed.dominant_line() for dressed in (left, right)]
     print("[discrimination_window]", file=stream)
+    if None in tops:
+        print("  undefined: lines of different energy tie for the largest |eta1|^2", file=stream)
+        return EXIT_OK
+    intervals = discrimination_window(
+        left.lambdas[tops[0]], right.lambdas[tops[1]], cfg.noise.gamma
+    )
     if not intervals:
         print("  empty", file=stream)
     for lo, hi in intervals:
@@ -401,7 +405,7 @@ def _load_config(path: str) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValidationError(f"cannot read config file: {exc}") from exc
     return parse_config(text)
 
 
@@ -437,7 +441,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out_dir)
         return cmd_regime_map(cfg, out_dir, max(1, args.threads))
-    except ConfigError as exc:
+    except ValidationError as exc:
         print(f"chirospec: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -20,7 +20,7 @@ from typing import Collection, Optional
 import yaml
 
 from .biphoton import BiphotonAmplitude, JsaKind
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .model import DriveConfig, NoiseParams
 
 #: The probe kinds, each named in a config by its ``JsaKind`` value.
@@ -242,13 +242,13 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         doc = yaml.safe_load(io.StringIO(text))
     except yaml.YAMLError as exc:
-        raise ParseError(f"malformed config: {exc}") from exc
+        raise ValidationError(f"malformed config: {' '.join(str(exc).split())}") from exc
     except RecursionError:
-        raise ParseError("malformed config: nested too deeply") from None
+        raise ValidationError("malformed config: nested too deeply") from None
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
-        raise ParseError("config document must be a mapping")
+        raise ValidationError("config document must be a mapping")
     _reject_unknown(doc, {*_FIELDS, "idler", "sweep", "output"}, "<top>")
 
     drive = DriveConfig(**_numbers(_section(doc, "drive"), "drive"))

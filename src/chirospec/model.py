@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonFiniteResult, NonHermitianInput, ValidationError
+from .errors import NonFiniteResult, ValidationError
 
 HERMITICITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
@@ -68,20 +68,13 @@ class DriveConfig:
         """Same molecule, opposite handedness (stored couplings unchanged)."""
         return replace(self, chirality=self.chirality.mirror())
 
-    @property
-    def signed_omega31(self) -> complex:
-        """3-1 coupling with the enantiomer-dependent sign applied."""
-        if self.chirality is Chirality.RIGHT:
-            return self.omega31
-        return -self.omega31
-
 
 @dataclass(frozen=True)
 class HermitianTriad:
     """3x3 complex matrix in the basis (|1>, |2>, |3>), Hermitian within HERMITICITY_TOL.
 
-    Construction raises ValidationError for a non-finite entry, and
-    NonHermitianInput when the matrix is not Hermitian.
+    Construction raises ValidationError for a non-finite entry or a
+    matrix that is not Hermitian.
     """
 
     matrix: np.ndarray
@@ -95,13 +88,9 @@ class HermitianTriad:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        defect = self.hermiticity_defect()
+        defect = float(np.max(np.abs(m - m.conj().T)))  # max-entry deviation from H^dagger
         if defect > HERMITICITY_TOL:
-            raise NonHermitianInput(f"matrix deviates from Hermitian by {defect:.3e}")
-
-    def hermiticity_defect(self) -> float:
-        """Max-entry deviation from H = H^dagger."""
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+            raise ValidationError(f"matrix deviates from Hermitian by {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +122,20 @@ class DressedTriad:
     def eta1_sq(self) -> np.ndarray:
         return np.abs(self.eta1) ** 2
 
+    def dominant_line(self) -> int | None:
+        """Index of the line with the largest |eta_1|^2; None if that line is ambiguous.
+
+        It is ambiguous when another line's weight lies within DEGENERACY_TOL
+        of the top weight while its energy differs by more than DEGENERACY_TOL.
+        Lines of one degenerate block share their weight and their energy.
+        """
+        weights = self.eta1_sq
+        top = int(np.argmax(weights))
+        rivals = (weights[top] - weights <= DEGENERACY_TOL) & (
+            np.abs(self.lambdas - self.lambdas[top]) > DEGENERACY_TOL
+        )
+        return None if rivals.any() else top
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -148,7 +151,7 @@ class NoiseParams:
 def build_rotating_hamiltonian(cfg: DriveConfig) -> HermitianTriad:
     """Assemble the rotating-frame triad Hamiltonian for one enantiomer."""
     w21 = complex(cfg.omega21)
-    w31 = complex(cfg.signed_omega31)
+    w31 = complex(cfg.omega31 if cfg.chirality is Chirality.RIGHT else -cfg.omega31)
     w32 = complex(cfg.omega32)
     h = np.array(
         [

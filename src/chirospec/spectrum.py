@@ -162,7 +162,7 @@ def transmission_point(
 ) -> float:
     """Transmission spectrum at one detector pair, by quadrature over grid_s.
 
-    Raises GridTooCoarse unless grid_s resolves gamma and amp, as for a kernel.
+    Raises ValidationError unless grid_s resolves gamma and amp, as for a kernel.
     """
     require_step_resolves(grid_s, noise.gamma, "gamma")
     support, psi_row = jsa_row(amp, grid_s, det.omega_l_bar)
@@ -192,11 +192,14 @@ def zero_bandwidth_point(
         P(dpl) = -|eta_1|^2 Re[ phi(dpl)^2 / (l1 - dpl + i*g)^2 ],
 
     formed as the square of phi(dpl) / (l1 - dpl + i*g), which cannot
-    overflow where phi has underflowed.
+    overflow where phi has underflowed.  Raises ValidationError when
+    ``dressed.dominant_line()`` finds no such state.
     """
     if not (math.isfinite(dpl) and math.isfinite(sigma) and sigma > 0):
         raise ValidationError("dpl must be finite and sigma finite and > 0")
-    top = int(np.argmax(dressed.eta1_sq))
+    top = dressed.dominant_line()
+    if top is None:
+        raise ValidationError("lines of different energy tie for the largest |eta1|^2")
     x = dpl / sigma
     ratio = math.exp(-0.5 * x * x) / (dressed.lambdas[top] - dpl + 1j * noise.gamma)
     value = -dressed.eta1_sq[top] * (ratio * ratio).real

@@ -7,7 +7,7 @@ exact dressed energies against it at large detuning.
 import numpy as np
 
 from chirospec.errors import ChirospecError, ValidationError
-from chirospec.model import DriveConfig
+from chirospec.model import Chirality, DriveConfig
 
 
 class DetuningTooSmall(ChirospecError):
@@ -39,7 +39,7 @@ def perturbative_lambda1(cfg: DriveConfig, big_detuning: float) -> float:
             f"need big_detuning >= 10*max|omega| = {10.0 * max_coupling(cfg):g}"
         )
     w21 = complex(cfg.omega21)
-    w31 = complex(cfg.signed_omega31)
+    w31 = complex(cfg.omega31 if cfg.chirality is Chirality.RIGHT else -cfg.omega31)
     w32 = complex(cfg.omega32)
     d = float(big_detuning)
     second = -(abs(w21) ** 2 + abs(w31) ** 2) / d

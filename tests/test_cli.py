@@ -784,6 +784,16 @@ class TestShippedConfigs:
         assert "[discrimination_window]" in out
         assert "empty" not in out
 
+    def test_tied_dominant_lines_leave_the_window_undefined(self, capsys):
+        # the canonical drive: all six |eta1|^2 are 1/3, on lines of different energy
+        assert main(["dressed", "-c", str(CONFIG_DIR / "entangled_probe.yaml")]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(
+            "[discrimination_window]\n"
+            "  undefined: lines of different energy tie for the largest |eta1|^2\n"
+        )
+        assert "total_measure" not in out
+
 
 class TestScanGrid:
     def test_derived_scan_grid_is_default_grid(self):
@@ -978,9 +988,12 @@ class TestExitCodes:
             ('output: {directory: "a\\0b"}\nidler: 0.0', "output.directory"),
             ('output: {directory: "a\\ud800b"}\nidler: 0.0', "output.directory"),
             ("idler: " + "[" * 3000 + "]" * 3000, "nested too deeply"),
+            ("drive: [", 'found \'<stream end>\' in "<file>", line 2, column 1'),
+            ("drive:\n  omega21: 0.1\n   omega31: 0.1", "line 3, column 11"),
+            ("- 1", "config document must be a mapping"),
         ],
         ids=["integer_beyond_float", "nul_in_directory", "lone_surrogate_in_directory",
-             "deep_nesting"],
+             "deep_nesting", "unclosed_flow", "misindented_key", "not_a_mapping"],
     )
     def test_unrepresentable_input_is_2(self, tmp_path, monkeypatch, capsys, command,
                                         text, message):
@@ -1034,15 +1047,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("chirospec: config error:")
 
-    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch):
         def broken(*args):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(cli, "discrimination_window", broken)
-        path = tmp_path / "cfg.yaml"
-        path.write_text("", encoding="utf-8")
+        # a drive with one dominant line per triad, so the window is computed
         with pytest.raises(ValueError, match="internal fault"):
-            main(["dressed", "-c", str(path)])
+            main(["dressed", "-c", str(CONFIG_DIR / "dressed_large_detuning.yaml")])
 
     def test_unwritable_output_is_3(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

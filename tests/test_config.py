@@ -5,7 +5,9 @@ import copy
 import io
 import math
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -21,8 +23,8 @@ from chirospec.config import (
     config_mapping,
     parse_config,
 )
-from chirospec.errors import ParseError, ValidationError
-from chirospec.model import Chirality, DriveConfig, NoiseParams
+from chirospec.errors import ValidationError
+from chirospec.model import Chirality, DriveConfig, NoiseParams, build_rotating_hamiltonian
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -57,7 +59,7 @@ class TestDefaults:
         assert cfg.drive.chirality is Chirality.RIGHT
         mirrored = cfg.drive.mirror()
         assert mirrored.omega31 == 0.1
-        assert mirrored.signed_omega31 == -0.1
+        assert build_rotating_hamiltonian(mirrored).matrix[2, 0] == -0.1
 
 
 class TestValidation:
@@ -102,11 +104,11 @@ class TestValidation:
             parse_config(text)
 
     def test_malformed_yaml(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="^malformed config: "):
             parse_config("drive: [unclosed\n")
 
     def test_non_mapping_document(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="^config document must be a mapping$"):
             parse_config("- just\n- a\n- list\n")
 
     def test_negative_sigma(self):
@@ -475,3 +477,33 @@ class TestRejectedFields:
         assert err.getvalue().count("\n") == 1
         assert err.getvalue().startswith("chirospec: config error:")
         assert not (out / "results").exists()
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+class TestReadme:
+    """The README's config block and float note, against the parser."""
+
+    def test_config_block_parses_without_idler_or_without_sweep(self):
+        block = README.split("\n## Config format\n", 1)[1].split("```yaml\n", 1)[1]
+        sections = re.split(r"\n(?=\S)", block.split("```", 1)[0])  # one per top-level key
+        with pytest.raises(ValidationError, match="both idler and sweep"):
+            parse_config("\n".join(sections))
+        spectrum, regime_map = (
+            parse_config("\n".join(s for s in sections if not s.startswith(f"{dropped}:")))
+            for dropped in ("sweep", "idler")
+        )
+        assert spectrum.idler == (0.0, 0.99) and spectrum.sweep is None
+        assert regime_map.idler is None and regime_map.sweep.t0_count == 20
+        assert spectrum.probe.kind is JsaKind.ENTANGLED_SPDC and spectrum.output_dir == "out"
+
+    def test_float_note_matches_the_parser(self):
+        note = " ".join(README.split("Note on YAML floats:", 1)[1].split("\n\n", 1)[0].split())
+        accepted, rejected = (re.findall(r"`([^`]+)`", part) for part in note.split(", not ", 1))
+        assert accepted and rejected
+        for form in accepted:
+            assert parse_config(f"noise: {{gamma: {form}}}\n").noise.gamma == float(form)
+        for form in rejected:
+            with pytest.raises(ValidationError, match=f"reads '{re.escape(form)}' as text"):
+                parse_config(f"noise: {{gamma: {form}}}\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chirospec.errors import NonHermitianInput, ValidationError
+from chirospec.errors import ValidationError
 from chirospec.model import (
     Chirality,
     DressedTriad,
@@ -78,9 +78,9 @@ class TestHermitianTriad:
         # the one check: dressed_states and characteristic_invariants rely on it
         m = np.diag([1.0, 2.0, 3.0]).astype(complex)
         m[0, 1] = 1e-13  # within HERMITICITY_TOL
-        assert HermitianTriad(m).hermiticity_defect() == 1e-13
+        assert HermitianTriad(m).matrix[0, 1] == 1e-13
         m[0, 1] = 1.0
-        with pytest.raises(NonHermitianInput, match=r"deviates from Hermitian by 1\.000e\+00"):
+        with pytest.raises(ValidationError, match=r"deviates from Hermitian by 1\.000e\+00"):
             HermitianTriad(m)
 
     def test_rejects_wrong_shape(self):
@@ -89,7 +89,6 @@ class TestHermitianTriad:
 
     def test_non_hermitian_input_is_a_validation_error(self):
         # every rejected parameter is a ValidationError, and so a ValueError
-        assert issubclass(NonHermitianInput, ValidationError)
         with pytest.raises(ValueError, match="deviates from Hermitian"):
             HermitianTriad(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
         # a NaN defect compares false with the tolerance, and inf - inf warns:
@@ -108,6 +107,19 @@ class TestDressedTriad:
     def test_rejects_wrong_shape(self, lambdas, eta1):
         with pytest.raises(ValidationError, match="3 eigenvalues and 3 overlaps"):
             DressedTriad(lambdas, eta1, Chirality.RIGHT)
+
+    @pytest.mark.parametrize(
+        "lambdas, eta1, line",
+        [
+            ([-1.0, 0.0, 1.0], [0.5, 0.8, 0.3], 1),
+            ([-0.1, -0.1, 0.2], [0.6, 0.6, 0.5], 0),  # a tie inside one degenerate block
+            ([-0.1, -0.1 + 2e-9, 0.2], [0.6, 0.6, 0.5], None),  # energies apart by 2e-9
+            ([-0.1, 0.1, 0.2], [0.6, 0.6 - 5e-10, 0.5], None),  # weights apart by 6e-10
+            ([-0.1, 0.1, 0.2], [0.6, 0.6 - 2e-9, 0.5], 0),  # weights apart by 2.4e-9
+        ],
+    )
+    def test_dominant_line(self, lambdas, eta1, line):
+        assert DressedTriad(lambdas, eta1, Chirality.RIGHT).dominant_line() == line
 
 
 class TestBuildRotatingHamiltonian:
@@ -130,18 +142,18 @@ class TestBuildRotatingHamiltonian:
     def test_mirror_keeps_stored_value(self):
         cfg = RESONANT_RIGHT.mirror()
         assert cfg.omega31 == 0.1
-        assert cfg.signed_omega31 == -0.1
+        assert build_rotating_hamiltonian(cfg).matrix[2, 0] == -0.1
 
     def test_always_hermitian(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             h = build_rotating_hamiltonian(random_config(rng))
-            assert h.hermiticity_defect() <= 1e-12
+            assert np.max(np.abs(h.matrix - h.matrix.conj().T)) <= 1e-12
 
     def test_complex_couplings_hermitian(self):
         cfg = DriveConfig(0.1 + 0.05j, 0.2 - 0.1j, 0.07j, 0.5, -0.3)
         h = build_rotating_hamiltonian(cfg)
-        assert h.hermiticity_defect() <= 1e-12
+        assert np.max(np.abs(h.matrix - h.matrix.conj().T)) <= 1e-12
 
 
 class TestDressedStates:
@@ -173,7 +185,7 @@ class TestDressedStates:
 
     def test_rejects_non_hermitian(self):
         # the triad's constructor raises, so the matrix never reaches the solver
-        with pytest.raises(NonHermitianInput):
+        with pytest.raises(ValidationError, match="deviates from Hermitian"):
             dressed_states(
                 HermitianTriad(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)),
                 Chirality.RIGHT,
@@ -242,7 +254,7 @@ class TestCharacteristicInvariants:
 
     def test_rejects_non_hermitian(self):
         # the triad's constructor raises, so the matrix never reaches the invariants
-        with pytest.raises(NonHermitianInput):
+        with pytest.raises(ValidationError, match="deviates from Hermitian"):
             characteristic_invariants(
                 HermitianTriad(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
             )

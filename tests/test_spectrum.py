@@ -39,7 +39,7 @@ from chirospec.biphoton import (
 )
 from chirospec.cli import build_scan_grid
 from chirospec.config import parse_config
-from chirospec.errors import GridTooCoarse, NonFiniteResult, ValidationError
+from chirospec.errors import NonFiniteResult, ValidationError
 from chirospec.model import (
     Chirality,
     DressedTriad,
@@ -175,12 +175,12 @@ class TestTransmissionPoint:
     def test_grid_too_coarse(self):
         amp = BiphotonAmplitude.entangled(**ENTANGLED_DELAYS)
         grid = FrequencyGrid.build(0.0, 6.0, 0.05)
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(ValidationError, match="needed to resolve the amplitude"):
             transmission_point(resonant_dressed(), amp, NOISE, DetectorPair(0, 0), grid)
         # the step resolves the amplitude but not gamma, as a kernel would reject it
         amp, coarse = BiphotonAmplitude.uncorrelated(sigma=1.0), FrequencyGrid.build(0.0, 4.0, 0.09)
         dressed, det = dressed_pair(DriveConfig())[1], DetectorPair(0.0, 0.0)
-        with pytest.raises(GridTooCoarse, match="needed to resolve gamma"):
+        with pytest.raises(ValidationError, match="needed to resolve gamma"):
             transmission_point(dressed, amp, NoiseParams(0.001), det, coarse)
 
     def test_bilinear_scaling(self):
@@ -825,6 +825,11 @@ class TestZeroBandwidthPoint:
         )
         value = zero_bandwidth_point(dressed, NOISE, 0.0, 1.0)
         assert value == pytest.approx(0.98, rel=1e-12)
+
+    def test_rejects_tied_dominant_lines(self):
+        dressed = manual_dressed([-1.0, 0.0, 1.0], [0.6, 0.6, 0.5])
+        with pytest.raises(ValidationError, match="tie for the largest"):
+            zero_bandwidth_point(dressed, NOISE, 0.0, 1.0)
 
     @pytest.mark.parametrize(
         "dpl, sigma",
