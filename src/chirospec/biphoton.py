@@ -210,29 +210,33 @@ def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
     return amp.scale * np.exp(-expo)
 
 
+def row_gaussian(amp: BiphotonAmplitude, omega_l) -> tuple[float, float, float]:
+    """(curv, mu, c0) of the row scale exp(-(curv (d - mu)^2 + c0)); may raise ArithmeticError."""
+    wl = float(omega_l)
+    if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
+        curv, mu = 0.5 / amp.sigma**2, amp.omega_sc
+        return curv, mu, curv * (wl - amp.omega_lc) ** 2
+    # (d - a)^2 / (2 sigma_p^2) + (r (d - omega_sc) + k)^2
+    pump, r = 0.5 / amp.sigma_p**2, amp.t_s / 2.0
+    a, k = amp.omega_p - wl, (wl - amp.omega_lc) * (amp.t_l / 2.0)
+    curv = pump + r * r
+    mu = (pump * a + r * (r * amp.omega_sc - k)) / curv
+    return curv, mu, pump * (mu - a) ** 2 + (r * (mu - amp.omega_sc) + k) ** 2
+
+
 def row_support(
     amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, depth: float = math.inf
 ) -> slice:
     """Slice of grid_s.points outside which |psi(., omega_l)| is below e^-depth of its grid peak.
 
-    At a fixed idler both kinds are scale * exp(-E), E = curv * (d - mu)^2
-    + c0 in the signal detuning d.  E_top, the smallest E on the grid, is E
-    at the grid point nearest mu.  The slice holds the points with E <=
-    min(UNDERFLOW_EXPONENT, E_top + depth) and one more on each side, so
-    the row's largest grid value is kept; all points if the closed form
-    overflows.  The default depth, inf, keeps every nonzero value.
+    E_top is the least exponent E = curv (d - mu)^2 + c0 on the grid, at the
+    point nearest mu.  The slice holds the points with E <= min(UNDERFLOW_EXPONENT,
+    E_top + depth) and one more each side, keeping the row's grid peak; all
+    points if ``row_gaussian`` overflows.  Depth inf keeps every nonzero value.
     """
-    wl, points = float(omega_l), grid_s.points
+    points = grid_s.points
     try:
-        if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
-            curv, mu = 0.5 / amp.sigma**2, amp.omega_sc
-            c0 = curv * (wl - amp.omega_lc) ** 2
-        else:  # (d - a)^2 / (2 sigma_p^2) + (r (d - omega_sc) + k)^2
-            pump, r = 0.5 / amp.sigma_p**2, amp.t_s / 2.0
-            a, k = amp.omega_p - wl, (wl - amp.omega_lc) * (amp.t_l / 2.0)
-            curv = pump + r * r
-            mu = (pump * a + r * (r * amp.omega_sc - k)) / curv
-            c0 = pump * (mu - a) ** 2 + (r * (mu - amp.omega_sc) + k) ** 2
+        curv, mu, c0 = row_gaussian(amp, omega_l)
         first = float(points[0])  # Python floats: an overflow is inf, never a warning
         nearest = round((max(first, min(mu, float(points[-1]))) - first) / grid_s.step)
         near = float(points[min(nearest, points.size - 1)])

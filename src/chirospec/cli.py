@@ -406,7 +406,7 @@ def _load_config(path: str) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, path)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -237,10 +237,12 @@ def _parse_sweep(node: dict) -> SweepSpec:
     })
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a YAML experiment description."""
+def parse_config(text: str, name: str = "<file>") -> ExperimentConfig:
+    """Parse and validate a YAML experiment description; YAML errors name it ``name``."""
+    stream = io.StringIO(text)
+    stream.name = name  # what PyYAML's messages call the stream
     try:
-        doc = yaml.safe_load(io.StringIO(text))
+        doc = yaml.safe_load(stream)
     except yaml.YAMLError as exc:
         raise ValidationError(f"malformed config: {' '.join(str(exc).split())}") from exc
     except RecursionError:

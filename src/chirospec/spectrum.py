@@ -10,16 +10,15 @@ detector pair by the transmission term
 
 where ds is the signal detector detuning, wl the idler detector
 frequency, lambda_i / eta_1i the dressed energies and overlaps, and
-gamma the uniform dissipation rate.  The continuum mode sum is a
-composite trapezoidal quadrature over the signal grid: over the whole
-zero-padded grid, or, in a kernel that cuts its rows (the regime map's),
-over the row's support alone; the mode density
-and every physical prefactor are absorbed into C = 1, keeping the
-leading minus sign because the sign pattern carries the chiral signal.
-Both probe kinds give a real JSA row (``biphoton.jsa_row``), so
-psi* = psi and each psi / (lambda_i - d'' + i*gamma) is formed once, by
-one division by a denominator that ``TransmissionKernel`` stores per grid
-point and mode (0.9 MB for the canonical enantiomer pair).
+gamma the uniform dissipation rate; the mode density and every physical
+prefactor are absorbed into C = 1, keeping the leading minus sign because
+the sign pattern carries the chiral signal.  Both probe kinds give a real
+JSA row (``biphoton.jsa_row``), so psi* = psi.  The regime map's kernel
+takes each Q_i over the whole line in closed form (``TransmissionKernel``),
+within 1e-12 of a curve's peak of a 30-digit reference (6.0e-16 measured).
+Spectra and ``transmission_point`` take it as the composite trapezoid
+over the whole zero-padded signal grid, so the spectrum CSVs keep their
+bytes, until perfbench's ``reference_hashes.json`` is re-recorded.
 
 For a zero-bandwidth energy-correlated pair the transmission collapses
 to a closed form in the pinned detuning dpl = omega_p - wl
@@ -33,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import BiphotonAmplitude, FrequencyGrid, jsa_row, jsa_value, require_step_resolves
+from .biphoton import BiphotonAmplitude, FrequencyGrid, jsa_row, jsa_value, row_gaussian
+from .biphoton import require_step_resolves
 from .errors import NonFiniteResult, ValidationError
 from .model import DressedTriad, NoiseParams
 
@@ -56,40 +56,49 @@ class DetectorPair:
 
 
 def _trapezoid(row: np.ndarray, step: float) -> complex:
-    """Composite trapezoid of a row on a uniform grid, 0 for an empty row: the one rule for Q_i.
-
-    The row is a whole zero-padded grid row, or a cut kernel's support.
-    """
+    """Trapezoid of a whole zero-padded grid row: Q_i for ``transmission_point`` and uncut kernels."""
     return step * (row.sum() - 0.5 * (row[0] + row[-1])) if row.size else 0j
+
+
+#: Weideman's N = 32 coefficients of w (SIAM J. Numer. Anal. 31:1497, 1994), highest power first.
+_W_COEFFICIENTS = (
+    -1.3033481245090926e-12, 3.741034357970915e-12, 8.030394123342998e-12, -2.154362353454026e-11,
+    -5.544247434751948e-11, 1.165823850551327e-10, 4.153742283768118e-10, -5.231022115795881e-10,
+    -3.208015220602109e-09, 8.12488917405019e-10, 2.3797556704926332e-08, 2.2930439030891307e-08,
+    -1.481307891793793e-07, -4.184076371185529e-07, 4.255833137355632e-07, 4.401531731530374e-06,
+    6.821031944000645e-06, -2.1409619201818262e-05, -0.00013075449254609854, -0.0002453298027001812,
+    0.0003925913607007896, 0.004519541105349286, 0.019006155784845477, 0.05730440352983719,
+    0.14060716226893785, 0.2954445107150873, 0.5460139720639342, 0.9019254893648,
+    1.3455441692345451, 1.8256696296324813, 2.2635372999002676, 2.572253408124569,
+)
+_W_L = math.sqrt(32 / math.sqrt(2))
+
+
+def _w(z: complex) -> complex:
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z > 0, by Weideman's N = 32 form."""
+    below = _W_L - 1j * z
+    ratio, p = (_W_L + 1j * z) / below, 0j
+    for a in _W_COEFFICIENTS:
+        p = p * ratio + a
+    return (2 * p / below + 1 / math.sqrt(math.pi)) / below
 
 
 class TransmissionKernel:
     """Transmission spectra of dressed triads, e.g. an enantiomer pair, on one signal grid.
 
-    Holds what does not depend on the JSA row, read-only: per triad and
-    mode, the weight |eta_1i|^2 and the complex denominator
-    lambda_i - d'' + i*gamma on the grid, 16 B per grid point per mode
-    (0.9 MB for the canonical pair's 9301 points).  The grid is both the
-    quadrature grid of the mode integrals Q_i and, for curves, the signal
-    detector's scan; its step must resolve gamma RESOLVE_FACTOR times.  A
-    kernel holds no mutable state, so calls may overlap; a pickle or copy
-    of it reruns the constructor, so its arrays stay read-only.
+    Holds, read-only, per triad and mode the weight |eta_1i|^2 and 16 B per
+    grid point: den = lambda_i - d'' + i*gamma or, if ``cut``, Re and Im of
+    r_i = 1 / den.  The step must resolve gamma RESOLVE_FACTOR times.  Calls
+    may overlap; a pickle or copy reruns the constructor.
 
-    ``curves`` samples each JSA row down to e^-``depth`` of its largest grid
-    value M (``row_support``).  depth is inf, every nonzero value, unless
-    ``cut``; then it is D = 60 ln 2 + ln(2 n (1 + (R / gamma)^2)), with n
-    grid points and R the largest |lambda_i - d| over the triads' energies
-    and the grid's ends, and each Q_i is the trapezoid of the row's support
-    S alone; an uncut kernel takes it over the whole zero-padded grid, whose
-    pairwise sum, and so its bits, differ.  Every point outside S, and each
-    end of S that is not an end of the grid, lies below e^-D M, so a
-    nonempty S drops at most (n - |S|) + 2 x 1/2 <= n point-weights of the
-    full row's trapezoid.  psi has one sign along a row and |den| >= gamma,
-    so that moves each Q_i by at most step * n * e^-D * M / gamma, while
-    |Q_i| >= |Im Q_i| >= step / 2 * M * gamma / (R^2 + gamma^2): each Q_i
-    moves by less than 2^-60 of itself, on any grid and at any gamma, and a
-    dropped curve value is below e^-D * M * sum_i |eta_1i|^2 |Q_i| / gamma.
-    An empty S holds no value above 0, and its Q_i is 0.
+    ``curves`` samples each JSA row down to e^-``depth`` of its grid peak M
+    (``row_support``): every nonzero value unless ``cut``, else D = 60 ln 2
+    + ln(2 n (1 + (R / gamma)^2)), n grid points and R the largest
+    |lambda_i - d| over the energies and the grid's ends.  Uncut, Q_i is the
+    trapezoid of the zero-padded grid row; cut, the row's Gaussian form
+    (``row_gaussian``) over the whole line, Q_i = scale e^-c0 (-i pi)
+    w(sqrt(curv) (lambda_i - mu + i gamma)), w the Faddeeva function.  As
+    |r_i| <= 1 / gamma, a dropped value is below e^-D M sum_i |eta_1i|^2 |Q_i| / gamma.
     """
 
     def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid, cut=False):
@@ -97,10 +106,19 @@ class TransmissionKernel:
         dressed_triads = tuple(dressed_triads)
         self._args = (dressed_triads, noise, grid_s, cut)
         self.grid, self.triads, self.depth, self.cut = grid_s, (), math.inf, cut
-        for d in dressed_triads:  # one row per mode: (lambda_i - d'') + i*gamma
-            den = (d.lambdas[:, None] - grid_s.points) + 1j * noise.gamma
-            den.flags.writeable = False
-            self.triads += (tuple(zip(d.eta1_sq, den)),)
+        for d in dressed_triads:  # one row per mode
+            if cut:  # (q / |den|) / |den| and (-gamma / |den|) / |den|: no square of q or gamma
+                real = d.lambdas[:, None] - grid_s.points
+                size = np.hypot(real, noise.gamma)
+                np.divide(np.divide(real, size, out=real), size, out=real)
+                imag = np.divide(np.divide(-noise.gamma, size), size)
+                real.flags.writeable = imag.flags.writeable = False
+                poles = (d.lambdas + 1j * noise.gamma).tolist()
+                self.triads += (tuple(zip(d.eta1_sq.tolist(), poles, real, imag)),)
+            else:
+                den = (d.lambdas[:, None] - grid_s.points) + 1j * noise.gamma
+                den.flags.writeable = False
+                self.triads += (tuple(zip(d.eta1_sq, den)),)
         if cut:  # in Python floats: a huge R / gamma gives D = inf (full rows), with no warning
             ends = grid_s.points[[0, -1]].tolist()
             lambdas = np.concatenate([t.lambdas for t in dressed_triads]).tolist()
@@ -113,30 +131,36 @@ class TransmissionKernel:
     def curves(self, amp: BiphotonAmplitude, omega_l_bar: float) -> tuple:
         """``(support, *curves)``: one read-only curve per triad at one idler, from one JSA row.
 
-        The row is sampled down to e^-depth of its grid peak (``jsa_row``),
-        on the slice ``support`` of the grid, and each curve holds its
-        values there only; outside it a curve is -0.0 (``full_curves``).
-        Each mode's psi / den is formed once, by ``np.divide``, into one
-        quotient that all modes of the call share: a support-length array
-        if the kernel is cut, so Q_i is the trapezoid of the support, else
-        the support of a zeroed full row, so Q_i is that of the full row.
-        The curve adds weight_i * Re(psi / den * Q_i), its psi* / den term,
-        as rows are real.  Raises NonFiniteResult if a value comes out NaN
-        or infinite.
+        The row is sampled down to e^-depth of its grid peak (``jsa_row``) on
+        the slice ``support``; outside it a curve is -0.0 (``full_curves``).
+        A curve is -psi * sum_i Re(c_i r_i), c_i = |eta_1i|^2 Q_i, formed if cut
+        as -psi * sum_i (Re c_i Re r_i - Im c_i Im r_i).  Raises NonFiniteResult on NaN or inf.
         """
         support, psi_row = jsa_row(amp, self.grid, omega_l_bar, self.depth)
-        if self.cut:
-            row = quotient = np.empty(psi_row.size, dtype=complex)
-        else:
+        if not self.cut:
             row = np.zeros(self.grid.points.size, dtype=complex)
             quotient = row[support]
+        elif psi_row.size:  # an empty support computes no Q_i
+            try:
+                curv, mu, c0 = row_gaussian(amp, omega_l_bar)
+            except ArithmeticError:
+                raise NonFiniteResult("the JSA row's Gaussian form overflows") from None
+            root, height = math.sqrt(curv), -1j * math.pi * (amp.scale * math.exp(-c0))
         curves = [support]
         for modes in self.triads:
-            values = np.zeros(quotient.size)
-            for weight, den in modes:
-                np.divide(psi_row, den[support], out=quotient)
-                np.multiply(quotient, _trapezoid(row, self.grid.step), out=quotient)
-                values += weight * quotient.real
+            values = np.zeros(psi_row.size)
+            for weight, *mode in modes if psi_row.size else ():  # (den,), or cut (pole, Re, Im)
+                if self.cut:
+                    pole, real, imag = mode
+                    c = weight * height * _w(root * (pole - mu))
+                    values += real[support] * c.real
+                    values -= imag[support] * c.imag
+                else:
+                    np.divide(psi_row, mode[0][support], out=quotient)
+                    np.multiply(quotient, _trapezoid(row, self.grid.step), out=quotient)
+                    values += weight * quotient.real
+            if self.cut:
+                values *= psi_row
             np.negative(values, out=values)
             if not np.all(np.isfinite(values)):
                 raise NonFiniteResult("spectrum curve contains non-finite values")

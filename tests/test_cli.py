@@ -988,8 +988,8 @@ class TestExitCodes:
             ('output: {directory: "a\\0b"}\nidler: 0.0', "output.directory"),
             ('output: {directory: "a\\ud800b"}\nidler: 0.0', "output.directory"),
             ("idler: " + "[" * 3000 + "]" * 3000, "nested too deeply"),
-            ("drive: [", 'found \'<stream end>\' in "<file>", line 2, column 1'),
-            ("drive:\n  omega21: 0.1\n   omega31: 0.1", "line 3, column 11"),
+            ("drive: [", 'found \'<stream end>\' in "cfg.yaml", line 2, column 1'),
+            ("drive:\n  omega21: 0.1\n   omega31: 0.1", 'in "cfg.yaml", line 3, column 11'),
             ("- 1", "config document must be a mapping"),
         ],
         ids=["integer_beyond_float", "nul_in_directory", "lone_surrogate_in_directory",
@@ -1016,6 +1016,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "chirospec: numerical failure: dressed energies overflow\n"
+
+    def test_overflowing_row_gaussian_is_4(self, tmp_path, capsys):
+        # an idler so far off that the map kernel's closed form of its row overflows
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "scan: {center: 0.0, half_width: 6.0, step: 0.05}\n"
+            "sweep:\n  t0: {min: 0.0, max: 1.0, count: 2}\n"
+            "  omega_l: {min: 1.0e+200, max: 2.0e+200, count: 2}\n"
+            f"output: {{directory: {tmp_path / 'out'}}}\n",
+            encoding="utf-8",
+        )
+        with np.errstate(over="ignore"):  # jsa_value squares the idler in numpy
+            assert main(["regime-map", "-c", str(path), "--threads", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "chirospec: numerical failure: the JSA row's Gaussian form overflows\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, config, error, reported",

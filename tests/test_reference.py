@@ -10,10 +10,11 @@ with each mode integral Q_i taken over the whole line.  It reads the
 configs as YAML, takes the dressed energies and overlaps from
 ``mpmath.eighe`` and each Q_i from ``mpmath.quad``, all at 30 digits.
 chirospec gives only the numbers under test.  The regime map's cut kernel
-integrates each row over the scan window, which at the canonical map's
-T0 = 0 row leaves out up to 1.15e-7 of a curve's peak; the spectrum CSVs,
-of the shipped configs and of perfbench seeds, are within their printed
-resolution of the integral.  ``transmission_point`` is the same formula
+takes each Q_i over the whole line in closed form, through the Faddeeva
+function w(z) = exp(-z^2) erfc(-iz), which is checked here too; the
+spectrum CSVs, of the shipped configs and of perfbench seeds, integrate
+over the scan window and are within their printed resolution of the
+integral.  ``transmission_point`` is the same formula
 at one detector pair, and ``zero_bandwidth_point`` is the closed form
 
     P(dpl) = -|eta_1|^2 Re[phi(dpl)^2 / (lambda - dpl + i*gamma)^2],
@@ -33,6 +34,7 @@ from chirospec.biphoton import BiphotonAmplitude, default_grid
 from chirospec.cli import build_scan_grid, main
 from chirospec.config import parse_config
 from chirospec.model import DriveConfig, NoiseParams, dressed_pair
+from chirospec import spectrum
 from chirospec.spectrum import (
     DetectorPair, TransmissionKernel, full_curves, transmission_point, zero_bandwidth_point,
 )
@@ -138,8 +140,9 @@ def assert_near_reference(doc, omega_l, points, curves, bound, t0=None):
 #: wrong mode shows; every canonical mode weighs 1/3 (per degenerate block).
 UNEVEN_DRIVE = {"omega21": 0.15, "omega31": 0.07, "omega32": 0.12, "delta21": 0.3, "delta31": -0.2}
 
-#: (drive, T0 index, idler index) of canonical map cells; the T0 = 0 row's
-#: outermost idlers show the scan window's truncation most.
+#: (drive, T0 index, idler index) of canonical map cells.  The T0 = 0 row's
+#: outermost idlers are where a trapezoid over the scan window would leave
+#: out most (1.15e-7 of the peak); the closed form shows no such truncation.
 MAP_CELLS = [(None, 0, 0), (None, 0, 19), (None, 19, 13), (UNEVEN_DRIVE, 10, 6)]
 
 
@@ -157,7 +160,27 @@ def test_cut_kernel_curves_match_the_reference(drive, t0_index, omega_l_index):
     scan = build_scan_grid(cfg, sweep_amplitude(cfg.probe, max(cfg.sweep.t0_values())))
     kernel = TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan, cut=True)
     curves = full_curves(scan, *kernel.curves(sweep_amplitude(cfg.probe, t0), omega_l))
-    assert_near_reference(doc, omega_l, scan.points, curves, 1.2e-7, t0)
+    # within 1e-12 of the peak; the four cells read 2.6e-16 to 6.0e-16
+    assert_near_reference(doc, omega_l, scan.points, curves, 1e-12, t0)
+
+
+#: |Re z| scales and Im z values of the Faddeeva points: the range the map's
+#: arguments sqrt(curv) (lambda_i - mu + i gamma) span, and far beyond it.
+FADDEEVA_REALS = (1.0, 1e3, 1e6)
+FADDEEVA_IMAGS = tuple(10.0**k for k in range(-6, 7))
+
+
+def test_faddeeva_matches_the_reference():
+    # within 1e-12 relative; these points read at most 4.6e-14, and 60 000 random points
+    # over the same ranges at most 3.1e-13 against scipy.special.wofz
+    with mpmath.workdps(DIGITS):
+        for reach in FADDEEVA_REALS:
+            for x in (0.0, 0.31 * reach, -0.77 * reach, reach):
+                for y in FADDEEVA_IMAGS:
+                    z = mpmath.mpc(x, y)
+                    expected = complex(mpmath.exp(-z * z) * mpmath.erfc(-1j * z))
+                    value = spectrum._w(complex(x, y))
+                    assert abs(value - expected) <= 1e-12 * abs(expected), (x, y)
 
 
 #: (config, idler indices) of the shipped spectra whose CSVs are checked.

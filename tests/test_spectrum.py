@@ -35,6 +35,7 @@ from chirospec.biphoton import (
     default_grid,
     jsa_row,
     jsa_value,
+    row_gaussian,
     row_support,
 )
 from chirospec.cli import build_scan_grid
@@ -493,6 +494,21 @@ def cut_kernel(drive, noise, grid):
     return TransmissionKernel(dressed_pair(drive), noise, grid, cut=True)
 
 
+def full_row_kernel(drive, noise, grid):
+    """A cut kernel with its depth set to inf: closed-form Q_i, and every nonzero value written."""
+    kernel = cut_kernel(drive, noise, grid)
+    kernel.depth = math.inf
+    return kernel
+
+
+def closed_form_integrals(amp, omega_l, lambdas, gamma):
+    """Q_i = scale e^-c0 (-i pi) w(sqrt(curv) (lambda_i - mu + i gamma)), as a cut kernel takes it."""
+    curv, mu, c0 = row_gaussian(amp, omega_l)
+    height = -1j * math.pi * amp.scale * math.exp(-c0)
+    return np.array([height * spectrum._w(math.sqrt(curv) * complex(lam - mu, gamma))
+                     for lam in lambdas])
+
+
 def expected_map_depth(drive, noise, grid):
     """D = 60 ln 2 + ln(2 n (1 + (R / gamma)^2)) of the pair's energies and the grid's ends."""
     reach = max(abs(lam - end) for dressed in dressed_pair(drive)
@@ -500,15 +516,11 @@ def expected_map_depth(drive, noise, grid):
     return 60 * math.log(2) + math.log(2 * grid.points.size * (1 + (reach / noise.gamma) ** 2))
 
 
-def trapezoid_integrals(amp, grid, omega_l, support, lambdas, gamma):
-    """Q_i of the row sampled on ``support``, by plain division and the trapezoid of that window.
-
-    A cut kernel's rule for a cut support; the full row's for ``slice(None)``.
-    """
-    points = grid.points[support]
-    if points.size == 0:
-        return np.zeros(len(lambdas), dtype=complex)
-    quotients = jsa_value(amp, points, omega_l) / (np.asarray(lambdas)[:, None] - points + 1j * gamma)
+def trapezoid_integrals(amp, grid, omega_l, lambdas, gamma):
+    """Q_i of the row on all of ``grid``, by plain division and the trapezoid: an uncut kernel's rule."""
+    quotients = jsa_value(amp, grid.points, omega_l) / (
+        np.asarray(lambdas)[:, None] - grid.points + 1j * gamma
+    )
     return grid.step * (quotients.sum(axis=1) - 0.5 * (quotients[:, 0] + quotients[:, -1]))
 
 
@@ -578,6 +590,7 @@ class TestDepthCut:
     @example(entangled_row(7.5), 0.05, RESONANT_RIGHT)
     @example(entangled_row(0.0), 1.0, RESONANT_RIGHT)
     def test_cut_mode_integrals_and_labels_equal_full_rows(self, row, gamma, drive):
+        # Q_i does not depend on the depth: the cut only drops values below e^-D of the peak
         amp, grid, omega_l = row
         if grid.step > gamma / RESOLVE_FACTOR:  # the kernel needs a grid that resolves gamma
             grid = FrequencyGrid.build(grid.center, grid.half_width, gamma / RESOLVE_FACTOR)
@@ -586,17 +599,12 @@ class TestDepthCut:
         depth = kernel.depth
         assert depth == pytest.approx(expected_map_depth(drive, noise, grid), rel=1e-12)
         support = row_support(amp, grid, omega_l, depth)
-        for dressed in dressed_pair(drive):
-            cut, full = (
-                trapezoid_integrals(amp, grid, omega_l, kept, dressed.lambdas, gamma)
-                for kept in (support, slice(None))
-            )
-            assert np.all(np.abs(cut - full) <= 1e-12 * np.abs(full))
-        uncut = TransmissionKernel(dressed_pair(drive), noise, grid)
-        full, cut = full_rows(uncut, amp, omega_l), full_rows(kernel, amp, omega_l)
+        full = full_rows(full_row_kernel(drive, noise, grid), amp, omega_l)
+        cut = full_rows(kernel, amp, omega_l)
         outside = np.ones(grid.points.size, dtype=bool)
         outside[support] = False
-        for curve in cut:
+        for curve, full_curve in zip(cut, full, strict=True):
+            assert curve[support].tobytes() == full_curve[support].tobytes()
             assert np.all(curve[outside] == 0.0) and np.all(np.signbit(curve[outside]))
         got, expected = compare_pair(*cut), compare_pair(*full)
         assert got[:2] == expected[:2] and got[3] == expected[3]
@@ -641,7 +649,7 @@ def edge_row(side):
 
 
 class TestSupportCurves:
-    """Support-length curves, as the regime map compares them, against the support-window oracle."""
+    """Support-length curves, as the regime map compares them, against the full rows' curves."""
 
     @settings(max_examples=200, deadline=None)
     @given(sampled_rows(), DRIVES)
@@ -655,15 +663,17 @@ class TestSupportCurves:
         depth = kernel.depth
         support, *curves = kernel.curves(amp, omega_l)
         assert support == row_support(amp, grid, omega_l, depth)
-        plain = plain_division_curves(dressed_pair(drive), NOISE, grid, amp, omega_l, depth)
+        full = full_rows(full_row_kernel(drive, NOISE, grid), amp, omega_l)
         outside = np.ones(grid.points.size, dtype=bool)
         outside[support] = False
         scattered = full_curves(grid, support, *curves)
-        for values, full, reference in zip(curves, scattered, plain, strict=True):
+        for values, scattered_curve, full_curve in zip(curves, scattered, full, strict=True):
             assert values.size == grid.points[support].size
-            assert values.tobytes() == reference[support].tobytes()
-            assert full.tobytes() == reference.tobytes() and not full.flags.writeable
-            assert np.all(full[outside] == 0.0) and np.all(np.signbit(full[outside]))
+            assert values.tobytes() == full_curve[support].tobytes()
+            assert scattered_curve[support].tobytes() == values.tobytes()
+            assert not scattered_curve.flags.writeable
+            assert np.all(scattered_curve[outside] == 0.0)
+            assert np.all(np.signbit(scattered_curve[outside]))
         with pytest.MonkeyPatch.context() as patch:  # the row's amplitude is the drawn one
             patch.setattr(analysis, "sweep_amplitude", lambda template, t0: template)
             (got,) = analysis._row_result((kernel, amp, [omega_l]), 0.0)
@@ -679,6 +689,89 @@ class TestSupportCurves:
             kept.append(range(grid.points.size)[row_support(amp, grid, omega_l, depth)])
         assert 0 < len(kept[0]) < analysis.MIN_CURVE_POINTS and len(kept[1]) == 0
         assert kept[2][0] == 0 and kept[3][-1] == rows[3][1].points.size - 1
+
+
+def wide_grid(amp, grid, omega_l, widths=10.0):
+    """A grid at ``grid``'s step, centred on the row's peak and ``widths`` e-folding widths to each side."""
+    curv, mu, _ = row_gaussian(amp, omega_l)
+    half = math.ceil(widths / math.sqrt(curv) / grid.step)
+    return FrequencyGrid(mu, half * grid.step, 2 * half)
+
+
+#: Bound on |closed form - trapezoid| / |Q_i| on ``wide_grid``; 9000 draws of
+#: ``sampled_rows`` read at most 2.9e-13, about the error of ``spectrum._w``.
+QUADRATURE_BOUND = 1e-12
+
+
+class TestClosedFormIntegrals:
+    """The cut kernel's mode integrals Q_i, in closed form through the Faddeeva function."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_rows(), DRIVES)
+    @example(entangled_row(1e100), RESONANT_RIGHT)
+    @example(uncorrelated_row(500.0), RESONANT_RIGHT)
+    def test_closed_form_equals_a_trapezoid_well_past_the_row(self, row, drive):
+        amp, grid, omega_l = row
+        _, _, c0 = row_gaussian(amp, omega_l)
+        assume(math.exp(-c0) > 1e-300)  # a subnormal e^-E carries no relative precision
+        wide = wide_grid(amp, grid, omega_l)
+        pair = dressed_pair(drive)
+        for dressed in pair:
+            closed = closed_form_integrals(amp, omega_l, dressed.lambdas, NOISE.gamma)
+            trapezoid = trapezoid_integrals(amp, wide, omega_l, dressed.lambdas, NOISE.gamma)
+            assert np.all(np.abs(closed - trapezoid) <= QUADRATURE_BOUND * np.abs(trapezoid))
+        # the kernel's curves are -psi * sum_i Re(|eta_1i|^2 Q_i / den_i) of these Q_i
+        support, *curves = cut_kernel(drive, NOISE, grid).curves(amp, omega_l)
+        points = grid.points[support]
+        psi = jsa_value(amp, points, omega_l)
+        for dressed, values in zip(pair, curves, strict=True):
+            terms = dressed.eta1_sq * closed_form_integrals(
+                amp, omega_l, dressed.lambdas, NOISE.gamma
+            )
+            expected = -(psi * sum(
+                c / (lam - points + 1j * NOISE.gamma) for c, lam in zip(terms, dressed.lambdas)
+            )).real
+            scale = np.max(np.abs(psi), initial=0.0) * np.sum(np.abs(terms)) / NOISE.gamma
+            # a few units of the least subnormal: subnormal values carry no relative precision
+            assert np.all(np.abs(values - expected) <= 1e-13 * scale + 4 * SMALLEST_SUBNORMAL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sampled_rows(), DRIVES,
+        st.none() | st.sampled_from([1e300, 1.7e308]),
+        st.none() | st.sampled_from([1e3, -1e8, 1e150, -1e200, 1e300]),
+    )
+    @example(FAR_IDLER, RESONANT_RIGHT, None, None)
+    @example(entangled_row(1.0), RESONANT_RIGHT, 1e300, None)  # values overflow
+    @example(entangled_row(1.0), RESONANT_RIGHT, None, 1e200)  # row_gaussian overflows
+    def test_cut_curves_are_finite_or_raise_non_finite_result(self, row, drive, scale, idler):
+        amp, grid, omega_l = row
+        if scale is not None:
+            amp = dataclasses.replace(amp, scale=scale)
+        if idler is not None:
+            omega_l = idler
+        kernel = cut_kernel(drive, NOISE, grid)
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's own overflow is not the point
+            try:
+                support, *curves = kernel.curves(amp, omega_l)
+            except NonFiniteResult:
+                return
+        assert len(curves) == 2
+        for values in curves:
+            assert values.size == grid.points[support].size
+            assert np.all(np.isfinite(values)) and not values.flags.writeable
+
+    def test_empty_support_computes_no_mode_integral(self, monkeypatch):
+        amp, grid, omega_l = FAR_IDLER
+
+        def forbidden(*args):
+            raise AssertionError("a mode integral of an empty support")
+
+        monkeypatch.setattr(spectrum, "_w", forbidden)
+        monkeypatch.setattr(spectrum, "row_gaussian", forbidden)
+        support, *curves = cut_kernel(RESONANT_RIGHT, NOISE, grid).curves(amp, omega_l)
+        assert grid.points[support].size == 0
+        assert [c.size for c in curves] == [0, 0]
 
 
 def numerator(dressed, integrals, gamma):
@@ -754,9 +847,7 @@ class TestSignChanges:
         kernel = TransmissionKernel(dressed_pair(drive), noise, grid)
         curves = full_curves(grid, *kernel.curves(amp, omega_l))
         for dressed, curve in zip(dressed_pair(drive), curves, strict=True):
-            integrals = trapezoid_integrals(
-                amp, grid, omega_l, slice(None), dressed.lambdas, noise.gamma
-            )
+            integrals = trapezoid_integrals(amp, grid, omega_l, dressed.lambdas, noise.gamma)
             n = numerator(dressed, integrals, noise.gamma)
             roots = polynomial.polyroots(n)
             real = roots[np.abs(roots.imag) <= step]  # a near-real pair lies within 2 steps
