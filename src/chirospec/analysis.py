@@ -199,7 +199,7 @@ def curve_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left- and right-handed curves of one drive: read-only values on scan_s.points."""
     kernel = TransmissionKernel(dressed_pair(cfg), noise, scan_s)
-    return full_curves(scan_s, *kernel.curves(amp, omega_l_bar))
+    return full_curves(scan_s, *next(kernel.curves(amp, [omega_l_bar])))
 
 
 def sweep_amplitude(amp_template: BiphotonAmplitude, t0: float) -> BiphotonAmplitude:
@@ -254,15 +254,14 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
 
 
 def _row_result(context, t0: float) -> list:
-    """The ``compare_pair`` result of every idler of one T0 row.
+    """The ``compare_pair`` result of every idler of one T0 row, from one kernel ``curves`` call.
 
     The curves are compared on the row's support, except one shorter than
     MIN_CURVE_POINTS: that is compared on full rows (``full_curves``).
     """
     kernel, amp_template, omega_l_axis = context
-    amp, results = sweep_amplitude(amp_template, t0), []
-    for wl in omega_l_axis:
-        support, *pair = kernel.curves(amp, wl)
+    results = []
+    for support, *pair in kernel.curves(sweep_amplitude(amp_template, t0), omega_l_axis):
         if pair[0].size < MIN_CURVE_POINTS:
             pair = full_curves(kernel.grid, support, *pair)
         results.append(compare_pair(*pair))

@@ -194,19 +194,17 @@ def require_step_resolves(grid: FrequencyGrid, width: float, name: str) -> None:
 
 
 def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
-    """Real joint spectral amplitude at (omega_s, omega_l); accepts arrays."""
+    """Real JSA at (omega_s, omega_l); takes arrays, and is 0.0 where its exponent overflows."""
     ws = np.asarray(omega_s, dtype=float)
     wl = np.asarray(omega_l, dtype=float)
-    if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
-        expo = ((ws - amp.omega_sc) ** 2 + (wl - amp.omega_lc) ** 2) / (
-            2.0 * amp.sigma**2
-        )
-    else:
-        pump = ((ws + wl - amp.omega_p) ** 2) / (2.0 * amp.sigma_p**2)
-        kappa = (ws - amp.omega_sc) * (amp.t_s / 2.0) + (wl - amp.omega_lc) * (
-            amp.t_l / 2.0
-        )
-        expo = pump + kappa**2
+    with np.errstate(over="ignore"):  # an exponent that overflows is inf, with no warning
+        if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:  # s * s is inf where s**2 raises
+            expo = (ws - amp.omega_sc) ** 2 + (wl - amp.omega_lc) ** 2
+            expo /= 2.0 * (amp.sigma * amp.sigma)
+        else:
+            pump = ((ws + wl - amp.omega_p) ** 2) / (2.0 * (amp.sigma_p * amp.sigma_p))
+            kappa = (ws - amp.omega_sc) * (amp.t_s / 2.0) + (wl - amp.omega_lc) * (amp.t_l / 2.0)
+            expo = pump + kappa**2
     return amp.scale * np.exp(-expo)
 
 
@@ -233,7 +231,9 @@ def row_support(
     point nearest mu.  The slice holds the points with E <= min(UNDERFLOW_EXPONENT,
     E_top + depth) and one more each side, keeping the row's grid peak; all
     points if ``row_gaussian`` overflows.  Depth inf keeps every nonzero value.
+    Raises ValidationError unless grid_s resolves amp.
     """
+    require_step_resolves(grid_s, _resolved_width(amp), "the amplitude")
     points = grid_s.points
     try:
         curv, mu, c0 = row_gaussian(amp, omega_l)
@@ -258,7 +258,6 @@ def jsa_row(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, depth: float
     ``depth``: the caller needs the row down to e^-depth of its grid peak.
     Raises ValidationError unless grid_s resolves amp.
     """
-    require_step_resolves(grid_s, _resolved_width(amp), "the amplitude")
     support = row_support(amp, grid_s, omega_l, depth)
     return support, jsa_value(amp, grid_s.points[support], omega_l)
 

@@ -285,8 +285,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     digests: dict[str, str] = {}
     manifest = [f"idler_count = {len(cfg.idler)}"]
     write_s = 0.0
-    for index, omega_l_bar in enumerate(cfg.idler):
-        left, right = full_curves(scan, *kernel.curves(cfg.probe, omega_l_bar))
+    for index, cell in enumerate(kernel.curves(cfg.probe, cfg.idler)):
+        left, right = full_curves(scan, *cell)
         sig_l, sig_r, metric, dist = compare_pair(left, right)
         if index == 0:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,7 +298,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
         write_s += time.perf_counter() - write_started
         manifest.extend(
             [
-                f"idler.{tag}.omega_l_bar = {_fmt(omega_l_bar)}",
+                f"idler.{tag}.omega_l_bar = {_fmt(cfg.idler[index])}",
                 f"idler.{tag}.file_left = curve_left_{tag}.csv",
                 f"idler.{tag}.file_right = curve_right_{tag}.csv",
                 f"idler.{tag}.signature_left = {sig_l.compact()}",

@@ -15,6 +15,7 @@ prefactor are absorbed into C = 1, keeping the leading minus sign because
 the sign pattern carries the chiral signal.  Both probe kinds give a real
 JSA row (``biphoton.jsa_row``), so psi* = psi.  The regime map's kernel
 takes each Q_i over the whole line in closed form (``TransmissionKernel``),
+all of a T0 row's Q_i from one call of the Faddeeva function ``_w``,
 within 1e-12 of a curve's peak of a 30-digit reference (6.0e-16 measured).
 Spectra and ``transmission_point`` take it as the composite trapezoid
 over the whole zero-padded signal grid, so the spectrum CSVs keep their
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biphoton import BiphotonAmplitude, FrequencyGrid, jsa_row, jsa_value, row_gaussian
-from .biphoton import require_step_resolves
+from .biphoton import require_step_resolves, row_support
 from .errors import NonFiniteResult, ValidationError
 from .model import DressedTriad, NoiseParams
 
@@ -97,7 +98,8 @@ class TransmissionKernel:
     |lambda_i - d| over the energies and the grid's ends.  Uncut, Q_i is the
     trapezoid of the zero-padded grid row; cut, the row's Gaussian form
     (``row_gaussian``) over the whole line, Q_i = scale e^-c0 (-i pi)
-    w(sqrt(curv) (lambda_i - mu + i gamma)), w the Faddeeva function.  As
+    w(sqrt(curv) (lambda_i - mu + i gamma)), w the Faddeeva function, all the
+    Q_i of one call's idlers (a T0 row of the map) from one ``_w`` call.  As
     |r_i| <= 1 / gamma, a dropped value is below e^-D M sum_i |eta_1i|^2 |Q_i| / gamma.
     """
 
@@ -128,45 +130,55 @@ class TransmissionKernel:
     def __reduce__(self):
         return TransmissionKernel, self._args
 
-    def curves(self, amp: BiphotonAmplitude, omega_l_bar: float) -> tuple:
-        """``(support, *curves)``: one read-only curve per triad at one idler, from one JSA row.
+    def curves(self, amp: BiphotonAmplitude, omega_l_values):
+        """Yield ``(support, *curves)``, one read-only curve per triad, for each idler in turn.
 
-        The row is sampled down to e^-depth of its grid peak (``jsa_row``) on
-        the slice ``support``; outside it a curve is -0.0 (``full_curves``).
-        A curve is -psi * sum_i Re(c_i r_i), c_i = |eta_1i|^2 Q_i, formed if cut
-        as -psi * sum_i (Re c_i Re r_i - Im c_i Im r_i).  Raises NonFiniteResult on NaN or inf.
+        ``omega_l_values`` is a sequence.  An idler's JSA row is sampled down to e^-depth
+        of its grid peak on ``support`` (``row_support``); outside it a curve is -0.0
+        (``full_curves``).  A curve is -psi * sum_i Re(c_i r_i), c_i = |eta_1i|^2 Q_i; if
+        cut, -psi * sum_i (Re c_i Re r_i - Im c_i Im r_i), with the Q_i of all idlers of
+        nonempty support from one ``_w`` call.  Raises NonFiniteResult on NaN or inf.
         """
-        support, psi_row = jsa_row(amp, self.grid, omega_l_bar, self.depth)
-        if not self.cut:
-            row = np.zeros(self.grid.points.size, dtype=complex)
-            quotient = row[support]
-        elif psi_row.size:  # an empty support computes no Q_i
-            try:
-                curv, mu, c0 = row_gaussian(amp, omega_l_bar)
-            except ArithmeticError:
-                raise NonFiniteResult("the JSA row's Gaussian form overflows") from None
-            root, height = math.sqrt(curv), -1j * math.pi * (amp.scale * math.exp(-c0))
-        curves = [support]
-        for modes in self.triads:
-            values = np.zeros(psi_row.size)
-            for weight, *mode in modes if psi_row.size else ():  # (den,), or cut (pole, Re, Im)
-                if self.cut:
-                    pole, real, imag = mode
-                    c = weight * height * _w(root * (pole - mu))
-                    values += real[support] * c.real
-                    values -= imag[support] * c.imag
-                else:
-                    np.divide(psi_row, mode[0][support], out=quotient)
-                    np.multiply(quotient, _trapezoid(row, self.grid.step), out=quotient)
-                    values += weight * quotient.real
+        grid, points = self.grid, self.grid.points
+        supports = [row_support(amp, grid, wl, self.depth) for wl in omega_l_values]
+        heights, args = [], []
+        for wl, support in zip(omega_l_values, supports):
+            if self.cut and points[support].size:  # an empty support computes no Q_i
+                try:
+                    curv, mu, c0 = row_gaussian(amp, wl)
+                except ArithmeticError:
+                    raise NonFiniteResult("the JSA row's Gaussian form overflows") from None
+                heights.append(-1j * math.pi * (amp.scale * math.exp(-c0)))
+                args += [math.sqrt(curv) * (pole - mu) for t in self.triads for _, pole, *_ in t]
+        heights, faddeeva = iter(heights), iter(_w(np.array(args)).tolist() if args else ())
+        for omega_l_bar, support in zip(omega_l_values, supports):
+            psi_row = jsa_value(amp, points[support], omega_l_bar)
             if self.cut:
-                values *= psi_row
-            np.negative(values, out=values)
-            if not np.all(np.isfinite(values)):
-                raise NonFiniteResult("spectrum curve contains non-finite values")
-            values.flags.writeable = False
-            curves.append(values)
-        return tuple(curves)
+                height = next(heights) if psi_row.size else None
+            else:
+                row = np.zeros(points.size, dtype=complex)
+                quotient = row[support]
+            curves = [support]
+            for modes in self.triads:
+                values = np.zeros(psi_row.size)
+                for weight, *mode in modes if psi_row.size else ():  # (den,), or cut (pole, Re, Im)
+                    if self.cut:
+                        _, real, imag = mode
+                        c = weight * height * next(faddeeva)
+                        values += real[support] * c.real
+                        values -= imag[support] * c.imag
+                    else:
+                        np.divide(psi_row, mode[0][support], out=quotient)
+                        np.multiply(quotient, _trapezoid(row, grid.step), out=quotient)
+                        values += weight * quotient.real
+                if self.cut:
+                    values *= psi_row
+                np.negative(values, out=values)
+                if not np.isfinite(values).all():
+                    raise NonFiniteResult("spectrum curve contains non-finite values")
+                values.flags.writeable = False
+                curves.append(values)
+            yield tuple(curves)
 
 
 def full_curves(grid: FrequencyGrid, support: slice, *curves: np.ndarray) -> tuple:

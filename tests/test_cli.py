@@ -14,7 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chirospec import analysis, cli, model
+from chirospec import analysis, cli, model, spectrum
 from chirospec.biphoton import MAX_GRID_POINTS, FrequencyGrid, default_grid
 from chirospec.cli import CSV_BLOCK_ROWS, MAX_SPECTRUM_ROWS, _curve_rows, _write_curve, main
 from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS, parse_config
@@ -69,6 +69,12 @@ sweep:
 output:
   directory: {out}
 """
+
+#: 2 x 2 sweeps of small T0: idlers near the probe's centre, and idlers whose square overflows.
+NEAR_SWEEP, FAR_SWEEP = (
+    f"sweep:\n  t0: {{min: 0.0, max: 1.0, count: 2}}\n  omega_l: {{min: {lo}, max: {hi}, count: 2}}"
+    for lo, hi in (("0.0", "1.0"), ("1.0e+200", "2.0e+200"))
+)
 
 
 def in_process_pool(monkeypatch):
@@ -350,10 +356,11 @@ class TestStreamedSpectrum:
     ):
         original = TransmissionKernel.curves
 
-        def failing(kernel, amp, omega_l_bar, *args):
-            if omega_l_bar == -0.25:
-                raise NonFiniteResult("curve is not finite")
-            return original(kernel, amp, omega_l_bar, *args)
+        def failing(kernel, amp, omega_l_values):
+            for omega_l_bar, curves in zip(omega_l_values, original(kernel, amp, omega_l_values)):
+                if omega_l_bar == -0.25:
+                    raise NonFiniteResult("curve is not finite")
+                yield curves
 
         monkeypatch.setattr(TransmissionKernel, "curves", failing)
         cfg = write_cfg(tmp_path, STREAM_CFG)
@@ -1017,8 +1024,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "chirospec: numerical failure: dressed energies overflow\n"
 
-    def test_overflowing_row_gaussian_is_4(self, tmp_path, capsys):
-        # an idler so far off that the map kernel's closed form of its row overflows
+    def test_overflowing_row_gaussian_is_4(self, tmp_path, monkeypatch, capsys):
+        # an idler so far off that the map kernel's closed form of its row overflows:
+        # the kernel finds it before it samples any row
+        def forbidden(*args):
+            raise AssertionError("a JSA row sampled before the row's Gaussian form")
+
+        monkeypatch.setattr(spectrum, "jsa_value", forbidden)
         path = tmp_path / "cfg.yaml"
         path.write_text(
             "scan: {center: 0.0, half_width: 6.0, step: 0.05}\n"
@@ -1027,11 +1039,40 @@ class TestExitCodes:
             f"output: {{directory: {tmp_path / 'out'}}}\n",
             encoding="utf-8",
         )
-        with np.errstate(over="ignore"):  # jsa_value squares the idler in numpy
-            assert main(["regime-map", "-c", str(path), "--threads", "1"]) == 4
+        assert main(["regime-map", "-c", str(path), "--threads", "1"]) == 4
         captured = capsys.readouterr()
         assert captured.err == "chirospec: numerical failure: the JSA row's Gaussian form overflows\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("spectrum", "probe: {kind: entangled, sigma_p: 1.0e+200}\nidler: 0.0"),
+            ("spectrum", "probe: {kind: uncorrelated, sigma: 1.0e+200}\nidler: 0.0"),
+            ("spectrum", "idler: 1.0e+200"),
+            ("regime-map", "probe: {kind: entangled, sigma_p: 1.0e+200}\n" + NEAR_SWEEP),
+            ("regime-map", FAR_SWEEP),
+        ],
+        ids=["spectrum-sigma_p", "spectrum-sigma", "spectrum-idler", "map-sigma_p", "map-idler"],
+    )
+    def test_huge_width_or_idler_ends_in_one_line_without_a_warning(self, tmp_path, command,
+                                                                   section):
+        # a width or an idler whose square overflows a float: no traceback and no warning
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            f"scan: {{center: 0.0, half_width: 6.0, step: 0.05}}\n{section}\n"
+            f"output: {{directory: {tmp_path / 'out'}}}\n",
+            encoding="utf-8",
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "chirospec.cli", command,
+             "-c", str(path), "--threads", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode in (0, 2, 3, 4), done.stderr
+        assert done.stderr.count("\n") == (done.returncode != 0), done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
     @pytest.mark.parametrize(
         "command, config, error, reported",

@@ -159,7 +159,8 @@ def test_cut_kernel_curves_match_the_reference(drive, t0_index, omega_l_index):
     omega_l = cfg.sweep.omega_l_values()[omega_l_index]
     scan = build_scan_grid(cfg, sweep_amplitude(cfg.probe, max(cfg.sweep.t0_values())))
     kernel = TransmissionKernel(dressed_pair(cfg.drive), cfg.noise, scan, cut=True)
-    curves = full_curves(scan, *kernel.curves(sweep_amplitude(cfg.probe, t0), omega_l))
+    (curves,) = kernel.curves(sweep_amplitude(cfg.probe, t0), [omega_l])
+    curves = full_curves(scan, *curves)
     # within 1e-12 of the peak; the four cells read 2.6e-16 to 6.0e-16
     assert_near_reference(doc, omega_l, scan.points, curves, 1e-12, t0)
 

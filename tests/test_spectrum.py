@@ -65,9 +65,15 @@ RESONANT_RIGHT = DriveConfig(0.1, 0.1, 0.1, 0.0, 0.0, Chirality.RIGHT)
 ENTANGLED_DELAYS = dict(sigma_p=1.0, t_s=24.0, t_l=25.0)
 
 
+def one_idler(kernel, amp, omega_l_bar):
+    """``(support, *curves)`` of one idler, from a one-idler ``kernel.curves`` call."""
+    (curves,) = kernel.curves(amp, [omega_l_bar])
+    return curves
+
+
 def full_rows(kernel, amp, omega_l_bar):
     """Every support-length curve of ``kernel.curves``, scattered into a -0.0 full row."""
-    support, *curves = kernel.curves(amp, omega_l_bar)
+    support, *curves = one_idler(kernel, amp, omega_l_bar)
     rows = [np.full(kernel.grid.points.size, -0.0) for _ in curves]
     for row, values in zip(rows, curves, strict=True):
         row[support] = values
@@ -306,30 +312,34 @@ def held_arrays(obj) -> list:
 
 class TestCurveArrays:
     def test_kernel_curves_are_read_only_and_own_their_values(self, monkeypatch):
-        original, rows = spectrum.jsa_row, []
+        original, rows = jsa_value, []
 
-        def recorded_jsa_row(*args):
-            support, row = original(*args)
-            rows.append(row)
-            return support, row
+        def recorded_jsa_value(*args):
+            rows.append(original(*args))
+            return rows[-1]
 
-        monkeypatch.setattr(spectrum, "jsa_row", recorded_jsa_row)
+        monkeypatch.setattr(spectrum, "jsa_value", recorded_jsa_value)
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
-        kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
-        support, left, right = kernel.curves(amp, 0.3)
-        (row,) = rows
-        assert support == row_support(amp, scan, 0.3)
-        for curve, other in ((left, right), (right, left)):
-            assert curve.dtype == float and curve.shape == row.shape
-            assert not curve.flags.writeable
-            assert not np.shares_memory(curve, row)
-            assert not np.shares_memory(curve, other)
+        idlers = [0.3, -0.4]
+        for cut in (False, True):
+            kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan, cut=cut)
+            rows.clear()
+            cells = list(kernel.curves(amp, idlers))
+            assert len(rows) == len(cells) == 2
+            curves = [curve for _, *pair in cells for curve in pair]
+            for (support, *pair), row, omega_l in zip(cells, rows, idlers, strict=True):
+                assert support == row_support(amp, scan, omega_l, kernel.depth)
+                for curve in pair:
+                    assert curve.dtype == float and curve.shape == row.shape
+                    assert not curve.flags.writeable
+                    assert not any(np.shares_memory(curve, other) for other in rows)
+                    assert sum(np.shares_memory(curve, other) for other in curves) == 1
 
     def test_kernel_holds_only_read_only_arrays(self):
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
         kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
-        kernel.curves(BiphotonAmplitude.uncorrelated(sigma=1.0), 0.3)
+        one_idler(kernel, BiphotonAmplitude.uncorrelated(sigma=1.0), 0.3)
         arrays = held_arrays(kernel)
         # the grid's points, each triad's lambdas and eta1, each mode's denominator
         assert len(arrays) == 1 + 2 * 2 + 2 * 3
@@ -386,7 +396,7 @@ class TestCurveArrays:
         assert np.all(np.isfinite(jsa_row(amp, scan, 0.3)[1]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteResult):
-                kernel.curves(amp, 0.3)
+                one_idler(kernel, amp, 0.3)
 
 
 @st.composite
@@ -442,15 +452,12 @@ class TestRowSupport:
     def test_kernel_curves_equal_full_row_curves(self, row):
         amp, grid, omega_l = row
         kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, grid)
-        kernel.curves(amp, omega_l + 0.5)  # an earlier call leaves nothing behind
+        one_idler(kernel, amp, omega_l + 0.5)  # an earlier call leaves nothing behind
         outside = np.ones(grid.points.size, dtype=bool)
         outside[row_support(amp, grid, omega_l)] = False
         curves = full_rows(kernel, amp, omega_l)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                spectrum, "jsa_row",
-                lambda amp, grid, wl, depth: (slice(None), jsa_value(amp, grid.points, wl)),
-            )
+            patch.setattr(spectrum, "row_support", lambda amp, grid, wl, depth: slice(None))
             full_row_curves = full_rows(kernel, amp, omega_l)
         for curve, full_row_curve in zip(curves, full_row_curves, strict=True):
             assert curve.tobytes() == full_row_curve.tobytes()
@@ -661,7 +668,7 @@ class TestSupportCurves:
         amp, grid, omega_l = row
         kernel = cut_kernel(drive, NOISE, grid)
         depth = kernel.depth
-        support, *curves = kernel.curves(amp, omega_l)
+        support, *curves = one_idler(kernel, amp, omega_l)
         assert support == row_support(amp, grid, omega_l, depth)
         full = full_rows(full_row_kernel(drive, NOISE, grid), amp, omega_l)
         outside = np.ones(grid.points.size, dtype=bool)
@@ -721,7 +728,7 @@ class TestClosedFormIntegrals:
             trapezoid = trapezoid_integrals(amp, wide, omega_l, dressed.lambdas, NOISE.gamma)
             assert np.all(np.abs(closed - trapezoid) <= QUADRATURE_BOUND * np.abs(trapezoid))
         # the kernel's curves are -psi * sum_i Re(|eta_1i|^2 Q_i / den_i) of these Q_i
-        support, *curves = cut_kernel(drive, NOISE, grid).curves(amp, omega_l)
+        support, *curves = one_idler(cut_kernel(drive, NOISE, grid), amp, omega_l)
         points = grid.points[support]
         psi = jsa_value(amp, points, omega_l)
         for dressed, values in zip(pair, curves, strict=True):
@@ -753,7 +760,7 @@ class TestClosedFormIntegrals:
         kernel = cut_kernel(drive, NOISE, grid)
         with np.errstate(over="ignore", invalid="ignore"):  # numpy's own overflow is not the point
             try:
-                support, *curves = kernel.curves(amp, omega_l)
+                support, *curves = one_idler(kernel, amp, omega_l)
             except NonFiniteResult:
                 return
         assert len(curves) == 2
@@ -763,15 +770,64 @@ class TestClosedFormIntegrals:
 
     def test_empty_support_computes_no_mode_integral(self, monkeypatch):
         amp, grid, omega_l = FAR_IDLER
+        kernel = cut_kernel(RESONANT_RIGHT, NOISE, grid)
+        gaussians, arguments = [], []
+        original_gaussian, original_w = row_gaussian, spectrum._w
 
-        def forbidden(*args):
-            raise AssertionError("a mode integral of an empty support")
+        def recorded_gaussian(amp, wl):
+            gaussians.append(wl)
+            return original_gaussian(amp, wl)
 
-        monkeypatch.setattr(spectrum, "_w", forbidden)
-        monkeypatch.setattr(spectrum, "row_gaussian", forbidden)
-        support, *curves = cut_kernel(RESONANT_RIGHT, NOISE, grid).curves(amp, omega_l)
+        def recorded_w(z):
+            arguments.append(z.size)
+            return original_w(z)
+
+        monkeypatch.setattr(spectrum, "_w", recorded_w)
+        monkeypatch.setattr(spectrum, "row_gaussian", recorded_gaussian)
+        support, *curves = one_idler(kernel, amp, omega_l)
         assert grid.points[support].size == 0
         assert [c.size for c in curves] == [0, 0]
+        assert gaussians == arguments == []  # no Q_i, and no call of w at all
+        # in a row with live idlers: a Q_i per live idler and mode, from one call of w
+        row = list(kernel.curves(amp, [0.0, omega_l, 0.03]))
+        assert gaussians == [0.0, 0.03] and arguments == [2 * 2 * 3]
+        assert [c.size for c in row[1][1:]] == [0, 0]
+
+
+def assert_batch_independent(kernel, amp, idlers):
+    """Each idler's cell of a ``curves`` call on ``idlers``, on them reversed and on them
+    rotated by one (a symmetric axis reversed is itself), is its one-idler cell."""
+    row = list(kernel.curves(amp, idlers))
+    reversed_row = list(kernel.curves(amp, idlers[::-1]))[::-1]
+    rotated = list(kernel.curves(amp, idlers[1:] + idlers[:1]))
+    for omega_l, *cells in zip(idlers, row, reversed_row, rotated[-1:] + rotated[:-1], strict=True):
+        support, *alone = one_idler(kernel, amp, omega_l)
+        for cell in cells:
+            assert cell[0] == support
+            assert [c.tobytes() for c in cell[1:]] == [c.tobytes() for c in alone]
+
+
+class TestRowBatch:
+    """A kernel finds all of a call's supports first, and a cut one takes their Q_i from one
+    Faddeeva call: no cell may depend on which other idlers share the call, or on their order."""
+
+    def test_canonical_map_rows_do_not_depend_on_their_batch(self):
+        config = Path(__file__).resolve().parent.parent / "configs" / "regime_map.yaml"
+        cfg = parse_config(config.read_text(encoding="utf-8"))
+        t0_values = cfg.sweep.t0_values()
+        scan = build_scan_grid(cfg, sweep_amplitude(cfg.probe, max(t0_values)))
+        kernel = cut_kernel(cfg.drive, cfg.noise, scan)
+        idlers = cfg.sweep.omega_l_values()
+        for t0 in t0_values:
+            assert_batch_independent(kernel, sweep_amplitude(cfg.probe, t0), idlers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sampled_rows(), DRIVES, st.lists(st.floats(-10.0, 10.0), max_size=5), st.booleans())
+    @example(FAR_IDLER, RESONANT_RIGHT, [0.0, -1.0, 0.03], True)  # one live idler among empty ones
+    def test_drawn_rows_do_not_depend_on_their_batch(self, row, drive, offsets, cut):
+        amp, grid, omega_l = row
+        kernel = TransmissionKernel(dressed_pair(drive), NOISE, grid, cut=cut)
+        assert_batch_independent(kernel, amp, [omega_l] + [omega_l + x for x in offsets])
 
 
 def numerator(dressed, integrals, gamma):
@@ -845,7 +901,7 @@ class TestSignChanges:
         window = np.flatnonzero(psi >= 1e-20 * np.max(psi))  # psi is one Gaussian bump
         ends, step = grid.points[window[[0, -1]]], grid.step
         kernel = TransmissionKernel(dressed_pair(drive), noise, grid)
-        curves = full_curves(grid, *kernel.curves(amp, omega_l))
+        curves = full_curves(grid, *one_idler(kernel, amp, omega_l))
         for dressed, curve in zip(dressed_pair(drive), curves, strict=True):
             integrals = trapezoid_integrals(amp, grid, omega_l, dressed.lambdas, noise.gamma)
             n = numerator(dressed, integrals, noise.gamma)
