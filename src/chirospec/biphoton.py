@@ -177,7 +177,7 @@ class FrequencyGrid:
         return FrequencyGrid(self.center, self.half_width, 2 * self.intervals)
 
 
-def _resolved_width(amp: BiphotonAmplitude) -> float:
+def resolved_width(amp: BiphotonAmplitude) -> float:
     """Width a signal grid must resolve: the narrowest amplitude feature, capped at 1."""
     return min(1.0, *amp.feature_widths())
 
@@ -197,7 +197,7 @@ def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
     """Real JSA at (omega_s, omega_l); takes arrays, and is 0.0 where its exponent overflows."""
     ws = np.asarray(omega_s, dtype=float)
     wl = np.asarray(omega_l, dtype=float)
-    with np.errstate(over="ignore"):  # an exponent that overflows is inf, with no warning
+    with np.errstate(all="ignore"):  # an overflow or x / 0 is inf, inf / inf NaN: callers check
         if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:  # s * s is inf where s**2 raises
             expo = (ws - amp.omega_sc) ** 2 + (wl - amp.omega_lc) ** 2
             expo /= 2.0 * (amp.sigma * amp.sigma)
@@ -208,58 +208,50 @@ def jsa_value(amp: BiphotonAmplitude, omega_s, omega_l):
     return amp.scale * np.exp(-expo)
 
 
-def row_gaussian(amp: BiphotonAmplitude, omega_l) -> tuple[float, float, float]:
-    """(curv, mu, c0) of the row scale exp(-(curv (d - mu)^2 + c0)); may raise ArithmeticError."""
+def row_gaussian(amp: BiphotonAmplitude, omega_l) -> Optional[tuple[float, float, float]]:
+    """(curv, mu, c0) of the row scale exp(-(curv (d - mu)^2 + c0)); None if the algebra fails.
+
+    It holds all three finite with curv > 0, or c0 = inf for a row that underflows everywhere.
+    """
     wl = float(omega_l)
-    if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
-        curv, mu = 0.5 / amp.sigma**2, amp.omega_sc
-        return curv, mu, curv * (wl - amp.omega_lc) ** 2
-    # (d - a)^2 / (2 sigma_p^2) + (r (d - omega_sc) + k)^2
-    pump, r = 0.5 / amp.sigma_p**2, amp.t_s / 2.0
-    a, k = amp.omega_p - wl, (wl - amp.omega_lc) * (amp.t_l / 2.0)
-    curv = pump + r * r
-    mu = (pump * a + r * (r * amp.omega_sc - k)) / curv
-    return curv, mu, pump * (mu - a) ** 2 + (r * (mu - amp.omega_sc) + k) ** 2
+    try:
+        if amp.kind is JsaKind.UNCORRELATED_GAUSSIAN:
+            curv, mu = 0.5 / amp.sigma**2, amp.omega_sc
+            gaussian = curv, mu, curv * (wl - amp.omega_lc) ** 2
+        else:  # (d - a)^2 / (2 sigma_p^2) + (r (d - omega_sc) + k)^2
+            pump, r = 0.5 / amp.sigma_p**2, amp.t_s / 2.0
+            a, k = amp.omega_p - wl, (wl - amp.omega_lc) * (amp.t_l / 2.0)
+            curv = pump + r * r
+            mu = (pump * a + r * (r * amp.omega_sc - k)) / curv
+            gaussian = curv, mu, pump * (mu - a) ** 2 + (r * (mu - amp.omega_sc) + k) ** 2
+    except ArithmeticError:
+        return None
+    return gaussian if gaussian[2] == math.inf or all(map(math.isfinite, gaussian)) else None
 
 
-def row_support(
-    amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, depth: float = math.inf
-) -> slice:
-    """Slice of grid_s.points outside which |psi(., omega_l)| is below e^-depth of its grid peak.
+def row_support(grid_s: FrequencyGrid, gaussian, depth: float = math.inf) -> slice:
+    """Slice of grid_s.points outside which the ``gaussian`` row is below e^-depth of its grid peak.
 
     E_top is the least exponent E = curv (d - mu)^2 + c0 on the grid, at the
     point nearest mu.  The slice holds the points with E <= min(UNDERFLOW_EXPONENT,
     E_top + depth) and one more each side, keeping the row's grid peak; all
-    points if ``row_gaussian`` overflows.  Depth inf keeps every nonzero value.
-    Raises ValidationError unless grid_s resolves amp.
+    points if ``gaussian`` is None.  Depth inf keeps every nonzero value.
     """
-    require_step_resolves(grid_s, _resolved_width(amp), "the amplitude")
-    points = grid_s.points
-    try:
-        curv, mu, c0 = row_gaussian(amp, omega_l)
-        first = float(points[0])  # Python floats: an overflow is inf, never a warning
-        nearest = round((max(first, min(mu, float(points[-1]))) - first) / grid_s.step)
-        near = float(points[min(nearest, points.size - 1)])
-        limit = min(UNDERFLOW_EXPONENT, curv * ((near - mu) * (near - mu)) + c0 + depth)
-        if c0 > limit:
-            return slice(0, 0)
-        reach = math.sqrt((limit - c0) / curv)
-    except ArithmeticError:  # overflow or division by zero
+    if gaussian is None:
         return slice(None)
-    if not math.isfinite(mu + reach):  # nan from inf - inf or inf / inf
+    curv, mu, c0 = gaussian
+    points = grid_s.points
+    first = float(points[0])  # Python floats: an overflow is inf, never a warning
+    nearest = round((max(first, min(mu, float(points[-1]))) - first) / grid_s.step)
+    near = float(points[min(nearest, points.size - 1)])
+    limit = min(UNDERFLOW_EXPONENT, curv * ((near - mu) * (near - mu)) + c0 + depth)
+    if c0 > limit:
+        return slice(0, 0)
+    reach = math.sqrt((limit - c0) / curv)
+    if not math.isfinite(mu + reach):  # a tiny curv
         return slice(None)
     first, last = np.searchsorted(points, [mu - reach, mu + reach], side="right")
     return slice(max(int(first) - 1, 0), int(last) + 1)
-
-
-def jsa_row(amp: BiphotonAmplitude, grid_s: FrequencyGrid, omega_l, depth: float = math.inf):
-    """``(support, row)``: psi(., omega_l) sampled on its ``row_support`` slice of grid_s.
-
-    ``depth``: the caller needs the row down to e^-depth of its grid peak.
-    Raises ValidationError unless grid_s resolves amp.
-    """
-    support = row_support(amp, grid_s, omega_l, depth)
-    return support, jsa_value(amp, grid_s.points[support], omega_l)
 
 
 def default_grid(
@@ -277,7 +269,7 @@ def default_grid_parameters(
     The center is the amplitude's signal center.  Half-width covers
     DEFAULT_SPAN_WIDTHS times the larger of the envelope width and gamma,
     extended so every dressed eigenvalue is covered with a 6-gamma margin.
-    The step resolves gamma and ``_resolved_width`` DEFAULT_STEP_FACTOR times,
+    The step resolves gamma and ``resolved_width`` DEFAULT_STEP_FACTOR times,
     so the grid passes ``require_step_resolves`` for both.
     """
     if not (gamma > 0):
@@ -286,5 +278,5 @@ def default_grid_parameters(
     half_width = DEFAULT_SPAN_WIDTHS * max(widths[0], gamma)
     for lam in lambdas:
         half_width = max(half_width, abs(float(lam)) + DEFAULT_SPAN_WIDTHS * gamma)
-    step = min(gamma, _resolved_width(amp)) / DEFAULT_STEP_FACTOR
+    step = min(gamma, resolved_width(amp)) / DEFAULT_STEP_FACTOR
     return amp.omega_sc, half_width, step

@@ -131,9 +131,9 @@ class DressedTriad:
         """
         weights = self.eta1_sq
         top = int(np.argmax(weights))
-        rivals = (weights[top] - weights <= DEGENERACY_TOL) & (
-            np.abs(self.lambdas - self.lambdas[top]) > DEGENERACY_TOL
-        )
+        with np.errstate(over="ignore"):  # an energy gap past the float range is inf: no tie
+            gaps = np.abs(self.lambdas - self.lambdas[top])
+        rivals = (weights[top] - weights <= DEGENERACY_TOL) & (gaps > DEGENERACY_TOL)
         return None if rivals.any() else top
 
 
@@ -190,7 +190,7 @@ def dressed_states(h: HermitianTriad, chirality: Chirality) -> DressedTriad:
         eta[i] = _gauge_fix(vecs[:, i])[0]
 
     # Even split of the |1> projection inside each degenerate block.
-    i = 0
+    lam, i = lam.tolist(), 0  # Python floats: a gap past the float range is inf, with no warning
     while i < 3:
         j = i + 1
         while j < 3 and lam[j] - lam[i] <= DEGENERACY_TOL:

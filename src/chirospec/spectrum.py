@@ -13,7 +13,7 @@ frequency, lambda_i / eta_1i the dressed energies and overlaps, and
 gamma the uniform dissipation rate; the mode density and every physical
 prefactor are absorbed into C = 1, keeping the leading minus sign because
 the sign pattern carries the chiral signal.  Both probe kinds give a real
-JSA row (``biphoton.jsa_row``), so psi* = psi.  The regime map's kernel
+JSA (``biphoton.jsa_value``), so psi* = psi.  The regime map's kernel
 takes each Q_i over the whole line in closed form (``TransmissionKernel``),
 all of a T0 row's Q_i from one call of the Faddeeva function ``_w``,
 within 1e-12 of a curve's peak of a 30-digit reference (6.0e-16 measured).
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import BiphotonAmplitude, FrequencyGrid, jsa_row, jsa_value, row_gaussian
-from .biphoton import require_step_resolves, row_support
+from .biphoton import BiphotonAmplitude, FrequencyGrid, jsa_value, require_step_resolves
+from .biphoton import resolved_width, row_gaussian, row_support
 from .errors import NonFiniteResult, ValidationError
 from .model import DressedTriad, NoiseParams
 
@@ -58,7 +58,7 @@ class DetectorPair:
 
 def _trapezoid(row: np.ndarray, step: float) -> complex:
     """Trapezoid of a whole zero-padded grid row: Q_i for ``transmission_point`` and uncut kernels."""
-    return step * (row.sum() - 0.5 * (row[0] + row[-1])) if row.size else 0j
+    return step * (row.sum() - 0.5 * (row[0] + row[-1]))
 
 
 #: Weideman's N = 32 coefficients of w (SIAM J. Numer. Anal. 31:1497, 1994), highest power first.
@@ -92,12 +92,12 @@ class TransmissionKernel:
     r_i = 1 / den.  The step must resolve gamma RESOLVE_FACTOR times.  Calls
     may overlap; a pickle or copy reruns the constructor.
 
-    ``curves`` samples each JSA row down to e^-``depth`` of its grid peak M
-    (``row_support``): every nonzero value unless ``cut``, else D = 60 ln 2
-    + ln(2 n (1 + (R / gamma)^2)), n grid points and R the largest
-    |lambda_i - d| over the energies and the grid's ends.  Uncut, Q_i is the
-    trapezoid of the zero-padded grid row; cut, the row's Gaussian form
-    (``row_gaussian``) over the whole line, Q_i = scale e^-c0 (-i pi)
+    ``curves`` samples each JSA row on the ``row_support`` of its Gaussian form
+    (``row_gaussian``), down to e^-``depth`` of its grid peak M: every nonzero
+    value unless ``cut``, else D = 60 ln 2 + ln(2 n (1 + (R / gamma)^2)), n grid
+    points and R the largest |lambda_i - d| over the energies and the grid's ends.
+    Uncut, Q_i is the trapezoid of the zero-padded grid row; cut, the Gaussian
+    form over the whole line, Q_i = scale e^-c0 (-i pi)
     w(sqrt(curv) (lambda_i - mu + i gamma)), w the Faddeeva function, all the
     Q_i of one call's idlers (a T0 row of the map) from one ``_w`` call.  As
     |r_i| <= 1 / gamma, a dropped value is below e^-D M sum_i |eta_1i|^2 |Q_i| / gamma.
@@ -108,19 +108,20 @@ class TransmissionKernel:
         dressed_triads = tuple(dressed_triads)
         self._args = (dressed_triads, noise, grid_s, cut)
         self.grid, self.triads, self.depth, self.cut = grid_s, (), math.inf, cut
-        for d in dressed_triads:  # one row per mode
-            if cut:  # (q / |den|) / |den| and (-gamma / |den|) / |den|: no square of q or gamma
-                real = d.lambdas[:, None] - grid_s.points
-                size = np.hypot(real, noise.gamma)
-                np.divide(np.divide(real, size, out=real), size, out=real)
-                imag = np.divide(np.divide(-noise.gamma, size), size)
-                real.flags.writeable = imag.flags.writeable = False
-                poles = (d.lambdas + 1j * noise.gamma).tolist()
-                self.triads += (tuple(zip(d.eta1_sq.tolist(), poles, real, imag)),)
-            else:
-                den = (d.lambdas[:, None] - grid_s.points) + 1j * noise.gamma
-                den.flags.writeable = False
-                self.triads += (tuple(zip(d.eta1_sq, den)),)
+        with np.errstate(all="ignore"):  # inf and NaN reach only curves, which check them
+            for d in dressed_triads:  # one row per mode
+                if cut:  # (q / |den|) / |den| and (-gamma / |den|) / |den|: no square of q or gamma
+                    real = d.lambdas[:, None] - grid_s.points
+                    size = np.hypot(real, noise.gamma)
+                    np.divide(np.divide(real, size, out=real), size, out=real)
+                    imag = np.divide(np.divide(-noise.gamma, size), size)
+                    real.flags.writeable = imag.flags.writeable = False
+                    poles = (d.lambdas + 1j * noise.gamma).tolist()
+                    self.triads += (tuple(zip(d.eta1_sq.tolist(), poles, real, imag)),)
+                else:
+                    den = (d.lambdas[:, None] - grid_s.points) + 1j * noise.gamma
+                    den.flags.writeable = False
+                    self.triads += (tuple(zip(d.eta1_sq, den)),)
         if cut:  # in Python floats: a huge R / gamma gives D = inf (full rows), with no warning
             ends = grid_s.points[[0, -1]].tolist()
             lambdas = np.concatenate([t.lambdas for t in dressed_triads]).tolist()
@@ -137,47 +138,51 @@ class TransmissionKernel:
         of its grid peak on ``support`` (``row_support``); outside it a curve is -0.0
         (``full_curves``).  A curve is -psi * sum_i Re(c_i r_i), c_i = |eta_1i|^2 Q_i; if
         cut, -psi * sum_i (Re c_i Re r_i - Im c_i Im r_i), with the Q_i of all idlers of
-        nonempty support from one ``_w`` call.  Raises NonFiniteResult on NaN or inf.
+        nonempty support from one ``_w`` call.  Raises ValidationError unless the grid resolves
+        amp, and NonFiniteResult on NaN or inf, or if cut on a live row without a Gaussian form.
         """
         grid, points = self.grid, self.grid.points
-        supports = [row_support(amp, grid, wl, self.depth) for wl in omega_l_values]
+        require_step_resolves(grid, resolved_width(amp), "the amplitude")
+        gaussians = [row_gaussian(amp, wl) for wl in omega_l_values]
+        supports = [row_support(grid, gaussian, self.depth) for gaussian in gaussians]
         heights, args = [], []
-        for wl, support in zip(omega_l_values, supports):
+        for gaussian, support in zip(gaussians, supports):
             if self.cut and points[support].size:  # an empty support computes no Q_i
-                try:
-                    curv, mu, c0 = row_gaussian(amp, wl)
-                except ArithmeticError:
-                    raise NonFiniteResult("the JSA row's Gaussian form overflows") from None
+                if gaussian is None:
+                    raise NonFiniteResult("the JSA row's Gaussian form overflows")
+                curv, mu, c0 = gaussian
                 heights.append(-1j * math.pi * (amp.scale * math.exp(-c0)))
                 args += [math.sqrt(curv) * (pole - mu) for t in self.triads for _, pole, *_ in t]
-        heights, faddeeva = iter(heights), iter(_w(np.array(args)).tolist() if args else ())
+        with np.errstate(all="ignore"):  # an overflow is inf, and inf or NaN fails the check below
+            heights, faddeeva = iter(heights), iter(_w(np.array(args)).tolist() if args else ())
         for omega_l_bar, support in zip(omega_l_values, supports):
-            psi_row = jsa_value(amp, points[support], omega_l_bar)
-            if self.cut:
-                height = next(heights) if psi_row.size else None
-            else:
-                row = np.zeros(points.size, dtype=complex)
-                quotient = row[support]
-            curves = [support]
-            for modes in self.triads:
-                values = np.zeros(psi_row.size)
-                for weight, *mode in modes if psi_row.size else ():  # (den,), or cut (pole, Re, Im)
-                    if self.cut:
-                        _, real, imag = mode
-                        c = weight * height * next(faddeeva)
-                        values += real[support] * c.real
-                        values -= imag[support] * c.imag
-                    else:
-                        np.divide(psi_row, mode[0][support], out=quotient)
-                        np.multiply(quotient, _trapezoid(row, grid.step), out=quotient)
-                        values += weight * quotient.real
+            with np.errstate(all="ignore"):
+                psi_row = jsa_value(amp, points[support], omega_l_bar)
                 if self.cut:
-                    values *= psi_row
-                np.negative(values, out=values)
-                if not np.isfinite(values).all():
-                    raise NonFiniteResult("spectrum curve contains non-finite values")
-                values.flags.writeable = False
-                curves.append(values)
+                    height = next(heights) if psi_row.size else None
+                else:
+                    row = np.zeros(points.size, dtype=complex)
+                    quotient = row[support]
+                curves = [support]
+                for modes in self.triads:
+                    values = np.zeros(psi_row.size)
+                    for weight, *mode in modes if psi_row.size else ():  # (den,), or cut (pole, Re, Im)
+                        if self.cut:
+                            _, real, imag = mode
+                            c = weight * height * next(faddeeva)
+                            values += real[support] * c.real
+                            values -= imag[support] * c.imag
+                        else:
+                            np.divide(psi_row, mode[0][support], out=quotient)
+                            np.multiply(quotient, _trapezoid(row, grid.step), out=quotient)
+                            values += weight * quotient.real
+                    if self.cut:
+                        values *= psi_row
+                    np.negative(values, out=values)
+                    if not np.isfinite(values).all():
+                        raise NonFiniteResult("spectrum curve contains non-finite values")
+                    values.flags.writeable = False
+                    curves.append(values)
             yield tuple(curves)
 
 
@@ -201,8 +206,10 @@ def transmission_point(
     Raises ValidationError unless grid_s resolves gamma and amp, as for a kernel.
     """
     require_step_resolves(grid_s, noise.gamma, "gamma")
-    support, psi_row = jsa_row(amp, grid_s, det.omega_l_bar)
+    require_step_resolves(grid_s, resolved_width(amp), "the amplitude")
+    support = row_support(grid_s, row_gaussian(amp, det.omega_l_bar))
     row, points = np.zeros(grid_s.points.size, dtype=complex), grid_s.points[support]
+    psi_row = jsa_value(amp, points, det.omega_l_bar)
     psi_det = jsa_value(amp, det.omega_s_bar, det.omega_l_bar)
     total = 0.0
     for weight, lam in zip(dressed.eta1_sq, dressed.lambdas):

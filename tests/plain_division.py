@@ -9,12 +9,13 @@ Each Q_i is the trapezoid of the full zero-padded row.
 
 import numpy as np
 
-from chirospec.biphoton import jsa_row
+from chirospec.biphoton import jsa_value, row_gaussian, row_support
 
 
 def plain_division_curves(dressed_triads, noise, grid, amp, omega_l_bar):
     """One curve per triad, sampled on ``grid.points``."""
-    support, psi_row = jsa_row(amp, grid, omega_l_bar)
+    support = row_support(grid, row_gaussian(amp, omega_l_bar))
+    psi_row = jsa_value(amp, grid.points[support], omega_l_bar)
     curves = []
     for dressed in dressed_triads:
         values = np.zeros(grid.points.size)

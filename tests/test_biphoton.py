@@ -16,15 +16,22 @@ from chirospec.biphoton import (
     BiphotonAmplitude,
     FrequencyGrid,
     default_grid,
-    jsa_row,
     jsa_value,
 )
 from chirospec.errors import ValidationError
-from chirospec.model import Chirality, DressedTriad, NoiseParams
-from chirospec.spectrum import zero_bandwidth_point
+from chirospec.model import Chirality, DressedTriad, DriveConfig, NoiseParams, dressed_pair
+from chirospec.spectrum import DetectorPair, transmission_point, zero_bandwidth_point
 
 ENTANGLED_DELAYS = dict(sigma_p=1.0, t_s=24.0, t_l=25.0)
 EPS = np.finfo(float).eps
+
+
+def sample_point(amp, grid, gamma=1.0):
+    """``transmission_point`` at the amplitude's centers: it samples a JSA row on ``grid``."""
+    dressed = dressed_pair(DriveConfig())[1]
+    return transmission_point(
+        dressed, amp, NoiseParams(gamma), DetectorPair(amp.omega_sc, amp.omega_lc), grid
+    )
 
 
 @st.composite
@@ -285,7 +292,7 @@ class TestJsaGrid:
         amp = BiphotonAmplitude.entangled(**ENTANGLED_DELAYS)
         gs = FrequencyGrid.build(0.0, 4.0, 0.05)  # phase-mismatch needs ~0.004
         with pytest.raises(ValidationError, match="needed to resolve the amplitude"):
-            jsa_row(amp, gs, 0.0)
+            sample_point(amp, gs)
 
 
 class TestDefaultGrid:
@@ -315,7 +322,7 @@ class TestDefaultGrid:
             BiphotonAmplitude.uncorrelated(sigma=0.3),
             BiphotonAmplitude.entangled(sigma_p=0.1, t_s=36.0, t_l=37.5),
         ):
-            jsa_row(amp, default_grid(amp, 1.0), amp.omega_lc)  # must not raise
+            sample_point(amp, default_grid(amp, 1.0))  # must not raise
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 100.0])
     def test_any_gamma_gives_a_grid_that_passes_the_check(self, gamma):
@@ -326,7 +333,7 @@ class TestDefaultGrid:
             BiphotonAmplitude.entangled(**ENTANGLED_DELAYS),
         ):
             grid = default_grid(amp, gamma)
-            jsa_row(amp, grid, amp.omega_lc)  # must not raise
+            sample_point(amp, grid, gamma)  # must not raise
             assert grid.step <= min(gamma, 1.0, *amp.feature_widths()) / 20.0
 
 

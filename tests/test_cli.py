@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface and its file contracts."""
 
+import contextlib
 import hashlib
+import io
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1121,3 +1125,156 @@ class TestExitCodes:
             SPECTRUM_CFG.format(out=blocker / "sub"), encoding="utf-8"
         )
         assert main(["spectrum", "-c", str(cfg), "--threads", "1"]) == 3
+
+
+#: Numbers a drawn config holds: the float range's extremes, and moderate values.
+EXTREMES = [1e-320, 1e-300, 1e-150, 1e154, 1e200, 1e300, 1.7e308]
+POSITIVE = st.sampled_from(EXTREMES) | st.sampled_from([0.05, 0.5, 1.0, 2.5, 24.0, 49.0])
+NUMBERS = st.sampled_from([0.0, -0.0]) | POSITIVE | POSITIVE.map(lambda x: -x) | st.floats(-3.0, 3.0)
+#: Most scan points of a drawn scan, so that every draw stays small.
+DRAWN_SCAN_POINTS = 2000
+
+
+@st.composite
+def config_documents(draw):
+    """A config as nested sections: every numeric key of every section drawn or left out.
+
+    Keys that must be positive are drawn positive, and ranges in order.  Most scans
+    take a step that resolves gamma and the narrowest probe feature of both commands
+    ten times, so that many draws pass validation.  A scan has at most
+    DRAWN_SCAN_POINTS points.
+    """
+
+    def section(**keys):
+        drawn = {key: draw(st.none() | values) for key, values in keys.items()}
+        return {key: value for key, value in drawn.items() if value is not None}
+
+    def axis(values):
+        low, high = sorted(draw(st.lists(values, min_size=2, max_size=2, unique=True)))
+        return {"min": low, "max": high, "count": draw(st.integers(2, 3))}
+
+    noise = section(gamma=POSITIVE)
+    probe = {
+        "kind": draw(st.sampled_from(["uncorrelated", "entangled"])),
+        **section(omega_s_center=NUMBERS, omega_l_center=NUMBERS, sigma=POSITIVE,
+                  sigma_p=POSITIVE, t_s=POSITIVE, t_l=POSITIVE, omega_pump=NUMBERS),
+    }
+    sweep = {"t0": axis(POSITIVE), "omega_l": axis(NUMBERS)}
+    scan = section(center=NUMBERS)
+    if draw(st.integers(0, 3)):  # three scans in four resolve
+        delays = [probe.get("t_s", 0.0), probe.get("t_l", 0.0), 2.5 * sweep["t0"]["max"]]
+        widths = [noise.get("gamma", 1.0), 1.0, probe.get("sigma", 1.0), probe.get("sigma_p", 1.0)]
+        scan["step"] = min(widths + [1.0 / t for t in delays if t > 0]) / 10.0
+        scan["half_width"] = scan["step"] * draw(st.integers(8, DRAWN_SCAN_POINTS // 2))
+    else:
+        scan["half_width"], scan["step"] = half_width, step = draw(POSITIVE), draw(POSITIVE)
+        if not 2 * half_width / step <= DRAWN_SCAN_POINTS:
+            scan["step"] = half_width / draw(st.integers(5, DRAWN_SCAN_POINTS // 2))
+    return {
+        "drive": section(**dict.fromkeys(["omega21", "omega31", "omega32"], POSITIVE),
+                         delta21=NUMBERS, delta31=NUMBERS),
+        "noise": noise,
+        "probe": probe,
+        "scan": scan,
+        "idler": {"values": draw(st.lists(NUMBERS, min_size=1, max_size=3))},
+        "sweep": sweep,
+    }
+
+
+def flow_yaml(node) -> str:
+    """``node`` as YAML flow text, each float written %.17e so that PyYAML reads it as a float."""
+    if isinstance(node, dict):
+        return "{" + ", ".join(f"{key}: {flow_yaml(value)}" for key, value in node.items()) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(flow_yaml, node)) + "]"
+    return f"{node:.17e}" if isinstance(node, float) else str(node)
+
+
+def run_in_process(directory, command, doc):
+    """``(exit code, stdout, stderr)`` of ``cli.main`` on ``doc``, with every warning an error."""
+    text = "".join(f"{name}: {flow_yaml(node)}\n" for name, node in doc.items())
+    path = Path(directory) / f"{command}.yaml"
+    path.write_text(text + f"output: {{directory: {Path(directory) / command}}}\n",
+                    encoding="utf-8")
+    args = [command, "-c", str(path)] + ([] if command == "dressed" else ["--threads", "1"])
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: An energy gap past the float range: numpy warned of an overflow in ``dominant_line``.
+OVERFLOWING_GAP = {"drive": {"omega21": 1e308}}
+#: A JSA exponent of inf / inf: numpy warned of an invalid value in ``jsa_value``.
+INFINITE_OVER_INFINITE = {
+    "probe": {"kind": "uncorrelated", "sigma": 1e154, "omega_s_center": -1e200,
+              "omega_l_center": -1e154},
+    "scan": {"center": 0.05, "half_width": 6.0, "step": 0.01},
+    "idler": {"values": [-0.1]},
+}
+#: A live map row whose Gaussian form is not finite: NaN reached the Faddeeva function.
+NON_FINITE_GAUSSIAN = {
+    "probe": {"kind": "entangled", "sigma_p": 0.5},
+    "sweep": {"t0": {"min": 2.5, "max": 49.0, "count": 2},
+              "omega_l": {"min": -1.7e308, "max": 1.0, "count": 3}},
+}
+
+#: Found by the property test below.  A width whose square underflows: x / 0 in ``jsa_value``.
+UNDERFLOWING_WIDTH = {
+    "probe": {"kind": "uncorrelated", "sigma": 1e-300},
+    "scan": {"center": 0.0, "half_width": 8e-301, "step": 1e-301},
+    "idler": {"values": [0.05]},
+}
+#: Energies and gamma near the float range's end: the kernels' denominators overflow.
+OVERFLOWING_DENOMINATOR = {
+    "drive": {"delta21": -1.7e308},
+    "noise": {"gamma": 1.7e308},
+    "probe": {"kind": "entangled"},
+    "scan": {"center": 0.0, "half_width": 2.5, "step": 0.025},
+    "idler": {"values": [0.0]},
+    "sweep": {"t0": {"min": 0.0, "max": 1.0, "count": 2},
+              "omega_l": {"min": 0.0, "max": 1.0, "count": 2}},
+}
+#: A dressed energy near the float range's end: the Faddeeva function's argument overflows.
+OVERFLOWING_FADDEEVA_ARGUMENT = {**OVERFLOWING_DENOMINATOR, "drive": {"omega31": 1.7e308},
+                                 "noise": {"gamma": 1.0}}
+#: Dressed energies the whole float range apart: their gap overflows in ``dressed_states``.
+OVERFLOWING_ENERGY_SPREAD = {"drive": {"omega31": 1.7e308, "delta21": -1.7e308}}
+
+
+class TestOneLineExit:
+    """Every input ends in exit 0 with nothing on stderr, or in exit 2, 3 or 4 with one line."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(config_documents())
+    @example(OVERFLOWING_GAP)
+    @example(INFINITE_OVER_INFINITE)
+    @example(NON_FINITE_GAUSSIAN)
+    @example(UNDERFLOWING_WIDTH)
+    @example(OVERFLOWING_DENOMINATOR)
+    @example(OVERFLOWING_FADDEEVA_ARGUMENT)
+    @example(OVERFLOWING_ENERGY_SPREAD)
+    def test_any_config_ends_in_one_line(self, doc):
+        sections = {"dressed": (), "spectrum": ("idler",), "regime-map": ("sweep",)}
+        with tempfile.TemporaryDirectory() as work:
+            for command, own in sections.items():
+                kept = {k: v for k, v in doc.items() if k in own or k not in ("idler", "sweep")}
+                code, _, err = run_in_process(work, command, kept)
+                assert (code, err.count("\n")) in ((0, 0), (2, 1), (3, 1), (4, 1)), (command, err)
+                assert err.endswith("\n") or not err
+
+    def test_infinite_over_infinite_exponent_is_4_in_one_line(self, tmp_path):
+        code, _, err = run_in_process(tmp_path, "spectrum", INFINITE_OVER_INFINITE)
+        assert code == 4
+        assert err == "chirospec: numerical failure: spectrum curve contains non-finite values\n"
+
+    def test_non_finite_row_gaussian_is_4_before_any_faddeeva_call(self, tmp_path, monkeypatch):
+        def forbidden(z):
+            raise AssertionError("the Faddeeva function called on a row without a Gaussian form")
+
+        monkeypatch.setattr(spectrum, "_w", forbidden)
+        code, _, err = run_in_process(tmp_path, "regime-map", NON_FINITE_GAUSSIAN)
+        assert code == 4
+        assert err == "chirospec: numerical failure: the JSA row's Gaussian form overflows\n"
+        assert not (tmp_path / "regime-map").exists()

@@ -116,6 +116,7 @@ class TestDressedTriad:
             ([-0.1, -0.1 + 2e-9, 0.2], [0.6, 0.6, 0.5], None),  # energies apart by 2e-9
             ([-0.1, 0.1, 0.2], [0.6, 0.6 - 5e-10, 0.5], None),  # weights apart by 6e-10
             ([-0.1, 0.1, 0.2], [0.6, 0.6 - 2e-9, 0.5], 0),  # weights apart by 2.4e-9
+            ([1.7e308, -1.7e308, 0.0], [0.6, 0.6, 0.5], None),  # a gap past the float range
         ],
     )
     def test_dominant_line(self, lambdas, eta1, line):

@@ -33,7 +33,6 @@ from chirospec.biphoton import (
     FrequencyGrid,
     JsaKind,
     default_grid,
-    jsa_row,
     jsa_value,
     row_gaussian,
     row_support,
@@ -63,6 +62,11 @@ import working_point as wp
 NOISE = NoiseParams(1.0)
 RESONANT_RIGHT = DriveConfig(0.1, 0.1, 0.1, 0.0, 0.0, Chirality.RIGHT)
 ENTANGLED_DELAYS = dict(sigma_p=1.0, t_s=24.0, t_l=25.0)
+
+
+def support_of(amp, grid, omega_l, depth=math.inf):
+    """The ``row_support`` of the row's ``row_gaussian`` form, as a kernel finds it."""
+    return row_support(grid, row_gaussian(amp, omega_l), depth)
 
 
 def one_idler(kernel, amp, omega_l_bar):
@@ -329,7 +333,7 @@ class TestCurveArrays:
             assert len(rows) == len(cells) == 2
             curves = [curve for _, *pair in cells for curve in pair]
             for (support, *pair), row, omega_l in zip(cells, rows, idlers, strict=True):
-                assert support == row_support(amp, scan, omega_l, kernel.depth)
+                assert support == support_of(amp, scan, omega_l, kernel.depth)
                 for curve in pair:
                     assert curve.dtype == float and curve.shape == row.shape
                     assert not curve.flags.writeable
@@ -393,7 +397,7 @@ class TestCurveArrays:
         amp = BiphotonAmplitude.uncorrelated(sigma=1.0, scale=height)
         scan = FrequencyGrid.build(0.0, 6.0, 0.05)
         kernel = TransmissionKernel([dressed_pair(RESONANT_RIGHT)[1]], NOISE, scan)
-        assert np.all(np.isfinite(jsa_row(amp, scan, 0.3)[1]))
+        assert np.all(np.isfinite(jsa_value(amp, scan.points, 0.3)))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteResult):
                 one_idler(kernel, amp, 0.3)
@@ -432,8 +436,8 @@ class TestRowSupport:
     @example(FAR_IDLER)
     def test_support_keeps_every_nonzero_point(self, row):
         amp, grid, omega_l = row
-        support, sampled = jsa_row(amp, grid, omega_l)
-        assert support == row_support(amp, grid, omega_l)
+        support = support_of(amp, grid, omega_l)
+        sampled = jsa_value(amp, grid.points[support], omega_l)
         outside = np.ones(grid.points.size, dtype=bool)
         outside[support] = False
         full = jsa_value(amp, grid.points, omega_l)
@@ -443,7 +447,7 @@ class TestRowSupport:
 
     def test_far_idler_has_empty_support(self):
         amp, grid, omega_l = FAR_IDLER
-        assert grid.points[row_support(amp, grid, omega_l)].size == 0
+        assert grid.points[support_of(amp, grid, omega_l)].size == 0
         assert not np.any(jsa_value(amp, grid.points, omega_l))
 
     @settings(max_examples=100, deadline=None)
@@ -454,10 +458,10 @@ class TestRowSupport:
         kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, grid)
         one_idler(kernel, amp, omega_l + 0.5)  # an earlier call leaves nothing behind
         outside = np.ones(grid.points.size, dtype=bool)
-        outside[row_support(amp, grid, omega_l)] = False
+        outside[support_of(amp, grid, omega_l)] = False
         curves = full_rows(kernel, amp, omega_l)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectrum, "row_support", lambda amp, grid, wl, depth: slice(None))
+            patch.setattr(spectrum, "row_support", lambda grid, gaussian, depth: slice(None))
             full_row_curves = full_rows(kernel, amp, omega_l)
         for curve, full_row_curve in zip(curves, full_row_curves, strict=True):
             assert curve.tobytes() == full_row_curve.tobytes()
@@ -553,10 +557,10 @@ class TestDepthCut:
     @example(uncorrelated_row(740.5), 2.0**-8)  # subnormal row, rounded to a few units
     def test_dropped_points_lie_depth_below_the_kept_peak(self, row, depth):
         amp, grid, omega_l = row
-        support, sampled = jsa_row(amp, grid, omega_l, depth)
-        assert support == row_support(amp, grid, omega_l, depth)
+        support = support_of(amp, grid, omega_l, depth)
+        sampled = jsa_value(amp, grid.points[support], omega_l)
         indices = range(grid.points.size)
-        assert set(indices[support]) <= set(indices[row_support(amp, grid, omega_l)])
+        assert set(indices[support]) <= set(indices[support_of(amp, grid, omega_l)])
         full = jsa_value(amp, grid.points, omega_l)
         assert sampled.tobytes() == full[support].tobytes()
         outside = np.ones(grid.points.size, dtype=bool)
@@ -576,9 +580,9 @@ class TestDepthCut:
     @example(uncorrelated_row(720.0))
     def test_default_depth_keeps_the_points_within_the_underflow_exponent(self, row):
         amp, grid, omega_l = row
-        support = row_support(amp, grid, omega_l)
-        assert support == row_support(amp, grid, omega_l, math.inf)
-        assert support == row_support(amp, grid, omega_l, UNDERFLOW_EXPONENT)
+        support = row_support(grid, row_gaussian(amp, omega_l))
+        assert support == support_of(amp, grid, omega_l, math.inf)
+        assert support == support_of(amp, grid, omega_l, UNDERFLOW_EXPONENT)
         exponent = exponents(amp, grid.points, omega_l)
         inside = np.zeros(grid.points.size, dtype=bool)
         inside[support] = True
@@ -605,7 +609,7 @@ class TestDepthCut:
         kernel = cut_kernel(drive, noise, grid)
         depth = kernel.depth
         assert depth == pytest.approx(expected_map_depth(drive, noise, grid), rel=1e-12)
-        support = row_support(amp, grid, omega_l, depth)
+        support = support_of(amp, grid, omega_l, depth)
         full = full_rows(full_row_kernel(drive, noise, grid), amp, omega_l)
         cut = full_rows(kernel, amp, omega_l)
         outside = np.ones(grid.points.size, dtype=bool)
@@ -669,7 +673,7 @@ class TestSupportCurves:
         kernel = cut_kernel(drive, NOISE, grid)
         depth = kernel.depth
         support, *curves = one_idler(kernel, amp, omega_l)
-        assert support == row_support(amp, grid, omega_l, depth)
+        assert support == support_of(amp, grid, omega_l, depth)
         full = full_rows(full_row_kernel(drive, NOISE, grid), amp, omega_l)
         outside = np.ones(grid.points.size, dtype=bool)
         outside[support] = False
@@ -693,7 +697,7 @@ class TestSupportCurves:
         kept = []
         for amp, grid, omega_l in rows:
             depth = cut_kernel(RESONANT_RIGHT, NOISE, grid).depth
-            kept.append(range(grid.points.size)[row_support(amp, grid, omega_l, depth)])
+            kept.append(range(grid.points.size)[support_of(amp, grid, omega_l, depth)])
         assert 0 < len(kept[0]) < analysis.MIN_CURVE_POINTS and len(kept[1]) == 0
         assert kept[2][0] == 0 and kept[3][-1] == rows[3][1].points.size - 1
 
@@ -787,10 +791,12 @@ class TestClosedFormIntegrals:
         support, *curves = one_idler(kernel, amp, omega_l)
         assert grid.points[support].size == 0
         assert [c.size for c in curves] == [0, 0]
-        assert gaussians == arguments == []  # no Q_i, and no call of w at all
-        # in a row with live idlers: a Q_i per live idler and mode, from one call of w
+        assert gaussians == [omega_l] and arguments == []  # no Q_i, and no call of w at all
+        # in a row with live idlers: one Gaussian form per idler, and a Q_i per live idler
+        # and mode, from one call of w
+        gaussians.clear()
         row = list(kernel.curves(amp, [0.0, omega_l, 0.03]))
-        assert gaussians == [0.0, 0.03] and arguments == [2 * 2 * 3]
+        assert gaussians == [0.0, omega_l, 0.03] and arguments == [2 * 2 * 3]
         assert [c.size for c in row[1][1:]] == [0, 0]
 
 
@@ -820,6 +826,30 @@ class TestRowBatch:
         idlers = cfg.sweep.omega_l_values()
         for t0 in t0_values:
             assert_batch_independent(kernel, sweep_amplitude(cfg.probe, t0), idlers)
+
+    def test_canonical_map_takes_one_gaussian_per_idler_and_one_check_per_call(self, monkeypatch):
+        # each step of a row has one owner: one Gaussian form per cell, and one resolution
+        # check of the amplitude per T0 row, which is one curves call
+        config = Path(__file__).resolve().parent.parent / "configs" / "regime_map.yaml"
+        cfg = parse_config(config.read_text(encoding="utf-8"))
+        t0_values, idlers = cfg.sweep.t0_values(), cfg.sweep.omega_l_values()
+        scan = build_scan_grid(cfg, sweep_amplitude(cfg.probe, max(t0_values)))
+        gaussians, checks = [], []
+        original_gaussian, original_check = row_gaussian, spectrum.require_step_resolves
+
+        def recorded_gaussian(amp, wl):
+            gaussians.append(wl)
+            return original_gaussian(amp, wl)
+
+        def recorded_check(grid, width, name):
+            checks.append(name)
+            original_check(grid, width, name)
+
+        monkeypatch.setattr(spectrum, "row_gaussian", recorded_gaussian)
+        monkeypatch.setattr(spectrum, "require_step_resolves", recorded_check)
+        regime_map(cfg.drive, cfg.probe, cfg.noise, t0_values, idlers, scan, threads=1)
+        assert gaussians == idlers * len(t0_values) and len(gaussians) == 400
+        assert checks == ["gamma"] + ["the amplitude"] * len(t0_values) and len(t0_values) == 20
 
     @settings(max_examples=100, deadline=None)
     @given(sampled_rows(), DRIVES, st.lists(st.floats(-10.0, 10.0), max_size=5), st.booleans())
