@@ -8,8 +8,10 @@ Outputs are UTF-8 CSV files with a header row, LF line endings and
 %.9e numeric formatting, plus a flat key-value manifest and a run
 record (config echo, version, wall time, counts, sha256 per output).
 Curve numbers come from a vectorized formatter that equals Python's
-%.9e byte for byte: correctly rounded, ties to even.  Given the same
-config the output bytes are identical for any thread count.
+%.9e byte for byte: correctly rounded, ties to even.  A curve is -0.0
+outside the support its JSA row was sampled on; those rows are copied
+from one text made per command, and only the support's are formatted.
+Given the same config the output bytes are identical for any thread count.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure
 or out of memory.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -90,15 +93,18 @@ def _e9_tables() -> tuple[np.ndarray, ...]:
 
     For each exponent ``e`` in -324..308: the factors ``10**s1`` and
     ``10**s2`` with ``s1 = floor((9 - e) / 2)`` and ``s2 = 9 - e - s1``
-    (correctly rounded, as ``float`` parses them), and ``"e%+03d"`` as four
+    (correctly rounded, as ``float`` parses them; the 318 powers
+    ``10**-150 .. 10**167`` are parsed once each), and ``"e%+03d"`` as four
     bytes plus a fifth that is a digit or NUL.  Also ``"\\0D.D"`` and
     ``"-D.D"`` heads for the first two digits, and ``"%04d"`` of 0..9999.
     Text tables are read as native integers, so one gather writes four
     bytes.
     """
     exponents = range(-324, 309)
-    scale1 = np.array([float(f"1e{(9 - e) >> 1}") for e in exponents])
-    scale2 = np.array([float(f"1e{(10 - e) >> 1}") for e in exponents])
+    powers = np.array([float(f"1e{k}") for k in range(-150, 168)])  # each s1 and s2 once
+    e = np.array(exponents)
+    scale1 = powers[((9 - e) >> 1) + 150]
+    scale2 = powers[((10 - e) >> 1) + 150]
     heads = b"".join(
         sign + b"%d.%d" % divmod(k, 10) for sign in (b"\0", b"-") for k in range(100)
     )
@@ -172,34 +178,58 @@ def _format_e9(values: np.ndarray, field: np.ndarray) -> None:
         field[i] = np.frombuffer(text.ljust(_FIELD, b"\0"), np.uint8)
 
 
-def _curve_rows(delta_s: np.ndarray) -> np.ndarray:
-    """Row buffer of a curve CSV: ``delta_s``, ``,``, a ``P_c`` field, ``\\n``.
+def _curve_rows(delta_s: np.ndarray) -> tuple[np.ndarray, bytearray, np.ndarray]:
+    """Row buffer of a curve CSV, its text at -0.0 and each row's offset in that text.
 
-    Each number has a NUL-padded ``_FIELD``-byte field.  The scan column
-    is formatted here, once per command; ``_write_curve`` fills the other.
+    A row is ``delta_s``, ``,``, a ``P_c`` field and ``\\n``, each number in a
+    NUL-padded ``_FIELD``-byte field.  Made once per command: the scan
+    column, every ``P_c`` field at -0.0, the NUL-free text of those rows,
+    built ``CSV_BLOCK_ROWS`` rows at a time so that no transient is as
+    large as it, and the int64 byte offset of each row and of the end.
     """
-    rows = np.zeros((delta_s.size, 2 * _FIELD + 2), np.uint8)
+    n = delta_s.size
+    rows = np.zeros((n, 2 * _FIELD + 2), np.uint8)
     _format_e9(delta_s, rows[:, :_FIELD])
     rows[:, _FIELD] = ord(",")
+    _format_e9(np.array([-0.0]), rows[:1, _FIELD + 1:-1])
+    rows[1:, _FIELD + 1:-1] = rows[0, _FIELD + 1:-1]
     rows[:, -1] = ord("\n")
-    return rows
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(np.count_nonzero(rows, axis=1), out=offsets[1:])
+    text = bytearray(int(offsets[-1]))
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, n)
+        text[offsets[start]:offsets[stop]] = rows[start:stop].tobytes().replace(b"\0", b"")
+    return rows, text, offsets
 
 
-def _write_curve(path: Path, rows: np.ndarray, values: np.ndarray) -> str:
+def _write_curve(path: Path, curve_rows: tuple, support: slice, values: np.ndarray) -> str:
     """Write one curve CSV; return the sha256 of its bytes.
 
-    ``rows`` comes from ``_curve_rows`` of the grid the curve was sampled
-    on; its ``P_c`` fields are overwritten.  The file is written and
-    hashed ``CSV_BLOCK_ROWS`` rows at a time, so every transient bytes
-    object is small: one per curve fragments the heap and raises the peak
-    memory of the command.
+    ``curve_rows`` comes from ``_curve_rows`` of the grid the curve was
+    sampled on, and ``values`` is the curve on ``support``, a slice of unit
+    step; every other row is -0.0 and is written from slices of the -0.0
+    text.  Only the support's ``P_c`` fields are formatted, over the
+    buffer's, and written and hashed ``CSV_BLOCK_ROWS`` rows at a time, so
+    every transient bytes object is small: one per curve fragments the
+    heap and raises the peak memory of the command.
     """
-    _format_e9(values, rows[:, _FIELD + 1:-1])
-    digest = hashlib.sha256(_CURVE_HEADER)
+    rows, text, offsets = curve_rows
+    start, stop, _ = support.indices(len(rows))
+    block = rows[start:stop]
+    _format_e9(values, block[:, _FIELD + 1:-1])
+    text = memoryview(text)
+    pieces = itertools.chain(
+        (_CURVE_HEADER, text[:offsets[start]]),
+        (
+            block[k:k + CSV_BLOCK_ROWS].tobytes().replace(b"\0", b"")
+            for k in range(0, len(block), CSV_BLOCK_ROWS)
+        ),
+        (text[offsets[stop]:],),
+    )
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(_CURVE_HEADER)
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            data = rows[start:start + CSV_BLOCK_ROWS].tobytes().replace(b"\0", b"")
+        for data in pieces:
             fh.write(data)
             digest.update(data)
     return digest.hexdigest()
@@ -286,15 +316,15 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     manifest = [f"idler_count = {len(cfg.idler)}"]
     write_s = 0.0
     for index, cell in enumerate(kernel.curves(cfg.probe, cfg.idler)):
-        left, right = full_curves(scan, *cell)
-        sig_l, sig_r, metric, dist = compare_pair(left, right)
+        support, *curves = cell
+        sig_l, sig_r, metric, dist = compare_pair(*full_curves(scan, support, *curves))
         if index == 0:
             out_dir.mkdir(parents=True, exist_ok=True)
         tag = f"{index:03d}"
         write_started = time.perf_counter()
-        for name, values in (("left", left), ("right", right)):
+        for name, values in zip(("left", "right"), curves):
             file_name = f"curve_{name}_{tag}.csv"
-            digests[file_name] = _write_curve(out_dir / file_name, rows, values)
+            digests[file_name] = _write_curve(out_dir / file_name, rows, support, values)
         write_s += time.perf_counter() - write_started
         manifest.extend(
             [
@@ -342,9 +372,10 @@ def cmd_regime_map(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     map_lines = ["t0,omega_l_bar,label"]
-    for i, t0 in enumerate(rm.t0_axis):
-        for j, wl in enumerate(rm.omega_l_axis):
-            map_lines.append(f"{_fmt(t0)},{_fmt(wl)},{rm.labels[i, j]}")
+    omega_l_texts = [_fmt(wl) for wl in rm.omega_l_axis]
+    for t0, labels in zip(rm.t0_axis, rm.labels.tolist()):
+        t0_text = _fmt(t0)
+        map_lines.extend(f"{t0_text},{wl},{label}" for wl, label in zip(omega_l_texts, labels))
     digests = {
         "regime_map.csv": _write_text(
             out_dir / "regime_map.csv", "\n".join(map_lines) + "\n"

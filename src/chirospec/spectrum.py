@@ -75,13 +75,23 @@ _W_COEFFICIENTS = (
 _W_L = math.sqrt(32 / math.sqrt(2))
 
 
-def _w(z: complex) -> complex:
-    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z > 0, by Weideman's N = 32 form."""
-    below = _W_L - 1j * z
-    ratio, p = (_W_L + 1j * z) / below, 0j
+def _w(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z > 0, elementwise.
+
+    Weideman's N = 32 form for |z| < 1e150; beyond it, its limit
+    (i / sqrt(pi)) / z with both sides halved, so that no step overflows;
+    0 where z is infinite, since complex 1 / inf is NaN.
+    """
+    z = np.asarray(z, dtype=complex)
+    near, infinite = np.abs(z) < 1e150, np.isinf(z)
+    z_near = np.where(near, z, 0j)
+    below = _W_L - 1j * z_near
+    ratio, p = (_W_L + 1j * z_near) / below, 0j
     for a in _W_COEFFICIENTS:
         p = p * ratio + a
-    return (2 * p / below + 1 / math.sqrt(math.pi)) / below
+    far = (0.5j / math.sqrt(math.pi)) / (0.5 * np.where(near | infinite, 1.0, z))
+    near_w = (2 * p / below + 1 / math.sqrt(math.pi)) / below
+    return np.where(near, near_w, np.where(infinite, 0j, far))[()]
 
 
 class TransmissionKernel:

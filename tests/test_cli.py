@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from chirospec import analysis, cli, model, spectrum
 from chirospec.biphoton import MAX_GRID_POINTS, FrequencyGrid, default_grid
-from chirospec.cli import CSV_BLOCK_ROWS, MAX_SPECTRUM_ROWS, _curve_rows, _write_curve, main
+from chirospec.cli import (
+    CSV_BLOCK_ROWS, MAX_SPECTRUM_ROWS, _curve_rows, _e9_tables, _write_curve, main,
+)
 from chirospec.config import MAX_IDLER_COUNT, MAX_SWEEP_CELLS, parse_config
 from chirospec.errors import NonFiniteResult
 from chirospec.model import dressed_pair
@@ -378,11 +380,11 @@ class TestStreamedSpectrum:
                                                               capsys):
         written = []
 
-        def failing_write(path, rows, values):
+        def failing_write(path, rows, support, values):
             if len(written) == 4:
                 raise OSError("disk full")
             written.append(path.name)
-            return _write_curve(path, rows, values)
+            return _write_curve(path, rows, support, values)
 
         monkeypatch.setattr(cli, "_write_curve", failing_write)
         cfg = write_cfg(tmp_path, STREAM_CFG)
@@ -417,7 +419,7 @@ class TestCurveCsvOracle:
     def test_block_writer_matches_reference(self, columns, tmp_path_factory):
         delta_s, values = columns
         path = tmp_path_factory.mktemp("csv") / "curve.csv"
-        digest = _write_curve(path, _curve_rows(delta_s), values)
+        digest = _write_curve(path, _curve_rows(delta_s), slice(None), values)
         expected = reference_curve_csv(delta_s, values)
         assert path.read_bytes() == expected
         assert digest == hashlib.sha256(expected).hexdigest()
@@ -432,7 +434,7 @@ class TestCurveCsvNearTies:
         exponents = rng.integers(-320, 301, size=100_000).tolist()
         values = np.array([float(f"{d}5e{k}") for d, k in zip(digits, exponents)])
         path = tmp_path / "curve.csv"
-        _write_curve(path, _curve_rows(values[::-1]), values)
+        _write_curve(path, _curve_rows(values[::-1]), slice(None), values)
         expected = "delta_s_bar,P_c\n" + "".join(
             "%.9e,%.9e\n" % pair for pair in zip(values[::-1].tolist(), values.tolist())
         )
@@ -477,9 +479,69 @@ class TestCurveCsvZeroBlocks:
         expected = "delta_s_bar,P_c\n" + "".join(
             f"{d:.9e},{t}\n" for d, t in zip(delta_s.tolist(), texts)
         )
-        digest = _write_curve(tmp_path / "curve.csv", _curve_rows(delta_s), values)
+        digest = _write_curve(tmp_path / "curve.csv", _curve_rows(delta_s), slice(None), values)
         assert (tmp_path / "curve.csv").read_bytes() == expected.encode("utf-8")
         assert digest == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+
+
+#: Rows of the support tests' grid: three full blocks and a short last one.
+GRID_ROWS = 3 * CSV_BLOCK_ROWS + 5
+#: Supports on that grid: empty, whole, one point at each edge (the last past the
+#: end, as ``row_support`` may give it), shorter than a block, and over several blocks.
+SUPPORTS = {
+    "empty": slice(0, 0),
+    "empty-inside": slice(700, 700),
+    "whole": slice(None),
+    "first-point": slice(0, 1),
+    "last-point": slice(GRID_ROWS - 1, GRID_ROWS + 1),
+    "short": slice(100, 100 + CSV_BLOCK_ROWS - 1),
+    "several-blocks": slice(5, 5 + 2 * CSV_BLOCK_ROWS + 7),
+}
+
+
+def support_values(size, seed):
+    """Random values of both signs with +0.0, -0.0 and 3-digit exponents at drawn rows."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+    specials = [0.0, -0.0, -1.5e-123, 2.5e200, -7.25e-308, 5e-324, -3.0]
+    rows = rng.integers(0, size, len(specials)) if size else []
+    for row, x in zip(rows, specials):
+        values[row] = x
+    return values
+
+
+class TestCurveCsvSupport:
+    """A curve written from its support-length values: -0.0 on every other row."""
+
+    @pytest.mark.parametrize("name", SUPPORTS)
+    def test_matches_python_formatting(self, tmp_path, name):
+        delta_s = np.arange(GRID_ROWS) * 0.0125 - 9.0
+        delta_s[[1, 2, 3]] = 0.0, -0.0, 1.25e-150
+        rows = _curve_rows(delta_s)
+        # another curve first, over the whole grid, so that stale P_c fields would show
+        _write_curve(tmp_path / "before.csv", rows, slice(None), support_values(GRID_ROWS, 1))
+        support = SUPPORTS[name]
+        start, stop, _ = support.indices(GRID_ROWS)
+        values = support_values(stop - start, 2)
+        digest = _write_curve(tmp_path / "curve.csv", rows, support, values)
+        full = np.full(GRID_ROWS, -0.0)
+        full[support] = values
+        expected = ("delta_s_bar,P_c\n" + "".join(
+            "%.9e,%.9e\n" % pair for pair in zip(delta_s.tolist(), full.tolist())
+        )).encode("utf-8")
+        written = (tmp_path / "curve.csv").read_bytes()
+        assert written == expected
+        assert digest == hashlib.sha256(written).hexdigest()
+
+
+class TestCurveCsvTables:
+    def test_scale_tables_equal_the_per_exponent_parse(self):
+        scale1, scale2 = _e9_tables()[:2]
+        exponents = range(-324, 309)
+        expected1 = np.array([float(f"1e{(9 - e) >> 1}") for e in exponents])
+        expected2 = np.array([float(f"1e{(10 - e) >> 1}") for e in exponents])
+        assert scale1.tobytes() == expected1.tobytes()
+        assert scale2.tobytes() == expected2.tobytes()
 
 
 class TestRegimeMapCommand:
@@ -1263,6 +1325,16 @@ class TestOneLineExit:
                 code, _, err = run_in_process(work, command, kept)
                 assert (code, err.count("\n")) in ((0, 0), (2, 1), (3, 1), (4, 1)), (command, err)
                 assert err.endswith("\n") or not err
+
+    @pytest.mark.parametrize(
+        "doc", [OVERFLOWING_DENOMINATOR, OVERFLOWING_FADDEEVA_ARGUMENT],
+        ids=["denominator", "faddeeva-argument"],
+    )
+    def test_overflow_configs_exit_alike_from_both_kernels(self, tmp_path, doc):
+        # the uncut kernel (spectrum) and the cut one (regime-map): Q_i past the float range is 0
+        for command, own in (("spectrum", "idler"), ("regime-map", "sweep")):
+            kept = {k: v for k, v in doc.items() if k == own or k not in ("idler", "sweep")}
+            assert run_in_process(tmp_path, command, kept)[::2] == (0, ""), command
 
     def test_infinite_over_infinite_exponent_is_4_in_one_line(self, tmp_path):
         code, _, err = run_in_process(tmp_path, "spectrum", INFINITE_OVER_INFINITE)

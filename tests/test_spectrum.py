@@ -772,6 +772,21 @@ class TestClosedFormIntegrals:
             assert values.size == grid.points[support].size
             assert np.all(np.isfinite(values)) and not values.flags.writeable
 
+    def test_faddeeva_array_past_the_float_range_is_finite_without_warnings(self):
+        # near, far and infinite arguments in one array, as one T0 row hands them to w
+        z = np.array([0.5 + 1.0j, 1e149 + 1e149j, 1e150j, -1.2e308 + 1.2e308j,
+                      complex(math.inf, 1.0), complex(-1.0, math.inf)])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            w = spectrum._w(z)
+        assert w.shape == z.shape
+        assert [spectrum._w(complex(x)) for x in z[:4]] == w[:4].tolist()
+        far = 1j / (math.sqrt(math.pi) * z[1:3])  # i / (sqrt(pi) z): |z| is 1e150 at most here
+        assert np.all(np.abs(w[1:3] - far) <= 1e-15 * np.abs(far))
+        assert w[4] == w[5] == 0
+        with np.errstate(all="ignore"):  # a NaN argument stays NaN, for the curves' check
+            w = spectrum._w(np.array([complex(math.nan, 1.0), 1j]))
+        assert np.isnan(w[0]) and np.isfinite(w[1])
+
     def test_empty_support_computes_no_mode_integral(self, monkeypatch):
         amp, grid, omega_l = FAR_IDLER
         kernel = cut_kernel(RESONANT_RIGHT, NOISE, grid)
