@@ -365,10 +365,12 @@ def cmd_regime_map(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     except ValidationError as exc:
         raise ValidationError(f"sweep.t0.max = {max(t0_values):g}: {exc}") from exc
     scan = build_scan_grid(cfg, worst)
+    map_started = time.perf_counter()
     rm = regime_map(
         cfg.drive, cfg.probe, cfg.noise, t0_values, omega_l_values, scan,
         threads=threads,
     )
+    map_s = time.perf_counter() - map_started
 
     out_dir.mkdir(parents=True, exist_ok=True)
     map_lines = ["t0,omega_l_bar,label"]
@@ -396,6 +398,7 @@ def cmd_regime_map(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         "count.curves": 2 * cells,
         "count.scan_points": scan.points.size,
         "count.workers": pool_workers(threads, len(t0_values)),
+        "time.map_s": f"{map_s:.3f}",
     }
     _write_run_record(
         out_dir / "run_record.txt", "regime-map", cfg, digests, time.time() - started, stats

@@ -16,7 +16,9 @@ the sign pattern carries the chiral signal.  Both probe kinds give a real
 JSA (``biphoton.jsa_value``), so psi* = psi.  The regime map's kernel
 takes each Q_i over the whole line in closed form (``TransmissionKernel``),
 all of a T0 row's Q_i from one call of the Faddeeva function ``_w``,
-within 1e-12 of a curve's peak of a 30-digit reference (6.0e-16 measured).
+within 1e-12 of a curve's peak of a 30-digit reference (6.0e-16 measured),
+and sums each cell's curves with one ``np.einsum`` over a table of every
+mode's Re and Im 1 / den, in the bits of a loop over the modes.
 Spectra and ``transmission_point`` take it as the composite trapezoid
 over the whole zero-padded signal grid, so the spectrum CSVs keep their
 bytes, until perfbench's ``reference_hashes.json`` is re-recorded.
@@ -99,8 +101,9 @@ class TransmissionKernel:
 
     Holds, read-only, per triad and mode the weight |eta_1i|^2 and 16 B per
     grid point: den = lambda_i - d'' + i*gamma or, if ``cut``, Re and Im of
-    r_i = 1 / den.  The step must resolve gamma RESOLVE_FACTOR times.  Calls
-    may overlap; a pickle or copy reruns the constructor.
+    r_i = 1 / den as rows 2i, 2i + 1 of one (triads, 2 modes, points) ``table``.
+    The step must resolve gamma RESOLVE_FACTOR times.  Calls may overlap; a
+    pickle or copy reruns the constructor.
 
     ``curves`` samples each JSA row on the ``row_support`` of its Gaussian form
     (``row_gaussian``), down to e^-``depth`` of its grid peak M: every nonzero
@@ -111,6 +114,12 @@ class TransmissionKernel:
     w(sqrt(curv) (lambda_i - mu + i gamma)), w the Faddeeva function, all the
     Q_i of one call's idlers (a T0 row of the map) from one ``_w`` call.  As
     |r_i| <= 1 / gamma, a dropped value is below e^-D M sum_i |eta_1i|^2 |Q_i| / gamma.
+
+    Cut, a cell's curves are the rows of one block, ``np.einsum`` of each triad's
+    (Re c_0, -Im c_0, Re c_1, ...) with its table rows on the support, times -psi:
+    unoptimised, einsum adds 0 + Re c_0 Re r_0 + (-Im c_0) Im r_0 + ... in row order,
+    and x - y b = x + y (-b), v (-psi) = -(v psi) exactly, so the bits are those of a
+    loop over the modes (``tests/mode_loop.py``) unless einsum fuses or reorders them.
     """
 
     def __init__(self, dressed_triads, noise: NoiseParams, grid_s: FrequencyGrid, cut=False):
@@ -119,23 +128,28 @@ class TransmissionKernel:
         self._args = (dressed_triads, noise, grid_s, cut)
         self.grid, self.triads, self.depth, self.cut = grid_s, (), math.inf, cut
         with np.errstate(all="ignore"):  # inf and NaN reach only curves, which check them
-            for d in dressed_triads:  # one row per mode
-                if cut:  # (q / |den|) / |den| and (-gamma / |den|) / |den|: no square of q or gamma
-                    real = d.lambdas[:, None] - grid_s.points
-                    size = np.hypot(real, noise.gamma)
+            if cut:  # (q / |den|) / |den|, (-gamma / |den|) / |den|: no square of q or gamma
+                lambdas = np.array([d.lambdas for d in dressed_triads])
+                size = np.empty((lambdas.shape[1], grid_s.points.size))
+                self.table = np.empty((len(lambdas), 2 * len(size), grid_s.points.size))
+                for lams, real, imag in zip(lambdas, self.table[:, 0::2], self.table[:, 1::2]):
+                    np.subtract(lams[:, None], grid_s.points, out=real)
+                    np.hypot(real, noise.gamma, out=size)
                     np.divide(np.divide(real, size, out=real), size, out=real)
-                    imag = np.divide(np.divide(-noise.gamma, size), size)
-                    real.flags.writeable = imag.flags.writeable = False
+                    np.divide(np.divide(-noise.gamma, size, out=imag), size, out=imag)
+                self.table.flags.writeable = False
+            for d in dressed_triads:  # per mode, (weight, pole) if cut, else (weight, den)
+                if cut:
                     poles = (d.lambdas + 1j * noise.gamma).tolist()
-                    self.triads += (tuple(zip(d.eta1_sq.tolist(), poles, real, imag)),)
+                    self.triads += (tuple(zip(d.eta1_sq.tolist(), poles)),)
                 else:
                     den = (d.lambdas[:, None] - grid_s.points) + 1j * noise.gamma
                     den.flags.writeable = False
                     self.triads += (tuple(zip(d.eta1_sq, den)),)
         if cut:  # in Python floats: a huge R / gamma gives D = inf (full rows), with no warning
             ends = grid_s.points[[0, -1]].tolist()
-            lambdas = np.concatenate([t.lambdas for t in dressed_triads]).tolist()
-            ratio = max(abs(lam - d) for lam in lambdas for d in ends) / float(noise.gamma)
+            reach = max(abs(lam - d) for lam in lambdas.ravel().tolist() for d in ends)
+            ratio = reach / float(noise.gamma)
             self.depth = 60 * math.log(2) + math.log(2 * grid_s.points.size * (1 + ratio * ratio))
 
     def __reduce__(self):
@@ -162,38 +176,35 @@ class TransmissionKernel:
                     raise NonFiniteResult("the JSA row's Gaussian form overflows")
                 curv, mu, c0 = gaussian
                 heights.append(-1j * math.pi * (amp.scale * math.exp(-c0)))
-                args += [math.sqrt(curv) * (pole - mu) for t in self.triads for _, pole, *_ in t]
+                args += [math.sqrt(curv) * (pole - mu) for t in self.triads for _, pole in t]
         with np.errstate(all="ignore"):  # an overflow is inf, and inf or NaN fails the check below
-            heights, faddeeva = iter(heights), iter(_w(np.array(args)).tolist() if args else ())
+            faddeeva = iter(_w(np.array(args)).tolist() if args else ())
+        # per live cell and triad, (Re c_i, -Im c_i) of each mode in the table's row order
+        coefs = ([[part for weight, _ in modes for c in [weight * height * next(faddeeva)]
+                   for part in (c.real, -c.imag)] for modes in self.triads] for height in heights)
         for omega_l_bar, support in zip(omega_l_values, supports):
             with np.errstate(all="ignore"):
                 psi_row = jsa_value(amp, points[support], omega_l_bar)
-                if self.cut:
-                    height = next(heights) if psi_row.size else None
+                if self.cut:  # an empty support takes no coefficients
+                    coef = next(coefs) if psi_row.size else np.zeros(self.table.shape[:2])
+                    block = np.einsum("tk,tkn->tn", coef, self.table[:, :, support])
+                    block *= -psi_row
+                    blocks = (block,)
                 else:
                     row = np.zeros(points.size, dtype=complex)
-                    quotient = row[support]
-                curves = [support]
-                for modes in self.triads:
-                    values = np.zeros(psi_row.size)
-                    for weight, *mode in modes if psi_row.size else ():  # (den,), or cut (pole, Re, Im)
-                        if self.cut:
-                            _, real, imag = mode
-                            c = weight * height * next(faddeeva)
-                            values += real[support] * c.real
-                            values -= imag[support] * c.imag
-                        else:
-                            np.divide(psi_row, mode[0][support], out=quotient)
+                    quotient, blocks = row[support], []
+                    for modes in self.triads:
+                        values = np.zeros(psi_row.size)
+                        for weight, den in modes if psi_row.size else ():
+                            np.divide(psi_row, den[support], out=quotient)
                             np.multiply(quotient, _trapezoid(row, grid.step), out=quotient)
                             values += weight * quotient.real
-                    if self.cut:
-                        values *= psi_row
-                    np.negative(values, out=values)
-                    if not np.isfinite(values).all():
-                        raise NonFiniteResult("spectrum curve contains non-finite values")
-                    values.flags.writeable = False
-                    curves.append(values)
-            yield tuple(curves)
+                        blocks.append(np.negative(values, out=values))
+            for values in blocks:
+                if not np.isfinite(values).all():
+                    raise NonFiniteResult("spectrum curve contains non-finite values")
+                values.flags.writeable = False
+            yield (support, *block) if self.cut else (support, *blocks)
 
 
 def full_curves(grid: FrequencyGrid, support: slice, *curves: np.ndarray) -> tuple:

@@ -197,8 +197,10 @@ class TestSpectrumCommand:
                 assert float(stats["time.write_s"]) >= 0.0
             else:
                 assert stats.keys() == {"count.cells", "count.curves", "count.scan_points",
-                                        "count.workers"}
+                                        "count.workers", "time.map_s"}
                 assert (stats["count.cells"], stats["count.curves"]) == ("9", "18")
+                wall_time = re.search(r"^wall_time_s = (\S+)$", record, re.M).group(1)
+                assert 0.0 <= float(stats["time.map_s"]) <= float(wall_time)
                 assert int(stats["count.scan_points"]) > 0
             assert stats["count.workers"] == "1"
 

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -56,6 +57,7 @@ from chirospec.spectrum import (
     transmission_point,
     zero_bandwidth_point,
 )
+from mode_loop import mode_loop_curves
 from plain_division import plain_division_curves
 import working_point as wp
 
@@ -390,6 +392,35 @@ class TestCurveArrays:
         finally:
             sys.setswitchinterval(interval)
         assert results == [serial, serial[::-1]] * 2
+
+    def test_cut_kernel_holds_one_mode_table(self):
+        scan = FrequencyGrid.build(0.0, 6.0, 0.05)
+        kernel = cut_kernel(RESONANT_RIGHT, NOISE, scan)
+        one_idler(kernel, BiphotonAmplitude.uncorrelated(sigma=1.0), 0.3)
+        arrays = held_arrays(kernel)
+        # the grid's points, each triad's lambdas and eta1, and one table: no per-mode arrays
+        assert len(arrays) == 1 + 2 * 2 + 1
+        assert not any(array.flags.writeable for array in arrays)
+        (table,) = [array for array in arrays if array.ndim == 3]
+        assert table is kernel.table and table.shape == (2, 2 * 3, scan.points.size)
+        for dressed, rows in zip(dressed_pair(RESONANT_RIGHT), table, strict=True):
+            r = 1 / (dressed.lambdas[:, None] - scan.points + 1j * NOISE.gamma)
+            assert np.allclose(rows[0::2], r.real, rtol=1e-15, atol=0)  # Re r_0, Im r_0, Re r_1, ...
+            assert np.allclose(rows[1::2], r.imag, rtol=1e-15, atol=0)
+
+    def test_building_a_cut_kernel_peaks_at_its_table_and_one_temporary(self):
+        # the table is filled in place, with one (3, n) |den| array for both triads
+        cfg, t0_values, scan = canonical_map()
+        pair, n = dressed_pair(cfg.drive), scan.points.size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernel = TransmissionKernel(pair, cfg.noise, scan, cut=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert kernel.table.nbytes == 2 * 6 * n * 8
+        assert peak <= kernel.table.nbytes + 3 * n * 8 + 64 * 1024
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(1e160, 1e300))
@@ -988,6 +1019,73 @@ class TestPlainDivision:
                     assert curve.tobytes() == reference.tobytes()
                     compared += 1
         assert compared == 800
+
+
+def canonical_map():
+    """``(cfg, t0_values, scan)`` of ``configs/regime_map.yaml``, as ``regime-map`` derives them."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "regime_map.yaml"
+    cfg = parse_config(config.read_text(encoding="utf-8"))
+    t0_values = cfg.sweep.t0_values()
+    return cfg, t0_values, build_scan_grid(cfg, sweep_amplitude(cfg.probe, max(t0_values)))
+
+
+def whole_grid_row():
+    """An uncorrelated row much wider than its grid: its support is the whole grid at any depth."""
+    amp = BiphotonAmplitude.uncorrelated(sigma=3.0)
+    return amp, FrequencyGrid.build(0.0, 1.0, 0.01), 0.0
+
+
+def assert_cells_equal(cell, expected):
+    support, *curves = cell
+    assert support == expected[0] and len(curves) == len(expected) - 1
+    for curve, reference in zip(curves, expected[1:]):
+        assert curve.tobytes() == reference.tobytes()
+
+
+class TestModeLoop:
+    """Cut-kernel curves, one einsum over the mode table, against ``tests/mode_loop.py``,
+    which sums one mode at a time in the kernel's order: the same bits or the claim fails."""
+
+    def test_regime_map_curves_equal_the_mode_loop(self):
+        cfg, t0_values, scan = canonical_map()
+        pair, idlers = dressed_pair(cfg.drive), cfg.sweep.omega_l_values()
+        kernel = cut_kernel(cfg.drive, cfg.noise, scan)
+        compared = 0
+        for t0 in t0_values:
+            amp = sweep_amplitude(cfg.probe, t0)
+            for omega_l, cell in zip(idlers, kernel.curves(amp, idlers), strict=True):
+                expected = mode_loop_curves(pair, cfg.noise, scan, amp, omega_l, kernel.depth)
+                assert_cells_equal(cell, expected)
+                compared += len(cell) - 1
+        assert compared == 800
+
+    @settings(max_examples=150, deadline=None)
+    @given(sampled_rows(), DRIVES)
+    @example(FAR_IDLER, RESONANT_RIGHT)  # empty support
+    @example(uncorrelated_row(749.99), RESONANT_RIGHT)  # shorter than MIN_CURVE_POINTS
+    @example(edge_row(-1), RESONANT_RIGHT)
+    @example(edge_row(1), RESONANT_RIGHT)
+    @example(whole_grid_row(), RESONANT_RIGHT)
+    def test_drawn_rows_equal_the_mode_loop(self, row, drive):
+        amp, grid, omega_l = row
+        pair = dressed_pair(drive)
+        kernel = cut_kernel(drive, NOISE, grid)
+        cell = one_idler(kernel, amp, omega_l)
+        assert_cells_equal(cell, mode_loop_curves(pair, NOISE, grid, amp, omega_l, kernel.depth))
+        for dressed, curve in zip(pair, cell[1:], strict=True):  # a one-triad table gives the same row
+            alone = TransmissionKernel([dressed], NOISE, grid, cut=True)
+            alone.depth = kernel.depth
+            assert_cells_equal(one_idler(alone, amp, omega_l), (cell[0], curve))
+
+    def test_examples_cover_every_kind_of_support(self):
+        rows = (FAR_IDLER, uncorrelated_row(749.99), edge_row(-1), edge_row(1), whole_grid_row())
+        kept = []
+        for amp, grid, omega_l in rows:
+            depth = cut_kernel(RESONANT_RIGHT, NOISE, grid).depth
+            kept.append(range(grid.points.size)[support_of(amp, grid, omega_l, depth)])
+        assert len(kept[0]) == 0 and 0 < len(kept[1]) < analysis.MIN_CURVE_POINTS
+        assert kept[2][0] == 0 and kept[3][-1] == rows[3][1].points.size - 1
+        assert kept[4] == range(rows[4][1].points.size)
 
 
 class TestZeroBandwidthPoint:
