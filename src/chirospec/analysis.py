@@ -143,6 +143,16 @@ def compare_pair(
     return sig_l, sig_r, metric, sig_l != sig_r or metric >= DISCRIMINABILITY_THRESHOLD
 
 
+def compare_cell(grid: FrequencyGrid, support: slice, *curves: np.ndarray) -> tuple:
+    """``compare_pair`` of one ``TransmissionKernel.curves`` cell of ``grid``, on its support.
+
+    A support shorter than MIN_CURVE_POINTS is compared on full rows (``full_curves``).
+    """
+    if curves[0].size < MIN_CURVE_POINTS:
+        curves = full_curves(grid, support, *curves)
+    return compare_pair(*curves)
+
+
 def discrimination_window(
     lambda_l: float, lambda_r: float, gamma: float
 ) -> tuple[tuple[float, float], ...]:
@@ -254,18 +264,10 @@ def run_jobs(func, context, jobs: list, threads: Optional[int]) -> Iterator:
 
 
 def _row_result(context, t0: float) -> list:
-    """The ``compare_pair`` result of every idler of one T0 row, from one kernel ``curves`` call.
-
-    The curves are compared on the row's support, except one shorter than
-    MIN_CURVE_POINTS: that is compared on full rows (``full_curves``).
-    """
+    """The ``compare_cell`` result of every idler of one T0 row, from one kernel ``curves`` call."""
     kernel, amp_template, omega_l_axis = context
-    results = []
-    for support, *pair in kernel.curves(sweep_amplitude(amp_template, t0), omega_l_axis):
-        if pair[0].size < MIN_CURVE_POINTS:
-            pair = full_curves(kernel.grid, support, *pair)
-        results.append(compare_pair(*pair))
-    return results
+    cells = kernel.curves(sweep_amplitude(amp_template, t0), omega_l_axis)
+    return [compare_cell(kernel.grid, *cell) for cell in cells]
 
 
 def regime_map(
@@ -300,7 +302,4 @@ def regime_map(
                 if distinguishable:
                     labels[i, j] = interned.setdefault((sig_l, sig_r), len(interned) + 1)
     legend = {label: key for key, label in interned.items()}
-
-    return RegimeMap(
-        t0_axis=t0_axis, omega_l_axis=omega_l_axis, labels=labels, legend=legend
-    )
+    return RegimeMap(t0_axis=t0_axis, omega_l_axis=omega_l_axis, labels=labels, legend=legend)

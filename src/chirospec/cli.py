@@ -34,14 +34,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .analysis import (
-    compare_pair, discrimination_window, pool_workers, regime_map, sweep_amplitude,
-)
+from .analysis import compare_cell, discrimination_window, pool_workers, regime_map, sweep_amplitude
 from .biphoton import BiphotonAmplitude, FrequencyGrid, default_grid_parameters
 from .config import ExperimentConfig, config_mapping, parse_config
 from .errors import NonFiniteResult, ValidationError
 from .model import Chirality, dressed_pair
-from .spectrum import TransmissionKernel, full_curves
+from .spectrum import TransmissionKernel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -293,12 +291,12 @@ def _write_run_record(
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Write per-idler left/right curves, a manifest, and a run record.
 
-    The idlers run in process, one at a time, and each idler's curves are
-    written as soon as they are computed, so the command holds one idler's
-    curves for any idler count.  A spectrum of more than MAX_SPECTRUM_ROWS
-    CSV rows is rejected before any file is written.  The output directory
-    is made after the first idler's curves; a failure after that leaves the
-    curves written so far, but no manifest and no run record.
+    The idlers run in process, one at a time; each idler's curves are compared by
+    ``compare_cell``, on its JSA row's support as the regime map's are, and written as
+    soon as they are computed, so the command holds one idler's curves for any idler
+    count.  A spectrum of more than MAX_SPECTRUM_ROWS CSV rows is rejected before any
+    file is written.  The output directory is made after the first idler's curves; a
+    failure after that leaves the curves written so far, but no manifest and no run record.
     """
     if cfg.idler is None:
         raise ValidationError("spectrum command needs an idler section")
@@ -315,9 +313,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     digests: dict[str, str] = {}
     manifest = [f"idler_count = {len(cfg.idler)}"]
     write_s = 0.0
-    for index, cell in enumerate(kernel.curves(cfg.probe, cfg.idler)):
-        support, *curves = cell
-        sig_l, sig_r, metric, dist = compare_pair(*full_curves(scan, support, *curves))
+    for index, (support, *curves) in enumerate(kernel.curves(cfg.probe, cfg.idler)):
+        sig_l, sig_r, metric, dist = compare_cell(scan, support, *curves)
         if index == 0:
             out_dir.mkdir(parents=True, exist_ok=True)
         tag = f"{index:03d}"

@@ -208,7 +208,11 @@ class TransmissionKernel:
 
 
 def full_curves(grid: FrequencyGrid, support: slice, *curves: np.ndarray) -> tuple:
-    """Read-only ``TransmissionKernel.curves`` on all of grid.points, -0.0 outside ``support``."""
+    """Read-only ``TransmissionKernel.curves`` on all of grid.points, -0.0 outside ``support``.
+
+    ``analysis.curve_pair`` returns these rows, and ``analysis.compare_cell`` compares
+    them when ``support`` is shorter than MIN_CURVE_POINTS.
+    """
     full = np.full((len(curves), grid.points.size), -0.0)
     full[:, support] = curves
     full.flags.writeable = False

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirospec import analysis, cli, model, spectrum
-from chirospec.biphoton import MAX_GRID_POINTS, FrequencyGrid, default_grid
+from chirospec.biphoton import MAX_GRID_POINTS, FrequencyGrid, default_grid, row_gaussian, row_support
 from chirospec.cli import (
     CSV_BLOCK_ROWS, MAX_SPECTRUM_ROWS, _curve_rows, _e9_tables, _write_curve, main,
 )
@@ -76,6 +76,21 @@ output:
   directory: {out}
 """
 
+#: An uncorrelated probe whose one idler's JSA row is nonzero on 7 of 249 scan points.
+SHORT_SUPPORT_CFG = """\
+drive:
+  omega21: 0.1
+  omega31: 0.1
+  omega32: 0.1
+probe:
+  kind: uncorrelated
+  sigma: 1.0
+idler:
+  values: [38.7296]
+output:
+  directory: {out}
+"""
+
 #: 2 x 2 sweeps of small T0: idlers near the probe's centre, and idlers whose square overflows.
 NEAR_SWEEP, FAR_SWEEP = (
     f"sweep:\n  t0: {{min: 0.0, max: 1.0, count: 2}}\n  omega_l: {{min: {lo}, max: {hi}, count: 2}}"
@@ -123,7 +138,45 @@ def read_outputs(directory):
     }
 
 
+def compared_sizes(monkeypatch):
+    """Record the lengths of each curve pair ``analysis.compare_pair`` receives."""
+    sizes = []
+    compare = analysis.compare_pair
+
+    def recording(values_l, values_r):
+        sizes.append((len(values_l), len(values_r)))
+        return compare(values_l, values_r)
+
+    monkeypatch.setattr(analysis, "compare_pair", recording)
+    return sizes
+
+
+def support_sizes(path):
+    """Each idler's JSA row support length on the spectrum's scan grid, and the grid's size."""
+    cfg = parse_config(Path(path).read_text(encoding="utf-8"))
+    scan = cli.build_scan_grid(cfg, cfg.probe)
+    rows = [row_support(scan, row_gaussian(cfg.probe, wl)) for wl in cfg.idler]
+    return [scan.points[support].size for support in rows], scan.points.size
+
+
 class TestSpectrumCommand:
+    def test_idlers_are_compared_on_their_supports(self, tmp_path, monkeypatch):
+        # as the regime map compares its cells
+        sizes = compared_sizes(monkeypatch)
+        path = CONFIG_DIR / "entangled_probe.yaml"
+        assert main(["spectrum", "-c", str(path), "--out", str(tmp_path), "--threads", "1"]) == 0
+        supports, points = support_sizes(path)
+        assert points == 6201 and all(2280 <= n <= 2281 for n in supports)
+        assert sizes == [(n, n) for n in supports]
+
+    def test_short_support_is_compared_on_full_rows(self, tmp_path, monkeypatch):
+        sizes = compared_sizes(monkeypatch)
+        path = write_cfg(tmp_path, SHORT_SUPPORT_CFG)
+        assert main(["spectrum", "-c", str(path), "--threads", "1"]) == 0
+        (support,), points = support_sizes(path)
+        assert 0 < support < analysis.MIN_CURVE_POINTS
+        assert sizes == [(points, points)]
+
     def test_writes_expected_files(self, tmp_path):
         cfg = write_cfg(tmp_path, SPECTRUM_CFG)
         assert main(["spectrum", "-c", str(cfg), "--threads", "1"]) == 0

@@ -3,10 +3,12 @@
 The digests pin the exact bytes `chirospec spectrum` and `chirospec
 regime-map` write for `configs/*.yaml`, at one and at two worker processes.
 A change that alters them on purpose updates this table and says why.
-`run_record.txt` is left out: it embeds the wall time.
+`run_record.txt` is left out: it embeds the wall time.  Two benchmark seeds
+are checked against perfbench's recorded digests as well.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,10 @@ import pytest
 from chirospec.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH_DIR = CONFIG_DIR.parent / "perfbench"
+#: Edge seeds of the benchmark: at seed 5 a spectrum digest once moved where the shipped
+#: configs kept theirs, and seed 57's map has no distinguishable cell.
+BENCHMARK_SEEDS = (5, 57)
 COMMANDS = {
     "entangled_probe": "spectrum",
     "classical_probe": "spectrum",
@@ -104,3 +110,28 @@ def test_shipped_config_bytes(tmp_path, name, threads):
         if p.name != "run_record.txt"
     }
     assert written == GOLDEN[name]
+
+
+def perfbench_module(name):
+    """Load ``perfbench/<name>.py`` from its file, leaving ``sys.path`` as it is."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", BENCHMARK_SEEDS)
+def test_benchmark_seed_digests(tmp_path, seed):
+    """Each command's digest at a benchmark seed, against ``perfbench/reference_hashes.json``.
+
+    The inputs come from ``perfbench/gen.py`` and the digest rule from
+    ``perfbench/check.py``; every command runs in process at one worker.
+    Like the golden table, the recorded digests are host-specific (README).
+    """
+    gen, check = perfbench_module("gen"), perfbench_module("check")
+    table = check.load_reference()
+    for name, text in gen.make_configs(seed).items():
+        cfg, out = tmp_path / f"{name}.yaml", tmp_path / name
+        cfg.write_text(text, encoding="utf-8")
+        assert main([check.COMMANDS[name], "-c", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+        assert check.digest(check.file_hashes(out)) == check.reference_digest(table, name, seed)

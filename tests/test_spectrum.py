@@ -512,10 +512,14 @@ class TestRowSupport:
             assert curve.tobytes() == alone.tobytes()
 
 
-def uncorrelated_row(c0):
-    """An uncorrelated row whose exponent E is at least ``c0`` on the whole grid."""
+def uncorrelated_row(c0, omega_sc=0.0):
+    """An uncorrelated row whose exponent E is at least ``c0`` on the whole grid.
+
+    ``omega_sc`` moves the amplitude's signal centre off the grid's, whose points stay put.
+    """
     amp = BiphotonAmplitude.uncorrelated(sigma=1.0)
-    return amp, default_grid(amp, 1.0, resonant_dressed().lambdas), math.sqrt(2.0 * c0)
+    grid = default_grid(amp, 1.0, resonant_dressed().lambdas)
+    return dataclasses.replace(amp, omega_sc=omega_sc), grid, math.sqrt(2.0 * c0)
 
 
 def entangled_row(scale):
@@ -690,22 +694,36 @@ def edge_row(side):
     return amp, grid, -side * grid.half_width  # the row peaks at omega_p - omega_l
 
 
+#: Rows whose supports hold 15 and 16 points, either side of MIN_CURVE_POINTS, at either depth.
+SHORT_ROW, BOUNDARY_ROW = uncorrelated_row(749.947, 0.01), uncorrelated_row(749.939, 0.01)
+
+
 class TestSupportCurves:
-    """Support-length curves, as the regime map compares them, against the full rows' curves."""
+    """Support-length curves, as the regime map and spectra compare them, against full rows."""
 
     @settings(max_examples=200, deadline=None)
-    @given(sampled_rows(), DRIVES)
-    @example(uncorrelated_row(749.99), RESONANT_RIGHT)  # 7 points, where psi underflows
-    @example(FAR_IDLER, RESONANT_RIGHT)  # empty support: null signatures
-    @example(edge_row(-1), RESONANT_RIGHT)
-    @example(edge_row(1), RESONANT_RIGHT)
-    def test_support_curves_equal_full_rows_and_compare_alike(self, row, drive):
+    @given(sampled_rows(), DRIVES, st.booleans())
+    @example(uncorrelated_row(749.99), RESONANT_RIGHT, True)  # 7 points, where psi underflows
+    @example(FAR_IDLER, RESONANT_RIGHT, True)  # empty support: null signatures
+    @example(edge_row(-1), RESONANT_RIGHT, True)
+    @example(edge_row(1), RESONANT_RIGHT, True)
+    @example(SHORT_ROW, RESONANT_RIGHT, True)
+    @example(SHORT_ROW, RESONANT_RIGHT, False)
+    @example(BOUNDARY_ROW, RESONANT_RIGHT, True)
+    @example(BOUNDARY_ROW, RESONANT_RIGHT, False)
+    def test_support_curves_equal_full_rows_and_compare_alike(self, row, drive, cut):
+        # the map's cut kernel, against its closed form at depth inf; a spectrum's uncut
+        # kernel, whose depth is inf, against its own full rows
         amp, grid, omega_l = row
-        kernel = cut_kernel(drive, NOISE, grid)
+        if cut:
+            kernel = cut_kernel(drive, NOISE, grid)
+            full_kernel = full_row_kernel(drive, NOISE, grid)
+        else:
+            kernel = full_kernel = TransmissionKernel(dressed_pair(drive), NOISE, grid)
         depth = kernel.depth
         support, *curves = one_idler(kernel, amp, omega_l)
         assert support == support_of(amp, grid, omega_l, depth)
-        full = full_rows(full_row_kernel(drive, NOISE, grid), amp, omega_l)
+        full = full_rows(full_kernel, amp, omega_l)
         outside = np.ones(grid.points.size, dtype=bool)
         outside[support] = False
         scattered = full_curves(grid, support, *curves)
@@ -722,6 +740,11 @@ class TestSupportCurves:
         expected = compare_pair(*scattered)
         assert got[:2] == expected[:2] and got[3] == expected[3]
         assert abs(got[2] - expected[2]) <= 1e-12
+        cell = analysis.compare_cell(grid, support, *curves)
+        assert cell[:2] == expected[:2] and cell[3] == expected[3]
+        assert abs(cell[2] - expected[2]) <= 1e-12
+        short = len(curves[0]) < analysis.MIN_CURVE_POINTS
+        assert cell == got == compare_pair(*(scattered if short else curves))
 
     def test_examples_cover_short_empty_and_edge_supports(self):
         rows = (uncorrelated_row(749.99), FAR_IDLER, edge_row(-1), edge_row(1))
@@ -731,6 +754,10 @@ class TestSupportCurves:
             kept.append(range(grid.points.size)[support_of(amp, grid, omega_l, depth)])
         assert 0 < len(kept[0]) < analysis.MIN_CURVE_POINTS and len(kept[1]) == 0
         assert kept[2][0] == 0 and kept[3][-1] == rows[3][1].points.size - 1
+        for (amp, grid, omega_l), size in ((SHORT_ROW, 15), (BOUNDARY_ROW, 16)):
+            for depth in (cut_kernel(RESONANT_RIGHT, NOISE, grid).depth, math.inf):
+                assert len(range(grid.points.size)[support_of(amp, grid, omega_l, depth)]) == size
+        assert analysis.MIN_CURVE_POINTS == 16
 
 
 def wide_grid(amp, grid, omega_l, widths=10.0):
