@@ -356,7 +356,7 @@ def cmd_regime_map(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     started = time.time()
     t0_values = cfg.sweep.t0_values()
     omega_l_values = cfg.sweep.omega_l_values()
-    # The largest delays dictate the quadrature step for every cell.
+    # The largest delays dictate the scan step for every cell.
     try:
         worst = sweep_amplitude(cfg.probe, max(t0_values))
     except ValidationError as exc:

@@ -19,9 +19,9 @@ all of a T0 row's Q_i from one call of the Faddeeva function ``_w``,
 within 1e-12 of a curve's peak of a 30-digit reference (6.0e-16 measured),
 and sums each cell's curves with one ``np.einsum`` over a table of every
 mode's Re and Im 1 / den, in the bits of a loop over the modes.
-Spectra and ``transmission_point`` take it as the composite trapezoid
-over the whole zero-padded signal grid, so the spectrum CSVs keep their
-bytes, until perfbench's ``reference_hashes.json`` is re-recorded.
+Spectra and ``transmission_point`` take it as the trapezoid over the
+zero-padded signal grid (an uncut kernel holds no per-point array), so the
+spectrum CSVs keep their bytes until perfbench's hashes are re-recorded.
 
 For a zero-bandwidth energy-correlated pair the transmission collapses
 to a closed form in the pinned detuning dpl = omega_p - wl
@@ -56,6 +56,12 @@ class DetectorPair:
     def __post_init__(self):
         if not (math.isfinite(self.omega_s_bar) and math.isfinite(self.omega_l_bar)):
             raise ValidationError("detector frequencies must be finite")
+
+
+def _modes(dressed: DressedTriad, noise: NoiseParams) -> tuple:
+    """((|eta_1i|^2, lambda_i + i*gamma), ...) of a triad's modes, as Python numbers."""
+    poles = (dressed.lambdas + 1j * noise.gamma).tolist()
+    return tuple(zip(dressed.eta1_sq.tolist(), poles))
 
 
 def _trapezoid(row: np.ndarray, step: float) -> complex:
@@ -99,9 +105,9 @@ def _w(z):
 class TransmissionKernel:
     """Transmission spectra of dressed triads, e.g. an enantiomer pair, on one signal grid.
 
-    Holds, read-only, per triad and mode the weight |eta_1i|^2 and 16 B per
-    grid point: den = lambda_i - d'' + i*gamma or, if ``cut``, Re and Im of
-    r_i = 1 / den as rows 2i, 2i + 1 of one (triads, 2 modes, points) ``table``.
+    Holds per triad and mode the weight |eta_1i|^2 and pole lambda_i + i*gamma (``_modes``),
+    and no per-point array unless ``cut``: then, read-only, Re and Im of r_i = 1 / den, den =
+    lambda_i - d'' + i*gamma, as rows 2i, 2i + 1 of one (triads, 2 modes, points) ``table``.
     The step must resolve gamma RESOLVE_FACTOR times.  Calls may overlap; a
     pickle or copy reruns the constructor.
 
@@ -115,8 +121,9 @@ class TransmissionKernel:
     Q_i of one call's idlers (a T0 row of the map) from one ``_w`` call.  As
     |r_i| <= 1 / gamma, a dropped value is below e^-D M sum_i |eta_1i|^2 |Q_i| / gamma.
 
-    Cut, a cell's curves are the rows of one block, ``np.einsum`` of each triad's
-    (Re c_0, -Im c_0, Re c_1, ...) with its table rows on the support, times -psi:
+    A cell's curves are the rows of one new read-only block: uncut, each triad's row sums
+    its modes; cut, ``np.einsum`` of each triad's (Re c_0, -Im c_0, Re c_1, ...) with its
+    table rows on the support, times -psi:
     unoptimised, einsum adds 0 + Re c_0 Re r_0 + (-Im c_0) Im r_0 + ... in row order,
     and x - y b = x + y (-b), v (-psi) = -(v psi) exactly, so the bits are those of a
     loop over the modes (``tests/mode_loop.py``) unless einsum fuses or reorders them.
@@ -126,27 +133,20 @@ class TransmissionKernel:
         require_step_resolves(grid_s, noise.gamma, "gamma")
         dressed_triads = tuple(dressed_triads)
         self._args = (dressed_triads, noise, grid_s, cut)
-        self.grid, self.triads, self.depth, self.cut = grid_s, (), math.inf, cut
-        with np.errstate(all="ignore"):  # inf and NaN reach only curves, which check them
-            if cut:  # (q / |den|) / |den|, (-gamma / |den|) / |den|: no square of q or gamma
-                lambdas = np.array([d.lambdas for d in dressed_triads])
-                size = np.empty((lambdas.shape[1], grid_s.points.size))
-                self.table = np.empty((len(lambdas), 2 * len(size), grid_s.points.size))
+        self.grid, self.depth, self.cut = grid_s, math.inf, cut
+        self.triads = tuple(_modes(d, noise) for d in dressed_triads)
+        if cut:  # (q / |den|) / |den|, (-gamma / |den|) / |den|: no square of q or gamma
+            lambdas = np.array([d.lambdas for d in dressed_triads])
+            size = np.empty((lambdas.shape[1], grid_s.points.size))
+            self.table = np.empty((len(lambdas), 2 * len(size), grid_s.points.size))
+            with np.errstate(all="ignore"):  # inf and NaN reach only curves, which check them
                 for lams, real, imag in zip(lambdas, self.table[:, 0::2], self.table[:, 1::2]):
                     np.subtract(lams[:, None], grid_s.points, out=real)
                     np.hypot(real, noise.gamma, out=size)
                     np.divide(np.divide(real, size, out=real), size, out=real)
                     np.divide(np.divide(-noise.gamma, size, out=imag), size, out=imag)
-                self.table.flags.writeable = False
-            for d in dressed_triads:  # per mode, (weight, pole) if cut, else (weight, den)
-                if cut:
-                    poles = (d.lambdas + 1j * noise.gamma).tolist()
-                    self.triads += (tuple(zip(d.eta1_sq.tolist(), poles)),)
-                else:
-                    den = (d.lambdas[:, None] - grid_s.points) + 1j * noise.gamma
-                    den.flags.writeable = False
-                    self.triads += (tuple(zip(d.eta1_sq, den)),)
-        if cut:  # in Python floats: a huge R / gamma gives D = inf (full rows), with no warning
+            self.table.flags.writeable = False
+            # in Python floats: a huge R / gamma gives D = inf (full rows), with no warning
             ends = grid_s.points[[0, -1]].tolist()
             reach = max(abs(lam - d) for lam in lambdas.ravel().tolist() for d in ends)
             ratio = reach / float(noise.gamma)
@@ -189,22 +189,20 @@ class TransmissionKernel:
                     coef = next(coefs) if psi_row.size else np.zeros(self.table.shape[:2])
                     block = np.einsum("tk,tkn->tn", coef, self.table[:, :, support])
                     block *= -psi_row
-                    blocks = (block,)
-                else:
+                else:  # den = pole - d'' in the support of a zero-padded row, then psi / den
                     row = np.zeros(points.size, dtype=complex)
-                    quotient, blocks = row[support], []
-                    for modes in self.triads:
-                        values = np.zeros(psi_row.size)
-                        for weight, den in modes if psi_row.size else ():
-                            np.divide(psi_row, den[support], out=quotient)
+                    quotient, block = row[support], np.zeros((len(self.triads), psi_row.size))
+                    for values, modes in zip(block, self.triads):
+                        for weight, pole in modes:
+                            np.subtract(pole, points[support], out=quotient)
+                            np.divide(psi_row, quotient, out=quotient)
                             np.multiply(quotient, _trapezoid(row, grid.step), out=quotient)
                             values += weight * quotient.real
-                        blocks.append(np.negative(values, out=values))
-            for values in blocks:
-                if not np.isfinite(values).all():
-                    raise NonFiniteResult("spectrum curve contains non-finite values")
-                values.flags.writeable = False
-            yield (support, *block) if self.cut else (support, *blocks)
+                    np.negative(block, out=block)
+            if not np.isfinite(block).all():
+                raise NonFiniteResult("spectrum curve contains non-finite values")
+            block.flags.writeable = False
+            yield (support, *block)
 
 
 def full_curves(grid: FrequencyGrid, support: slice, *curves: np.ndarray) -> tuple:
@@ -237,9 +235,9 @@ def transmission_point(
     psi_row = jsa_value(amp, points, det.omega_l_bar)
     psi_det = jsa_value(amp, det.omega_s_bar, det.omega_l_bar)
     total = 0.0
-    for weight, lam in zip(dressed.eta1_sq, dressed.lambdas):
-        row[support] = psi_row / (lam - points + 1j * noise.gamma)
-        factor = psi_det / (lam - det.omega_s_bar + 1j * noise.gamma)
+    for weight, pole in _modes(dressed, noise):
+        row[support] = psi_row / (pole - points)
+        factor = psi_det / (pole - det.omega_s_bar)
         total += weight * (factor * _trapezoid(row, grid_s.step)).real
     result = -total
     if not math.isfinite(result):

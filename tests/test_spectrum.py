@@ -336,6 +336,9 @@ class TestCurveArrays:
             curves = [curve for _, *pair in cells for curve in pair]
             for (support, *pair), row, omega_l in zip(cells, rows, idlers, strict=True):
                 assert support == support_of(amp, scan, omega_l, kernel.depth)
+                block = pair[0].base  # a cell's curves are the rows of one read-only block
+                assert block.shape == (len(pair), row.size) and not block.flags.writeable
+                assert all(curve.base is block for curve in pair)
                 for curve in pair:
                     assert curve.dtype == float and curve.shape == row.shape
                     assert not curve.flags.writeable
@@ -347,8 +350,8 @@ class TestCurveArrays:
         kernel = TransmissionKernel(dressed_pair(RESONANT_RIGHT), NOISE, scan)
         one_idler(kernel, BiphotonAmplitude.uncorrelated(sigma=1.0), 0.3)
         arrays = held_arrays(kernel)
-        # the grid's points, each triad's lambdas and eta1, each mode's denominator
-        assert len(arrays) == 1 + 2 * 2 + 2 * 3
+        # the grid's points, each triad's lambdas and eta1: its modes are Python numbers
+        assert len(arrays) == 1 + 2 * 2
         assert not any(array.flags.writeable for array in arrays)
 
     @pytest.mark.parametrize(
@@ -409,18 +412,24 @@ class TestCurveArrays:
             assert np.allclose(rows[1::2], r.imag, rtol=1e-15, atol=0)
 
     def test_building_a_cut_kernel_peaks_at_its_table_and_one_temporary(self):
-        # the table is filled in place, with one (3, n) |den| array for both triads
+        # the table is filled in place, with one (3, n) |den| array for both triads;
+        # an uncut kernel on the same grid allocates nothing per grid point
         cfg, t0_values, scan = canonical_map()
         pair, n = dressed_pair(cfg.drive), scan.points.size
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            kernel = TransmissionKernel(pair, cfg.noise, scan, cut=True)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+
+        def built(cut):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kernel = TransmissionKernel(pair, cfg.noise, scan, cut=cut)
+                return kernel, tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        kernel, peak = built(cut=True)
         assert kernel.table.nbytes == 2 * 6 * n * 8
         assert peak <= kernel.table.nbytes + 3 * n * 8 + 64 * 1024
+        assert built(cut=False)[1] < 16 * 1024
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(1e160, 1e300))
